@@ -198,12 +198,7 @@ def cmd_verify(args) -> int:
 def cmd_sample(args) -> int:
     act = LoopActivity.constant(args.lam)
     walks = sp.sample_exact(args.n, args.d, act, args.seed, args.samples)
-    rows = []
-    from .core import loop_count
-
-    for i, w in enumerate(walks):
-        end = w[-1]
-        rows.append((i, loop_count(w)) + end + (sum(c * c for c in end),))
+    rows = sp.walk_rows(walks, args.n, args.d)
     header = ("sample_index", "loop_count") + tuple(f"end_{i}" for i in range(args.d)) + ("end_sq",)
     _emit(args, {"_meta": _meta(args), "header": header, "rows": rows})
     return 0

@@ -1,9 +1,11 @@
 """Monte Carlo estimation of loop-weighted walk observables.
 
 Floats live only here; everything upstream is exact. Randomness comes from
-the Philox counter-based generator with one disjoint counter block per
-sample, so results are reproducible and independent of how samples are
-partitioned across workers.
+the Philox4x64-10 counter-based generator (Salmon et al., SC'11): sample i
+of a run with seed s reads its own stream, keyed by the exact 64-bit pair
+(s, i), so a sample depends only on (s, i). Results are reproducible and do
+not depend on how samples are batched. Seeds are integers in [0, 2^64).
+Samples are generated and loop-erased a batch at a time by array kernels.
 """
 
 from __future__ import annotations
@@ -15,10 +17,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import GraphCtx, LoopActivity, PreconditionError, loop_count
+from .core import GraphCtx, LoopActivity, PreconditionError
 from .enumeration import LEState, ResourceError, node_budget
 
-RAWS_PER_SAMPLE = 64  # counter block per sample; n <= 64 steps per walk
+MAX_STEPS = 64  # importance walks; bounds the (BATCH, n+1) stack and the O(n^2) sweep
+BATCH = 8192  # samples per kernel call; bounds memory, outputs do not depend on it
+
+# Philox4x64 multipliers and Weyl key increments (Random123, as in NumPy)
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise PreconditionError(f"seed must be in [0, 2^64), got {seed}")
 
 
 @dataclass(frozen=True)
@@ -28,7 +40,13 @@ class SamplerConfig:
     lam: Fraction
     num_samples: int
     seed: int
-    method: str = "ImportanceSRW"
+
+    def __post_init__(self):
+        _check_seed(self.seed)
+        if self.num_samples < 1:
+            raise PreconditionError(f"need at least 1 sample, got {self.num_samples}")
+        if self.d < 1 or not 0 <= self.n <= MAX_STEPS:
+            raise PreconditionError(f"need d >= 1 and 0 <= n <= {MAX_STEPS}")
 
 
 class UnsupportedMethod(ValueError):
@@ -89,32 +107,135 @@ def _srw_counts(d: int, n: int) -> dict:
     return cur
 
 
+def _mulhilo(m: int, x: np.ndarray):
+    """High and low 64-bit words of the 128-bit products m * x, by 32-bit limbs."""
+    lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & lo32, x >> s32
+    ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
+    mid = (ll >> s32) + (lh & lo32) + (hl & lo32)
+    hi = x_hi * m_hi + (lh >> s32) + (hl >> s32) + (mid >> s32)
+    return hi, x * np.uint64(m)
+
+
+def _philox_raw(seed: int, start: int, count: int, n: int) -> np.ndarray:
+    """First n raw words of the streams of samples [start, start+count):
+    a (count, n) uint64 array.
+
+    Philox4x64-10 over arrays. Sample i keys the generator with the exact
+    uint64 pair (seed, i) and reads counter blocks (1,0,0,0), (2,0,0,0), ...,
+    four words each, so row i equals random_raw(n) of NumPy's Philox bit
+    generator keyed with the uint64 array [seed, i].
+    """
+    blocks = -(-n // 4)
+    k0 = np.array([[seed]], dtype=np.uint64)
+    k1 = np.arange(start, start + count, dtype=np.uint64)[:, None]
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), (count, blocks))
+    c1 = c2 = c3 = np.zeros((count, blocks), dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k0 = k0 + np.uint64(_PHILOX_W[0])
+            k1 = k1 + np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3), axis=2).reshape(count, 4 * blocks)[:, :n]
+
+
 def _sample_steps(seed: int, start_index: int, count: int, n: int, two_d: int) -> np.ndarray:
     """Steps for samples [start_index, start_index+count): (count, n) ints in
     [0, 2d).
 
-    Sample i always consumes raw words [i*B, (i+1)*B) of the Philox stream,
-    so the result is independent of batching and worker partitioning. The
-    modulo bias is ~ 2d / 2^64, far below statistical resolution.
+    Step t of sample i is raw word t of the stream keyed (seed, i), read as a
+    signed int64, modulo 2d; a sample's steps therefore do not depend on the
+    batch it is drawn in. The modulo bias is ~ 2d / 2^64, far below
+    statistical resolution.
     """
-    if n > RAWS_PER_SAMPLE:
-        raise PreconditionError("n exceeds the per-sample block")
-    out = np.empty((count, n), dtype=np.int64)
-    for i in range(count):
-        bitgen = np.random.Philox(key=[seed, start_index + i])
-        out[i] = bitgen.random_raw(n).astype(np.int64) % two_d
-    return out
+    return _philox_raw(seed, start_index, count, n).view(np.int64) % two_d
 
 
-def _walk_from_steps(steps, d: int):
-    """Vertex tuple of the walk with the given step codes."""
-    pos = [0] * d
-    out = [tuple(pos)]
-    for s in steps:
-        axis, sgn = divmod(int(s), 2)
-        pos[axis] += 1 if sgn else -1
-        out.append(tuple(pos))
-    return tuple(out)
+def _walk_keys(steps: np.ndarray, d: int) -> np.ndarray:
+    """(count, n+1, m) integer keys of the points of walks from the origin with
+    the given step codes; two points are equal iff their keys are.
+
+    Coordinates lie in [-n, n], so while (2n+1)^d < 2^63 a point packs into
+    one balanced base-(2n+1) code (m = 1); otherwise the key is the d
+    coordinates themselves, as int8 while n < 128 to keep the batch small.
+    """
+    count, n = steps.shape
+    axis, sign = np.divmod(steps, 2)
+    delta = 2 * sign - 1
+    radix = 2 * n + 1
+    if radix**d < 2**63:
+        moves = (delta * radix**axis)[..., None]
+    else:
+        moves = np.zeros((count, n, d), dtype=np.int8 if n < 128 else np.int64)
+        np.put_along_axis(moves, axis[..., None], delta[..., None], axis=2)
+    keys = np.zeros((count, n + 1, moves.shape[2]), dtype=moves.dtype)
+    np.cumsum(moves, axis=1, out=keys[:, 1:])
+    return keys
+
+
+def _endpoints(keys: np.ndarray, d: int) -> np.ndarray:
+    """(count, d) end coordinates of the walks keyed by _walk_keys."""
+    if keys.shape[2] == d:
+        return keys[:, -1].astype(np.int64)
+    n = keys.shape[1] - 1
+    code = keys[:, -1, 0]
+    ends = np.empty((len(keys), d), dtype=np.int64)
+    for j in range(d):
+        ends[:, j] = (code + n) % (2 * n + 1) - n
+        code = (code - ends[:, j]) // (2 * n + 1)
+    return ends
+
+
+def _loop_counts(keys: np.ndarray) -> np.ndarray:
+    """Loops erased by chronological loop erasure from each walk keyed by
+    _walk_keys: core.loop_count, row by row, for the whole batch.
+
+    Each row keeps its partial loop erasure as a stack of point keys and a
+    length. A step onto the stack truncates it just past the hit point and
+    counts one loop; any other step pushes.
+    """
+    count, n1 = keys.shape[:2]
+    stack = np.empty_like(keys)
+    stack[:, 0] = keys[:, 0]
+    length = np.ones(count, dtype=np.int64)
+    loops = np.zeros(count, dtype=np.int64)
+    rows = np.arange(count)
+    for t in range(1, n1):
+        cur = keys[:, t]
+        on = (stack[:, :t] == cur[:, None]).all(axis=2) & (np.arange(t) < length[:, None])
+        hit = on.any(axis=1)
+        loops += hit
+        length = np.where(hit, on.argmax(axis=1) + 1, length + 1)
+        stack[rows, length - 1] = cur  # on a hit this rewrites the same key
+    return loops
+
+
+def _importance_batches(cfg: SamplerConfig):
+    """(start, loop counts, end points) of the SRW walks of cfg, a batch of
+    samples at a time."""
+    for start in range(0, cfg.num_samples, BATCH):
+        count = min(BATCH, cfg.num_samples - start)
+        keys = _walk_keys(_sample_steps(cfg.seed, start, count, cfg.n, 2 * cfg.d), cfg.d)
+        yield start, _loop_counts(keys), _endpoints(keys, cfg.d)
+
+
+def _rows(start: int, loops: np.ndarray, ends: np.ndarray) -> list:
+    """Rows (sample_index, loop_count, end coords..., |end|^2), numbered from start."""
+    table = np.column_stack((np.arange(start, start + len(loops)), loops, ends,
+                             (ends * ends).sum(axis=1)))
+    return list(map(tuple, table.tolist()))
+
+
+def walk_rows(walks, n: int, d: int) -> list:
+    """Rows (sample_index, loop_count, end coords..., |end|^2) of n-step
+    walks from the origin of Z^d, given as vertex tuples."""
+    points = np.array(walks, dtype=np.int64).reshape(len(walks), n + 1, d)
+    moves = np.diff(points, axis=1)
+    steps = 2 * np.abs(moves).argmax(axis=2) + (moves.sum(axis=2) > 0)
+    return _rows(0, _loop_counts(_walk_keys(steps, d)), points[:, -1])
 
 
 def msd_importance(cfg: SamplerConfig):
@@ -125,21 +246,13 @@ def msd_importance(cfg: SamplerConfig):
     if cfg.lam <= 0:
         raise UnsupportedMethod("importance sampling needs lambda > 0")
     lam = float(cfg.lam)
-    d, n = cfg.d, cfg.n
-    two_d = 2 * d
+    # lambda^k by float.__pow__; an n-step walk erases at most n/2 loops
+    weight = np.array([lam**k for k in range(cfg.n // 2 + 1)])
     rows_w = np.empty(cfg.num_samples)
     rows_y = np.empty(cfg.num_samples)
-    batch = 65536
-    idx = 0
-    for start in range(0, cfg.num_samples, batch):
-        count = min(batch, cfg.num_samples - start)
-        steps = _sample_steps(cfg.seed, start, count, n, two_d)
-        for r in range(count):
-            w = _walk_from_steps(steps[r], d)
-            k = loop_count(w)
-            rows_w[idx] = lam**k
-            rows_y[idx] = float(sum(x * x for x in w[-1]))
-            idx += 1
+    for start, loops, ends in _importance_batches(cfg):
+        rows_w[start : start + len(loops)] = weight[loops]
+        rows_y[start : start + len(loops)] = (ends * ends).sum(axis=1)
     sw = float(rows_w.sum())
     swy = float((rows_w * rows_y).sum())
     est = swy / sw
@@ -180,22 +293,27 @@ def _completion_sums(d: int, n: int, lam_key) -> dict:
     return {"V": V}
 
 
+def _uniforms(seed: int, count: int, n: int):
+    """Per sample i < count, n uniforms in [0, 1): the top 53 bits of each raw
+    word of the stream keyed (seed, i), scaled, as Generator(Philox).random
+    draws them."""
+    for start in range(0, count, BATCH):
+        raw = _philox_raw(seed, start, min(BATCH, count - start), n)
+        yield from (raw >> np.uint64(11)) * 2.0**-53
+
+
 def sample_exact(n: int, d: int, act: LoopActivity, seed: int, count: int):
     """i.i.d. exact draws from the n-step loop-weighted walk distribution.
 
     Sequential sampling: next-step probabilities proportional to the
     lambda-weighted completion sums of the loop-erasure state.
     """
+    _check_seed(seed)
     lam = act.constant_value()
-    if lam == 0:
-        # 0-LWW: uniform over SAWs; completion sums with lam=0 still work
-        pass
     ctx = GraphCtx.lattice(d)
     V = _completion_sums(d, n, str(lam))["V"]
     walks = []
-    for i in range(count):
-        gen = np.random.Generator(np.random.Philox(key=[seed, i]))
-        us = gen.random(n)
+    for us in _uniforms(seed, count, n):
         state = (ctx.origin(),)
         walk = [ctx.origin()]
         for step in range(n):
@@ -232,12 +350,7 @@ def sample_exact(n: int, d: int, act: LoopActivity, seed: int, count: int):
 
 def msd_importance_csv_rows(cfg: SamplerConfig):
     """Per-sample rows (sample_index, loop_count, end coords..., |end|^2)."""
-    lam = float(cfg.lam)
     rows = []
-    steps = _sample_steps(cfg.seed, 0, cfg.num_samples, cfg.n, 2 * cfg.d)
-    for i in range(cfg.num_samples):
-        w = _walk_from_steps(steps[i], cfg.d)
-        k = loop_count(w)
-        end = w[-1]
-        rows.append((i, k) + end + (sum(x * x for x in end),))
+    for batch in _importance_batches(cfg):
+        rows += _rows(*batch)
     return rows

@@ -105,6 +105,23 @@ def test_sample_cli(capsys):
     assert len(rows) == 6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["msd", "--method", "importance", "--n", "4", "--samples", "0"],
+        ["msd", "--method", "importance", "--n", "4", "--samples", "-5"],
+        ["msd", "--method", "importance", "--n", "4", "--seed", "-1"],
+        ["msd", "--method", "importance", "--n", "4", "--seed", str(2**64)],
+        ["sample", "--n", "3", "--seed", "-1"],
+    ],
+)
+def test_bad_sampler_input_exit_code(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_graph_file_mode(capsys, tmp_path):
     payload = {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]]}
     path = tmp_path / "tri.json"

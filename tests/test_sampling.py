@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lww.core import LoopActivity, loop_count
+from lww.core import LoopActivity, PreconditionError, loop_count
 from lww.enumeration import loop_count_table
 from lww import sampling as sp
 
@@ -111,3 +112,100 @@ def test_csv_rows_shape():
         assert len(row) == 2 + 2 + 1
         end_sq = row[-1]
         assert end_sq == row[2] ** 2 + row[3] ** 2
+
+
+def _walk_brute(steps, d):
+    """Vertex tuple of the walk from the origin with the given step codes."""
+    pos = [0] * d
+    out = [tuple(pos)]
+    for s in steps:
+        axis, sgn = divmod(int(s), 2)
+        pos[axis] += 1 if sgn else -1
+        out.append(tuple(pos))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [1, 5, 10, 64])
+def test_philox_raw_matches_numpy(n):
+    rng = np.random.default_rng(0)
+    seeds = [0, 1, 2**32 - 1, 2**63 - 1, 2**63, 2**63 + 1, 2**64 - 1, int(rng.integers(2**62))]
+    starts = [0, 12345, 2**63 - 1, 2**64 - 3]
+    for seed in seeds:
+        for start in starts:
+            raw = sp._philox_raw(seed, start, 3, n)
+            assert raw.shape == (3, n) and raw.dtype == np.uint64
+            for r in range(3):
+                key = np.array([seed, start + r], dtype=np.uint64)
+                assert np.array_equal(raw[r], np.random.Philox(key=key).random_raw(n)), (seed, start + r)
+
+
+def test_seed_keying_is_exact():
+    a = sp._philox_raw(2**63, 0, 4, 8)
+    b = sp._philox_raw(2**63 + 1, 0, 4, 8)
+    assert not np.array_equal(a, b)
+    cfg = dict(d=2, n=6, lam=Fraction(1, 2), num_samples=500)
+    assert sp.msd_importance(sp.SamplerConfig(seed=2**63, **cfg)) != sp.msd_importance(
+        sp.SamplerConfig(seed=2**63 + 1, **cfg)
+    )
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(seed=-1),
+        dict(seed=2**64),
+        dict(num_samples=0),
+        dict(num_samples=-3),
+        dict(n=sp.MAX_STEPS + 1),
+        dict(n=-1),
+        dict(d=0),
+    ],
+)
+def test_sampler_config_rejects(kwargs):
+    base = dict(d=2, n=4, lam=Fraction(1, 2), num_samples=10, seed=0)
+    with pytest.raises(PreconditionError):
+        sp.SamplerConfig(**{**base, **kwargs})
+
+
+def test_sample_exact_rejects_bad_seed():
+    for seed in (-1, 2**64):
+        with pytest.raises(PreconditionError):
+            sp.sample_exact(2, 1, LoopActivity.constant(1), seed=seed, count=1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 15])
+def test_batch_loop_counts_match_loop_count(d):
+    # d = 15 at n = 10 overflows the packed code and compares coordinates
+    rng = np.random.default_rng(d)
+    for n in (0, 1, 2, 7, 10):
+        steps = rng.integers(0, 2 * d, size=(300, n))
+        keys = sp._walk_keys(steps, d)
+        loops, ends = sp._loop_counts(keys), sp._endpoints(keys, d)
+        for r in range(len(steps)):
+            w = _walk_brute(steps[r], d)
+            assert loops[r] == loop_count(w)
+            assert tuple(ends[r]) == w[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 12), st.data())
+def test_batch_loop_counts_property(d, n, data):
+    walks = data.draw(st.lists(st.lists(st.integers(0, 2 * d - 1), min_size=n, max_size=n), min_size=1, max_size=6))
+    steps = np.array(walks, dtype=np.int64).reshape(len(walks), n)
+    loops = sp._loop_counts(sp._walk_keys(steps, d))
+    assert loops.tolist() == [loop_count(_walk_brute(s, d)) for s in steps]
+
+
+def test_msd_importance_independent_of_batch_size(monkeypatch):
+    cfg = sp.SamplerConfig(d=2, n=9, lam=Fraction(2), num_samples=7000, seed=13)
+    got = []
+    for batch in (1000, 2048, 7000):
+        monkeypatch.setattr(sp, "BATCH", batch)
+        got.append((sp.msd_importance(cfg), sp.msd_importance_csv_rows(cfg)))
+    assert got[0] == got[1] == got[2]
+
+
+def test_walk_rows_match_loop_count():
+    walks = sp.sample_exact(6, 2, LoopActivity.constant(Fraction(1, 2)), seed=8, count=200)
+    rows = sp.walk_rows(walks, 6, 2)
+    assert rows == [(i, loop_count(w)) + w[-1] + (sum(c * c for c in w[-1]),) for i, w in enumerate(walks)]
