@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .core import GraphCtx, LoopActivity
+from .core import GraphCtx, LoopActivity, PreconditionError
 from . import enumeration as en
 from . import expansion as ex
 from . import sampling as sp
@@ -28,8 +28,15 @@ def _fraction(s: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational: {s!r}") from exc
 
 
-def _point(s: str):
-    return tuple(int(p) for p in s.split(","))
+def _vertex(s: str, ctx: GraphCtx):
+    """A point given on the command line; on a finite graph "3" also names vertex 3."""
+    p = tuple(int(c) for c in s.split(","))
+    if not ctx.is_lattice and len(p) == 1 and not ctx.contains(p):
+        p = p[0]
+    if not ctx.contains(p) or ctx.is_lattice and len(p) != ctx.d:
+        where = f"Z^{ctx.d}" if ctx.is_lattice else "the graph"
+        raise PreconditionError(f"{s!r} is not a vertex of {where}")
+    return p
 
 
 def _meta(args, extra=None):
@@ -63,17 +70,37 @@ def _emit(args, payload: dict, csv_rows=None, csv_header=None):
         print(text)
 
 
+def _emit_series(args, series) -> int:
+    _emit(
+        args,
+        {
+            "_meta": _meta(args, {"truncation": args.nmax}),
+            "header": ("order", "coefficient"),
+            "rows": list(enumerate(series.to_json())),
+            "coeffs": series.to_json(),
+        },
+    )
+    return 0
+
+
 def _ctx(args) -> GraphCtx:
-    if getattr(args, "graph", None):
+    if not getattr(args, "graph", None):
+        return GraphCtx.lattice(args.d)
+    try:
         with open(args.graph) as fh:
             data = json.load(fh)
         verts = [tuple(v) if isinstance(v, list) else v for v in data["vertices"]]
+        # an int endpoint indexes the vertex list; anything else is a vertex
         edges = [
-            (verts[i], verts[j]) if isinstance(data["edges"][0][0], int) else tuple(e)
-            for i, j in data["edges"]
+            tuple(verts[v] if isinstance(v, int) else tuple(v) if isinstance(v, list) else v for v in e)
+            for e in data["edges"]
         ]
-        return GraphCtx.finite(verts, edges)
-    return GraphCtx.lattice(args.d)
+        ctx = GraphCtx.finite(verts, edges)
+    except (OSError, LookupError, TypeError) as exc:
+        raise PreconditionError(f"bad graph file {args.graph}: {exc!r}") from None
+    if not verts:
+        raise PreconditionError(f"graph file {args.graph} has no vertices")
+    return ctx
 
 
 def cmd_enumerate(args) -> int:
@@ -89,52 +116,25 @@ def cmd_enumerate(args) -> int:
 def cmd_two_point(args) -> int:
     ctx = _ctx(args)
     act = LoopActivity.constant(args.lam)
-    x = _point(args.x)
+    x = _vertex(args.x, ctx)
     series = en.two_point(x, act, args.nmax, ctx, reduced=args.reduced)
-    _emit(
-        args,
-        {
-            "_meta": _meta(args, {"truncation": args.nmax}),
-            "header": ("order", "coefficient"),
-            "rows": list(enumerate(series.to_json())),
-            "coeffs": series.to_json(),
-        },
-    )
-    return 0
+    return _emit_series(args, series)
 
 
 def cmd_chi(args) -> int:
     ctx = _ctx(args)
     act = LoopActivity.constant(args.lam)
     series = en.chi_series(act, args.nmax, ctx)
-    _emit(
-        args,
-        {
-            "_meta": _meta(args, {"truncation": args.nmax}),
-            "header": ("order", "coefficient"),
-            "rows": list(enumerate(series.to_json())),
-            "coeffs": series.to_json(),
-        },
-    )
-    return 0
+    return _emit_series(args, series)
 
 
 def cmd_loop_measure(args) -> int:
     ctx = _ctx(args)
     act = LoopActivity.constant(args.lam)
-    A = frozenset(_point(p) for p in args.hit.split(";"))
-    B = frozenset(_point(p) for p in args.avoid.split(";")) if args.avoid else frozenset()
+    A = frozenset(_vertex(p, ctx) for p in args.hit.split(";"))
+    B = frozenset(_vertex(p, ctx) for p in args.avoid.split(";")) if args.avoid else frozenset()
     series = en.loop_measure(A, B, act, args.nmax, ctx)
-    _emit(
-        args,
-        {
-            "_meta": _meta(args, {"truncation": args.nmax}),
-            "header": ("order", "coefficient"),
-            "rows": list(enumerate(series.to_json())),
-            "coeffs": series.to_json(),
-        },
-    )
-    return 0
+    return _emit_series(args, series)
 
 
 def cmd_alpha(args) -> int:

@@ -210,6 +210,22 @@ class LoopRecord:
     count: int
 
 
+def _erase(w: Walk):
+    """Chronological loop erasure by a stack: (SAW, erased loops in order)."""
+    stack, pos, erased = [], {}, []
+    for v in w:
+        j = pos.get(v)
+        if j is None:
+            pos[v] = len(stack)
+            stack.append(v)
+        else:
+            erased.append(tuple(stack[j:]) + (v,))
+            for u in stack[j + 1 :]:
+                del pos[u]
+            del stack[j + 1 :]
+    return tuple(stack), erased
+
+
 def loop_erase(w: Walk, ctx: Optional[GraphCtx] = None):
     """Full chronological loop erasure.
 
@@ -217,57 +233,19 @@ def loop_erase(w: Walk, ctx: Optional[GraphCtx] = None):
     canonicalizes each erased loop with sap_key (lattice isometries are
     quotiented only in lattice mode).
     """
-    erased = []
-    cur = w
-    # Single pass: maintain the partial loop erasure as a stack.
-    stack = []
-    pos = {}
-    for v in w:
-        if v in pos:
-            j = pos[v]
-            loop = tuple(stack[j:]) + (v,)
-            erased.append(loop)
-            for u in stack[j + 1 :]:
-                del pos[u]
-            del stack[j + 1 :]
-        else:
-            pos[v] = len(stack)
-            stack.append(v)
-    saw = tuple(stack)
+    saw, erased = _erase(w)
     keys = tuple(sorted(sap_key(e, ctx) for e in erased))
     return saw, LoopRecord(loops=keys, count=len(erased)), erased
 
 
 def loop_count(w: Walk) -> int:
-    """Number of loops removed by loop erasure (cheap path, no keys)."""
-    n = 0
-    stack = []
-    pos = {}
-    for v in w:
-        if v in pos:
-            j = pos[v]
-            n += 1
-            for u in stack[j + 1 :]:
-                del pos[u]
-            del stack[j + 1 :]
-        else:
-            pos[v] = len(stack)
-            stack.append(v)
-    return n
+    """Number of loops removed by loop erasure."""
+    return len(_erase(w)[1])
 
 
 def loop_erase_last_exit(w: Walk) -> Walk:
     """Loop erasure via the last-exit recursion l_k = sup{j: w_j = w_{l_{k-1}}}+1."""
-    out = [w[0]]
-    ell = 0
-    n = len(w) - 1
-    while True:
-        v = w[ell]
-        last = max(j for j in range(len(w)) if w[j] == v)
-        ell = last + 1
-        if ell > n:
-            return tuple(out)
-        out.append(w[ell])
+    return tuple(w[i] for i in last_exit_indices(w))
 
 
 def last_exit_indices(w: Walk):
@@ -311,15 +289,6 @@ def preimage_segments(w: Walk, cut_times) -> list:
         b = ell[cuts[i + 1]] - 1 if i < len(cuts) - 2 else len(w) - 1
         segs.append(w[a : b + 1])
     return segs
-
-
-def hitting_time(w: Walk, targets) -> Optional[int]:
-    """tau_w(A) = inf{j >= 0: w_j in A}, None if never."""
-    tset = set(targets)
-    for j, v in enumerate(w):
-        if v in tset:
-            return j
-    return None
 
 
 def shrinking_times(eta: Walk, omega: Walk):

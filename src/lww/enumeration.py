@@ -194,7 +194,7 @@ def _walk_sum_impl(c, act, nmax, ctx, by_endpoint):
     def dfs(v, length, hit_done):
         budget[0] -= 1
         if budget[0] < 0:
-            raise ResourceError("enumeration node budget exceeded")
+            raise ResourceError(f"enumeration node budget {node_budget()} exceeded (override with LWW_BUDGET)")
         record(v, length, hit_done)
         if length == max_len:
             return
@@ -218,6 +218,92 @@ def _walk_sum_impl(c, act, nmax, ctx, by_endpoint):
             {x: ZSeries(tuple(row)) for x, row in table.items()}, nmax
         )
     return ZSeries(tuple(coeffs))
+
+
+def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list:
+    """Walks of length m <= n from the origin of Z^d, summed by endpoint.
+
+    A walk's loop weight depends only on the loops its chronological loop
+    erasure removes, and the partial erasure after each step is a SAW, so
+    walks sharing it at the same time are merged. A state is the SAW's steps
+    as base-2d digits under a leading 1 (points are ints in radix 2n+1). A
+    step onto the SAW truncates it at the hit point and charges the erased
+    loop; any other step pushes. Level n is recorded, never stored. Constant
+    activities carry sum_k N_k lambda^k as one int with N_k in digit k, so a
+    charged loop is a shift; table activities carry a Fraction.
+
+    Returns rows: rows[m] maps each endpoint to [N_0, N_1, ...] (act=None)
+    or to the weight sum of the m-step walks ending there. Raises
+    ResourceError when more than node_budget() states are expanded.
+    """
+    if n < 0:
+        raise PreconditionError("need a walk length n >= 0")
+    d, base, radix = ctx.d, 2 * ctx.d, 2 * n + 1
+    moves = [s * radix**i for i in range(d) for s in (-1, 1)]
+    offset = n * sum(radix**i for i in range(d))  # makes every digit nonnegative
+    powers = [base**i for i in range(n + 1)]
+    packed = act is None or act.is_constant
+    width = (base**n).bit_length()  # N_k <= (2d)^n
+    loop_weights: dict = {}  # loop step digits -> activity
+
+    def point(q):
+        return tuple((q + offset) // radix**i % radix - n for i in range(d))
+
+    one = 1 if packed else Fraction(1)
+    rows = [{0: one}] + [{} for _ in range(n)]
+    level = {1: one}
+    budget = node_budget()
+    for m in range(n):
+        budget -= len(level)
+        if budget < 0:
+            raise ResourceError(
+                f"walk enumeration expands more than {node_budget()} loop-erasure "
+                "states (override with LWW_BUDGET)"
+            )
+        row, nxt = rows[m + 1], {}
+        for code, w in level.items():
+            steps, c = [], code
+            while c > 1:
+                c, s = divmod(c, base)
+                steps.append(s)
+            pts, p = [0], 0
+            for s in reversed(steps):
+                p += moves[s]
+                pts.append(p)
+            pos = {q: i for i, q in enumerate(pts)}
+            for s, mv in enumerate(moves):
+                q = p + mv
+                j = pos.get(q)
+                if j is None:
+                    child, cw = code * base + s, w
+                elif packed:
+                    child, cw = code // powers[len(steps) - j], w << width
+                else:
+                    span = len(steps) - j
+                    child = code // powers[span]
+                    key = powers[span] + code % powers[span]  # the closing step is implied
+                    if key not in loop_weights:
+                        loop = tuple(map(point, pts[j:] + [q]))
+                        loop_weights[key] = act.weight_of_key(sap_key(loop))
+                    cw = w * loop_weights[key]
+                row[q] = row.get(q, 0) + cw
+                if m < n - 1:
+                    nxt[child] = nxt.get(child, 0) + cw
+        level = nxt
+    mask = (1 << width) - 1
+
+    def value(w):
+        if not packed:
+            return w
+        counts = []
+        while w:
+            counts.append(w & mask)
+            w >>= width
+        if act is None:
+            return counts
+        return sum((c * act.value**k for k, c in enumerate(counts)), Fraction(0))
+
+    return [{point(q): value(w) for q, w in row.items()} for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -385,11 +471,21 @@ def _default_origin(ctx: GraphCtx):
 
 @lru_cache(maxsize=None)
 def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -> SpatialSeries:
-    """G(x) for all endpoints at once: direct weighted enumeration from 0."""
+    """G(x) for all endpoints at once: direct weighted enumeration from 0.
+
+    Lattice activities that can weight a loop go through _transfer; lambda
+    = 0 (SAWs share no states) and finite graphs use the DFS."""
     start = _default_origin(ctx) if origin is None else origin
-    return walk_sum_by_endpoint(
-        WalkConstraint(start=start, end=None, max_len=nmax), act, nmax, ctx
-    )
+    if not (ctx.is_lattice and act.sup() > 0):
+        return walk_sum_by_endpoint(
+            WalkConstraint(start=start, end=None, max_len=nmax), act, nmax, ctx
+        )
+    table: dict = {}
+    for m, row in enumerate(_transfer(nmax, ctx, act)):
+        for x, w in row.items():
+            y = tuple(a + b for a, b in zip(x, start))
+            table.setdefault(y, [Fraction(0)] * (nmax + 1))[m] = w
+    return SpatialSeries.build({x: ZSeries(tuple(c)) for x, c in table.items()}, nmax)
 
 
 def two_point(x, act: LoopActivity, nmax: int, ctx: GraphCtx, reduced: bool = False, origin=None) -> ZSeries:
@@ -502,26 +598,13 @@ class LoopCountTable:
 
 def loop_count_table(n_max: int, d: int, endpoint_resolved: bool = False) -> LoopCountTable:
     """Exact counts N(n, k) of n-step walks with k erased loops."""
-    ctx = GraphCtx.lattice(d)
-    _guard(ctx, n_max)
-    origin = ctx.origin()
     entries: dict = {}
-    state = LEState(origin, ctx, True)
-
-    def bump(v, length):
-        key = (length, state.count, v) if endpoint_resolved else (length, state.count)
-        entries[key] = entries.get(key, 0) + 1
-
-    def dfs(v, length):
-        bump(v, length)
-        if length == n_max:
-            return
-        for w in ctx.neighbors(v):
-            state.push(w)
-            dfs(w, length + 1)
-            state.pop()
-
-    dfs(origin, 0)
+    for n, row in enumerate(_transfer(n_max, GraphCtx.lattice(d))):
+        for x, counts in row.items():
+            for k, cnt in enumerate(counts):
+                if cnt:
+                    key = (n, k, x) if endpoint_resolved else (n, k)
+                    entries[key] = entries.get(key, 0) + cnt
     return LoopCountTable(
         d=d,
         n_max=n_max,
@@ -530,44 +613,28 @@ def loop_count_table(n_max: int, d: int, endpoint_resolved: bool = False) -> Loo
     )
 
 
-def srw_endpoint_counts(d: int, n: int) -> dict:
-    """Exact endpoint counts of n-step simple random walks on Z^d (integer DP)."""
-    cur = {(0,) * d: 1}
+def _srw_levels(d: int, n: int) -> list:
+    """Endpoint counts of the m-step simple random walks on Z^d, m = 0..n."""
+    levels = [{(0,) * d: 1}]
     for _ in range(n):
         nxt: dict = {}
-        for x, c in cur.items():
+        for x, c in levels[-1].items():
             for i in range(d):
                 for s in (-1, 1):
-                    y = list(x)
-                    y[i] += s
-                    y = tuple(y)
+                    y = x[:i] + (x[i] + s,) + x[i + 1 :]
                     nxt[y] = nxt.get(y, 0) + c
-        cur = nxt
-    return cur
+        levels.append(nxt)
+    return levels
 
 
 def chi_series(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """Susceptibility: endpoint-summed walk weights.
 
-    lambda = 1 uses the integer convolution fast path (loop weights are
-    identically 1 there); everything else enumerates.
+    lambda = 1 sums the simple-random-walk endpoint counts (loop weights are
+    identically 1 there); everything else goes through two_point_table.
     """
     if ctx.is_lattice and act.is_constant and act.value == 1:
-        coeffs = []
-        cur = {(0,) * ctx.d: 1}
-        for n in range(nmax + 1):
-            coeffs.append(Fraction(sum(cur.values())))
-            if n < nmax:
-                nxt: dict = {}
-                for xx, c in cur.items():
-                    for i in range(ctx.d):
-                        for s in (-1, 1):
-                            yy = list(xx)
-                            yy[i] += s
-                            yy = tuple(yy)
-                            nxt[yy] = nxt.get(yy, 0) + c
-                cur = nxt
-        return ZSeries(tuple(coeffs))
+        return ZSeries(tuple(Fraction(sum(c.values())) for c in _srw_levels(ctx.d, nmax)))
     return two_point_table(act, nmax, ctx).sum_over_x()
 
 

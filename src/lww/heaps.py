@@ -246,7 +246,6 @@ def trivial_heap_sum(forbidden, ctx: GraphCtx, act: LoopActivity, nmax: int) -> 
         for c in all_oriented_cycles(ctx, nmax)
         if not (c.vertices() & forbidden) and len(c) <= nmax
     ]
-    acc = ZSeries.one(nmax)
     total = [ZSeries.one(nmax)]
 
     # DFS over independent sets of the concurrency graph
@@ -341,7 +340,6 @@ def unoriented_heap_sum(forbidden, ctx: GraphCtx, act: LoopActivity, nmax: int) 
     for c in all_oriented_cycles(ctx, nmax):
         if c.vertices() & forbidden or len(c) > nmax:
             continue
-        key = (len(c), frozenset(c.seq), min(c.seq, c.reversed_cycle().seq))
         base = min(c.seq, c.reversed_cycle().seq)
         if base in seen:
             continue

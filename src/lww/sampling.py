@@ -18,7 +18,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import GraphCtx, LoopActivity, PreconditionError
-from .enumeration import LEState, ResourceError, node_budget
+from .enumeration import _srw_levels, _transfer
 
 MAX_STEPS = 64  # importance walks; bounds the (BATCH, n+1) stack and the O(n^2) sweep
 BATCH = 8192  # samples per kernel call; bounds memory, outputs do not depend on it
@@ -56,55 +56,15 @@ class UnsupportedMethod(ValueError):
 def msd_exact(n: int, d: int, act: LoopActivity) -> Fraction:
     """<|w_n|^2> under the n-step loop-weighted measure, by enumeration.
 
-    lambda = 1 uses the endpoint-count convolution (loop weights are all 1).
+    lambda = 1 uses the simple-random-walk endpoint counts (loop weights are
+    all 1); every other activity uses the loop-erasure transfer engine.
     """
     if act.is_constant and act.value == 1:
-        counts = _srw_counts(d, n)
-        num = sum(c * sum(x * x for x in pt) for pt, c in counts.items())
-        den = sum(counts.values())
-        return Fraction(num, den)
-    ctx = GraphCtx.lattice(d)
-    if (2 * d) ** n > node_budget():
-        raise ResourceError("enumeration budget exceeded")
-    origin = ctx.origin()
-    state = LEState(origin, ctx, act.is_constant)
-    num = [Fraction(0)]
-    den = [Fraction(0)]
-
-    def weight():
-        if act.is_constant:
-            return act.value**state.count
-        return act.weight_of_keys(state.keys)
-
-    def dfs(v, length):
-        if length == n:
-            w = weight()
-            den[0] += w
-            num[0] += w * sum(x * x for x in v)
-            return
-        for w in ctx.neighbors(v):
-            state.push(w)
-            dfs(w, length + 1)
-            state.pop()
-
-    dfs(origin, 0)
-    return num[0] / den[0]
-
-
-@lru_cache(maxsize=None)
-def _srw_counts(d: int, n: int) -> dict:
-    cur = {(0,) * d: 1}
-    for _ in range(n):
-        nxt: dict = {}
-        for x, c in cur.items():
-            for i in range(d):
-                for s in (-1, 1):
-                    y = list(x)
-                    y[i] += s
-                    y = tuple(y)
-                    nxt[y] = nxt.get(y, 0) + c
-        cur = nxt
-    return cur
+        ends = _srw_levels(d, n)[-1]
+    else:
+        ends = _transfer(n, GraphCtx.lattice(d), act)[n]
+    num = sum(w * sum(x * x for x in pt) for pt, w in ends.items())
+    return Fraction(num) / sum(ends.values())
 
 
 def _mulhilo(m: int, x: np.ndarray):
@@ -245,9 +205,12 @@ def msd_importance(cfg: SamplerConfig):
     """
     if cfg.lam <= 0:
         raise UnsupportedMethod("importance sampling needs lambda > 0")
-    lam = float(cfg.lam)
-    # lambda^k by float.__pow__; an n-step walk erases at most n/2 loops
-    weight = np.array([lam**k for k in range(cfg.n // 2 + 1)])
+    try:
+        lam = float(cfg.lam)
+        # lambda^k by float.__pow__; an n-step walk erases at most n/2 loops
+        weight = np.array([lam**k for k in range(cfg.n // 2 + 1)])
+    except OverflowError:
+        raise PreconditionError(f"lambda^k overflows a float for some k <= {cfg.n // 2}") from None
     rows_w = np.empty(cfg.num_samples)
     rows_y = np.empty(cfg.num_samples)
     for start, loops, ends in _importance_batches(cfg):
@@ -255,6 +218,8 @@ def msd_importance(cfg: SamplerConfig):
         rows_y[start : start + len(loops)] = (ends * ends).sum(axis=1)
     sw = float(rows_w.sum())
     swy = float((rows_w * rows_y).sum())
+    if not (0 < sw < math.inf and math.isfinite(swy)):
+        raise PreconditionError(f"lambda is out of float range: the weights lambda^k sum to {sw}")
     est = swy / sw
     resid = rows_w * (rows_y - est)
     var = float((resid**2).sum()) / (sw * sw)

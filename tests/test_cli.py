@@ -113,6 +113,9 @@ def test_sample_cli(capsys):
         ["msd", "--method", "importance", "--n", "4", "--seed", "-1"],
         ["msd", "--method", "importance", "--n", "4", "--seed", str(2**64)],
         ["sample", "--n", "3", "--seed", "-1"],
+        ["msd", "--method", "importance", "--n", "10", "--samples", "10", "--lambda", str(10**171)],
+        ["msd", "--method", "importance", "--n", "10", "--samples", "10", "--lambda", f"1/{10**400}"],
+        ["msd", "--method", "importance", "--n", "4", "--samples", "10", "--lambda", str(10**400)],
     ],
 )
 def test_bad_sampler_input_exit_code(capsys, argv):
@@ -140,3 +143,53 @@ def test_graph_file_mode(capsys, tmp_path):
     # walks from vertex 0 on a triangle: 1, 2, 4, 8
     rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
     assert [r.split(",")[1] for r in rows] == ["1/1", "2/1", "4/1", "8/1"]
+
+
+def test_graph_file_vertex_valued_edges(capsys, tmp_path):
+    corners = [[0, 0], [0, 1], [1, 0]]
+    payload = {"vertices": corners, "edges": [[corners[0], corners[1]], [corners[1], corners[2]], [corners[2], corners[0]]]}
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps(payload))
+    code, out = run(capsys, "chi", "--graph", str(path), "--lambda", "1", "--nmax", "3")
+    assert code == 0
+    rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
+    assert [r.split(",")[1] for r in rows] == ["1/1", "2/1", "4/1", "8/1"]
+    code, out = run(capsys, "two-point", "--graph", str(path), "--lambda", "1", "--nmax", "2", "--x", "0,1")
+    assert code == 0 and out.splitlines()[-1].split(",")[1] == "1/1"
+
+
+def test_graph_file_without_edges(capsys, tmp_path):
+    path = tmp_path / "dot.json"
+    path.write_text(json.dumps({"vertices": [0], "edges": []}))
+    code, out = run(capsys, "chi", "--graph", str(path), "--lambda", "1", "--nmax", "2")
+    assert code == 0
+    rows = [l for l in out.splitlines() if l and not l.startswith("#")][1:]
+    assert [r.split(",")[1] for r in rows] == ["1/1", "0/1", "0/1"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"vertices": [], "edges": []}, {"vertices": [0, 1], "edges": [[0, 5]]}, {"edges": []}],
+)
+def test_bad_graph_file_exit_code(capsys, tmp_path, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(payload))
+    assert main(["chi", "--graph", str(path), "--nmax", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["two-point", "--d", "2", "--x", "1"],
+        ["two-point", "--d", "1", "--x", "1,0"],
+        ["loop-measure", "--d", "2", "--hit", "0"],
+        ["loop-measure", "--d", "2", "--hit", "0,0", "--avoid", "1,0,0"],
+    ],
+)
+def test_bad_point_exit_code(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
