@@ -119,11 +119,18 @@ def diffusion_exact_at(act: LoopActivity, nmax: int, ctx: GraphCtx, zc: Fraction
     return -a * _inverse_second_moment(act, nmax, ctx, zc)
 
 
+def _rounded_zc(act: LoopActivity, nmax: int, ctx: GraphCtx) -> Fraction:
+    """The ratio estimate of z_c as a fraction with denominator <= 10^6."""
+    zc = Fraction(zc_ratio_estimate(chi_series(act, nmax, ctx)).value).limit_denominator(10**6)
+    if zc <= 0:
+        raise PreconditionError(f"the z_c estimate rounds to {zc} at denominator 10^6")
+    return zc
+
+
 def amplitude_A_estimate(act: LoopActivity, nmax: int, ctx: GraphCtx, zc=None) -> SeriesEstimate:
     """A(lambda) at the ratio-estimated z_c, with a +-2% sensitivity column."""
     if zc is None:
-        zc_est = zc_ratio_estimate(chi_series(act, nmax, ctx))
-        zc = Fraction(zc_est.value).limit_denominator(10**6)
+        zc = _rounded_zc(act, nmax, ctx)
     per_order = []
     for pert in (Fraction(98, 100), Fraction(1), Fraction(102, 100)):
         zz = Fraction(zc) * pert
@@ -139,8 +146,7 @@ def amplitude_A_estimate(act: LoopActivity, nmax: int, ctx: GraphCtx, zc=None) -
 def diffusion_D_estimate(act: LoopActivity, nmax: int, ctx: GraphCtx, zc=None) -> SeriesEstimate:
     """D(lambda) at the ratio-estimated z_c, with a +-2% sensitivity column."""
     if zc is None:
-        zc_est = zc_ratio_estimate(chi_series(act, nmax, ctx))
-        zc = Fraction(zc_est.value).limit_denominator(10**6)
+        zc = _rounded_zc(act, nmax, ctx)
     per_order = []
     for pert in (Fraction(98, 100), Fraction(1), Fraction(102, 100)):
         zz = Fraction(zc) * pert

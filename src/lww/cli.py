@@ -326,6 +326,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for size in ("n", "nmax"):
+            if getattr(args, size, 0) < 0:
+                raise PreconditionError(f"--{size} must be >= 0, got {getattr(args, size)}")
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

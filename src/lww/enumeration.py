@@ -220,72 +220,99 @@ def _walk_sum_impl(c, act, nmax, ctx, by_endpoint):
     return ZSeries(tuple(coeffs))
 
 
+class _LEStates:
+    """Loop-erasure states of walks of at most n steps from the origin of Z^d.
+
+    The partial loop erasure of a walk is a Markov chain on SAWs (Lawler
+    1991), and a walk's loop weight depends only on the loops it erases. A
+    state is the SAW's steps as base-2d digits under a leading 1 (the origin
+    alone is 1); points are ints in radix 2n+1. successors() is the chain's
+    one transition rule: _transfer runs it forward, sampling.sample_exact
+    backward, and both charge() the states they expand to node_budget().
+    """
+
+    def __init__(self, ctx: GraphCtx, n: int):
+        if n < 0:
+            raise PreconditionError("need a walk length n >= 0")
+        self.d, self.n, self.base, self.radix = ctx.d, n, 2 * ctx.d, 2 * n + 1
+        self.moves = [sum(c * self.radix**i for i, c in enumerate(v)) for v in ctx.neighbors(ctx.origin())]
+        self.offset = n * sum(self.radix**i for i in range(self.d))  # makes every digit nonnegative
+        self.powers = [self.base**i for i in range(n + 1)]
+        self.left = node_budget()
+
+    def point(self, q) -> tuple:
+        return tuple((q + self.offset) // self.radix**i % self.radix - self.n for i in range(self.d))
+
+    def points(self, code) -> list:
+        """The SAW of a state, as int points from the origin."""
+        steps = []
+        while code > 1:
+            code, s = divmod(code, self.base)
+            steps.append(s)
+        pts = [0]
+        for s in reversed(steps):
+            pts.append(pts[-1] + self.moves[s])
+        return pts
+
+    def successors(self, code) -> list:
+        """(endpoint, next state, erased loop) of each step out of a state, in
+        GraphCtx.neighbors order. A step onto the SAW truncates it at the hit
+        point and erases the loop of the steps after it, coded as a state
+        (the closing step is implied); any other step pushes and erases 0."""
+        pts = self.points(code)
+        pos = {q: i for i, q in enumerate(pts)}
+        out = []
+        for s, mv in enumerate(self.moves):
+            q = pts[-1] + mv
+            j = pos.get(q)
+            if j is None:
+                out.append((q, code * self.base + s, 0))
+            else:
+                cut = self.powers[len(pts) - 1 - j]
+                out.append((q, code // cut, cut + code % cut))
+        return out
+
+    def charge(self, states: int):
+        self.left -= states
+        if self.left < 0:
+            raise ResourceError(f"walk enumeration expands more than {node_budget()} loop-erasure "
+                                "states (override with LWW_BUDGET)")
+
+
 def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list:
     """Walks of length m <= n from the origin of Z^d, summed by endpoint.
 
-    A walk's loop weight depends only on the loops its chronological loop
-    erasure removes, and the partial erasure after each step is a SAW, so
-    walks sharing it at the same time are merged. A state is the SAW's steps
-    as base-2d digits under a leading 1 (points are ints in radix 2n+1). A
-    step onto the SAW truncates it at the hit point and charges the erased
-    loop; any other step pushes. Level n is recorded, never stored. Constant
-    activities carry sum_k N_k lambda^k as one int with N_k in digit k, so a
-    charged loop is a shift; table activities carry a Fraction.
+    Walks sharing a loop-erasure state (_LEStates) at the same time are
+    merged. Level n is recorded, never stored. Constant activities carry
+    sum_k N_k lambda^k as one int with N_k in digit k, so a charged loop is
+    a shift; table activities carry a Fraction.
 
     Returns rows: rows[m] maps each endpoint to [N_0, N_1, ...] (act=None)
     or to the weight sum of the m-step walks ending there. Raises
     ResourceError when more than node_budget() states are expanded.
     """
-    if n < 0:
-        raise PreconditionError("need a walk length n >= 0")
-    d, base, radix = ctx.d, 2 * ctx.d, 2 * n + 1
-    moves = [s * radix**i for i in range(d) for s in (-1, 1)]
-    offset = n * sum(radix**i for i in range(d))  # makes every digit nonnegative
-    powers = [base**i for i in range(n + 1)]
+    states = _LEStates(ctx, n)
     packed = act is None or act.is_constant
-    width = (base**n).bit_length()  # N_k <= (2d)^n
-    loop_weights: dict = {}  # loop step digits -> activity
-
-    def point(q):
-        return tuple((q + offset) // radix**i % radix - n for i in range(d))
+    width = (states.base**n).bit_length()  # N_k <= (2d)^n
+    loop_weights: dict = {}  # erased loop -> activity
 
     one = 1 if packed else Fraction(1)
     rows = [{0: one}] + [{} for _ in range(n)]
     level = {1: one}
-    budget = node_budget()
     for m in range(n):
-        budget -= len(level)
-        if budget < 0:
-            raise ResourceError(
-                f"walk enumeration expands more than {node_budget()} loop-erasure "
-                "states (override with LWW_BUDGET)"
-            )
+        states.charge(len(level))
         row, nxt = rows[m + 1], {}
         for code, w in level.items():
-            steps, c = [], code
-            while c > 1:
-                c, s = divmod(c, base)
-                steps.append(s)
-            pts, p = [0], 0
-            for s in reversed(steps):
-                p += moves[s]
-                pts.append(p)
-            pos = {q: i for i, q in enumerate(pts)}
-            for s, mv in enumerate(moves):
-                q = p + mv
-                j = pos.get(q)
-                if j is None:
-                    child, cw = code * base + s, w
+            for q, child, loop in states.successors(code):
+                if not loop:
+                    cw = w
                 elif packed:
-                    child, cw = code // powers[len(steps) - j], w << width
+                    cw = w << width
                 else:
-                    span = len(steps) - j
-                    child = code // powers[span]
-                    key = powers[span] + code % powers[span]  # the closing step is implied
-                    if key not in loop_weights:
-                        loop = tuple(map(point, pts[j:] + [q]))
-                        loop_weights[key] = act.weight_of_key(sap_key(loop))
-                    cw = w * loop_weights[key]
+                    if loop not in loop_weights:
+                        closed = tuple(map(states.point, states.points(loop) + [0]))
+                        loop_weights[loop] = act.weight_of_key(sap_key(closed))
+                    cw = w * loop_weights[loop]
                 row[q] = row.get(q, 0) + cw
                 if m < n - 1:
                     nxt[child] = nxt.get(child, 0) + cw
@@ -303,7 +330,7 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list
             return counts
         return sum((c * act.value**k for k, c in enumerate(counts)), Fraction(0))
 
-    return [{point(q): value(w) for q, w in row.items()} for row in rows]
+    return [{states.point(q): value(w) for q, w in row.items()} for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ the Philox4x64-10 counter-based generator (Salmon et al., SC'11): sample i
 of a run with seed s reads its own stream, keyed by the exact 64-bit pair
 (s, i), so a sample depends only on (s, i). Results are reproducible and do
 not depend on how samples are batched. Seeds are integers in [0, 2^64).
-Samples are generated and loop-erased a batch at a time by array kernels.
+Importance samples are generated and loop-erased a batch at a time by array
+kernels. The exact sampler runs on the transfer engine's loop-erasure states
+under its node_budget(); its memory is not capped.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from .core import GraphCtx, LoopActivity, PreconditionError
-from .enumeration import _srw_levels, _transfer
+from .enumeration import _LEStates, _srw_levels, _transfer
 
 MAX_STEPS = 64  # importance walks; bounds the (BATCH, n+1) stack and the O(n^2) sweep
 BATCH = 8192  # samples per kernel call; bounds memory, outputs do not depend on it
@@ -59,10 +60,13 @@ def msd_exact(n: int, d: int, act: LoopActivity) -> Fraction:
     lambda = 1 uses the simple-random-walk endpoint counts (loop weights are
     all 1); every other activity uses the loop-erasure transfer engine.
     """
+    ctx = GraphCtx.lattice(d)  # checks d before the lambda = 1 shortcut
+    if n < 0:
+        raise PreconditionError(f"need n >= 0, got {n}")
     if act.is_constant and act.value == 1:
         ends = _srw_levels(d, n)[-1]
     else:
-        ends = _transfer(n, GraphCtx.lattice(d), act)[n]
+        ends = _transfer(n, ctx, act)[n]
     num = sum(w * sum(x * x for x in pt) for pt, w in ends.items())
     return Fraction(num) / sum(ends.values())
 
@@ -226,90 +230,49 @@ def msd_importance(cfg: SamplerConfig):
     return est, math.sqrt(var)
 
 
-@lru_cache(maxsize=None)
-def _completion_sums(d: int, n: int, lam_key) -> dict:
-    """V(saw-state, m): lambda-weighted sum over m-step continuations.
-
-    The loop-erasure state of a prefix is its partial SAW; stepping onto the
-    SAW truncates it and pays one factor of lambda.
-    """
-    lam = Fraction(lam_key)
-    ctx = GraphCtx.lattice(d)
-    memo: dict = {}
-
-    def V(state: tuple, m: int) -> Fraction:
-        if m == 0:
-            return Fraction(1)
-        key = (state, m)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        pos = {v: i for i, v in enumerate(state)}
-        acc = Fraction(0)
-        for w in ctx.neighbors(state[-1]):
-            j = pos.get(w)
-            if j is None:
-                acc += V(state + (w,), m - 1)
-            else:
-                acc += lam * V(state[: j + 1], m - 1)
-        memo[key] = acc
-        return acc
-
-    return {"V": V}
-
-
-def _uniforms(seed: int, count: int, n: int):
-    """Per sample i < count, n uniforms in [0, 1): the top 53 bits of each raw
-    word of the stream keyed (seed, i), scaled, as Generator(Philox).random
-    draws them."""
-    for start in range(0, count, BATCH):
-        raw = _philox_raw(seed, start, min(BATCH, count - start), n)
-        yield from (raw >> np.uint64(11)) * 2.0**-53
-
-
 def sample_exact(n: int, d: int, act: LoopActivity, seed: int, count: int):
     """i.i.d. exact draws from the n-step loop-weighted walk distribution.
 
-    Sequential sampling: next-step probabilities proportional to the
-    lambda-weighted completion sums of the loop-erasure state.
+    Sequential sampling on enumeration._LEStates: a step weighs 1 (push) or
+    lambda = p/q (erasure) times the completion sum of the state it leads
+    to. The states reachable in fewer than n steps are collected forward,
+    then their sums filled in backward, times q^(steps left) so that they
+    are integers: a push weighs q and an erasure p. A draw takes the first
+    step whose running weight exceeds u times the total, where u = k / 2^53
+    and k is the top 53 bits of a raw word, as Generator(Philox).random.
     """
     _check_seed(seed)
-    lam = act.constant_value()
-    ctx = GraphCtx.lattice(d)
-    V = _completion_sums(d, n, str(lam))["V"]
+    if n < 0 or count < 0:
+        raise PreconditionError(f"need n >= 0 and count >= 0, got n={n}, count={count}")
+    p, q = act.constant_value().as_integer_ratio()
+    states = _LEStates(GraphCtx.lattice(d), n)
+    levels = [{1}]  # levels[m]: the states after m steps, then their completion sums
+    for m in range(n):
+        states.charge(len(levels[m]))
+        if m < n - 1:
+            levels.append({c for code in levels[m] for _, c, _ in states.successors(code)})
+
+    def options(m, code):
+        """(endpoint, next state, weight) of each step out of a state after m steps."""
+        sums = levels[m + 1] if m < n - 1 else None
+        return [(x, c, (p if loop else q) * (1 if sums is None else sums[c]))
+                for x, c, loop in states.successors(code)]
+
+    for m in reversed(range(n)):
+        levels[m] = {code: sum(w for _, _, w in options(m, code)) for code in levels[m]}
     walks = []
-    for us in _uniforms(seed, count, n):
-        state = (ctx.origin(),)
-        walk = [ctx.origin()]
-        for step in range(n):
-            m = n - step - 1
-            opts = []
-            total = Fraction(0)
-            pos = {v: k for k, v in enumerate(state)}
-            for w in ctx.neighbors(state[-1]):
-                j = pos.get(w)
-                if j is None:
-                    wt = V(state + (w,), m)
-                    nxt = state + (w,)
-                else:
-                    wt = lam * V(state[: j + 1], m)
-                    nxt = state[: j + 1]
-                if wt > 0:
-                    opts.append((w, nxt, wt))
-                    total += wt
-            u = Fraction(float(us[step])) * total
-            acc = Fraction(0)
-            chosen = None
-            for w, nxt, wt in opts:
-                acc += wt
-                if u < acc:
-                    chosen = (w, nxt)
-                    break
-            if chosen is None:
-                chosen = (opts[-1][0], opts[-1][1])
-            walk.append(chosen[0])
-            state = chosen[1]
-        walks.append(tuple(walk))
+    for start in range(0, count, BATCH):
+        for ks in _philox_raw(seed, start, min(BATCH, count - start), n) >> np.uint64(11):
+            code, walk = 1, [states.point(0)]
+            for m in range(n):
+                u = int(ks[m]) * levels[m][code]  # 2^53 * u * total
+                acc = 0
+                for x, code, w in options(m, code):  # stops at the first with u * total < acc
+                    acc += w
+                    if u < acc << 53:
+                        break
+                walk.append(states.point(x))
+            walks.append(tuple(walk))
     return walks
 
 

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lww.cli import main
 
@@ -116,6 +119,8 @@ def test_sample_cli(capsys):
         ["msd", "--method", "importance", "--n", "10", "--samples", "10", "--lambda", str(10**171)],
         ["msd", "--method", "importance", "--n", "10", "--samples", "10", "--lambda", f"1/{10**400}"],
         ["msd", "--method", "importance", "--n", "4", "--samples", "10", "--lambda", str(10**400)],
+        ["sample", "--n", "-1", "--samples", "2"],
+        ["sample", "--n", "2", "--samples", "-1"],
     ],
 )
 def test_bad_sampler_input_exit_code(capsys, argv):
@@ -193,3 +198,56 @@ def test_bad_point_exit_code(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pi", "--nmax", "-1"],
+        ["alpha", "--nmax", "-1"],
+        ["chi", "--nmax", "-1"],
+        ["loop-measure", "--hit", "0,0", "--nmax", "-1"],
+        ["msd", "--n", "-1"],
+        ["msd", "--d", "0", "--n", "2"],
+        ["msd", "--d", "-1", "--n", "2", "--lambda", "1/2"],
+        ["enumerate", "--n", "-2"],
+    ],
+)
+def test_bad_size_exit_code(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+COMMANDS = ("enumerate", "two-point", "chi", "loop-measure", "alpha", "pi", "sample", "msd", "analyze")
+LAMBDAS = ("0", "1/2", "1", "3", str(10**171), "-1", "1/0", "x", "", "nan", "1e3")
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    cmd=st.sampled_from(COMMANDS),
+    size=st.integers(-2, 4),
+    d=st.integers(-1, 3),
+    lam=st.sampled_from(LAMBDAS),
+    point=st.lists(st.integers(-1, 1), max_size=3).map(lambda p: ",".join(map(str, p))),
+    samples=st.integers(-1, 20),
+    importance=st.booleans(),
+)
+def test_cli_argv_property(cmd, size, d, lam, point, samples, importance):
+    """Any argument vector ends in exit code 0, 1 or 2, never in a traceback."""
+    argv = [cmd, "--n" if cmd in ("enumerate", "sample", "msd") else "--nmax", str(size), "--d", str(d)]
+    if cmd != "enumerate":
+        argv += ["--lambda", lam]
+    if cmd == "two-point":
+        argv += ["--x", point]
+    if cmd == "loop-measure":
+        argv += ["--hit", point]
+    if cmd == "sample" or (cmd == "msd" and importance):
+        argv += ["--samples", str(samples)] + (["--method", "importance"] if cmd == "msd" else [])
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv

@@ -1,12 +1,13 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lww.core import LoopActivity, PreconditionError, loop_count
+from lww.core import GraphCtx, LoopActivity, PreconditionError, loop_count
 from lww.enumeration import loop_count_table
 from lww import sampling as sp
 
@@ -103,6 +104,51 @@ def test_sample_exact_lambda0_uniform_saws():
     }
 
 
+def _sample_oracle(n, d, lam, seed, count):
+    """sample_exact walk by walk, sharing no code with it: a recursive,
+    memoised completion sum V(partial SAW, steps left) over point tuples,
+    and uniforms from NumPy's own Philox generator keyed (seed, i)."""
+    ctx = GraphCtx.lattice(d)
+
+    def options(state, left):
+        pos = {v: i for i, v in enumerate(state)}
+        out = []
+        for w in ctx.neighbors(state[-1]):
+            j = pos.get(w)
+            nxt = state + (w,) if j is None else state[: j + 1]
+            out.append((w, nxt, (1 if j is None else lam) * V(nxt, left - 1)))
+        return out
+
+    @lru_cache(maxsize=None)
+    def V(state, left):
+        return Fraction(1) if left == 0 else sum(wt for _, _, wt in options(state, left))
+
+    walks = []
+    for i in range(count):
+        us = np.random.Generator(np.random.Philox(key=np.array([seed, i], dtype=np.uint64))).random(n)
+        state = walk = (ctx.origin(),)
+        for step in range(n):
+            opts = options(state, n - step)
+            u = Fraction(float(us[step])) * sum(wt for _, _, wt in opts)
+            acc = Fraction(0)
+            for w, state, wt in opts:
+                acc += wt
+                if u < acc:
+                    break
+            walk += (w,)
+        walks.append(walk)
+    return walks
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)])
+def test_sample_exact_matches_oracle(d, lam):
+    for n in (0, 1, 2, 6):
+        for seed, count in ((0, 25), (7, 25), (2**64 - 1, 25), (3, 0)):
+            want = _sample_oracle(n, d, lam, seed, count)
+            assert sp.sample_exact(n, d, LoopActivity.constant(lam), seed, count) == want, (n, seed)
+
+
 def test_csv_rows_shape():
     cfg = sp.SamplerConfig(d=2, n=5, lam=Fraction(1, 2), num_samples=10, seed=4)
     rows = sp.msd_importance_csv_rows(cfg)
@@ -171,6 +217,12 @@ def test_sample_exact_rejects_bad_seed():
     for seed in (-1, 2**64):
         with pytest.raises(PreconditionError):
             sp.sample_exact(2, 1, LoopActivity.constant(1), seed=seed, count=1)
+
+
+@pytest.mark.parametrize("n, count", [(-1, 2), (2, -1)])
+def test_sample_exact_rejects_bad_size(n, count):
+    with pytest.raises(PreconditionError):
+        sp.sample_exact(n, 2, LoopActivity.constant(1), seed=0, count=count)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 15])

@@ -1,9 +1,11 @@
 """The loop-erasure transfer engine against a slow walk-by-walk oracle.
 
 loop_count_table, msd_exact and lattice two_point_table (hence chi_series)
-merge walks by their partial loop erasure. The oracle below shares no code
-with that engine: it enumerates every walk on its own and erases loops
-with its own stack. Results must agree exactly, down to the canonical text.
+merge walks by their partial loop erasure; sample_exact runs on the same
+states and has its own oracle in test_sampling.py. The oracle below shares
+no code with that engine: it enumerates every walk on its own and erases
+loops with its own stack. Results must agree exactly, down to the
+canonical text.
 """
 
 from collections import Counter
@@ -141,10 +143,11 @@ def test_transfer_budget_guard(monkeypatch, capsys):
         lambda: en.loop_count_table(10, 2),
         lambda: sp.msd_exact(10, 2, half),
         lambda: en.two_point_table(half, 10, GraphCtx.lattice(2)),
+        lambda: sp.sample_exact(10, 2, half, seed=0, count=1),
     ):
         with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
             call()
-    for argv in (["enumerate", "--n", "10"], ["msd", "--lambda", "1/2", "--n", "10"]):
+    for argv in (["enumerate", "--n", "10"], ["msd", "--lambda", "1/2", "--n", "10"], ["sample", "--n", "12"]):
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "LWW_BUDGET" in err[0]
