@@ -1,3 +1,18 @@
 """Exact-arithmetic laboratory for loop-weighted walks."""
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every lru_cache in the loaded modules of the package.
+
+    The caches are unbounded and live as long as the process; a module that
+    was never imported has none filled, so only loaded modules are walked.
+    """
+    import sys
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith(__name__ + "."):
+            for obj in vars(module).values():
+                if hasattr(obj, "cache_clear"):
+                    obj.cache_clear()

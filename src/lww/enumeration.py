@@ -469,8 +469,6 @@ def generalized_loop_measure(
 @lru_cache(maxsize=None)
 def _mu_range_cached(range_fs: frozenset, act: LoopActivity, budget: int, ctx: GraphCtx, nmax: int) -> ZSeries:
     """exp-ready mu(range; empty) truncated at `budget`, padded to nmax."""
-    if budget < 2:
-        return ZSeries.zero(nmax)
     mu = loop_measure(range_fs, frozenset(), act, budget, ctx)
     return ZSeries.of(mu.coeffs, nmax)
 
@@ -547,8 +545,11 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
 
     def add(v, length):
         budget = nmax - length
-        mu = _mu_range_cached(frozenset(in_path), act, budget, ctx, nmax)
-        contrib = exp_series(mu).shift(length)
+        if budget < 2:  # no loop fits: exp(mu) = 1
+            contrib = ZSeries.one(nmax).shift(length)
+        else:
+            mu = _mu_range_cached(frozenset(in_path), act, budget, ctx, nmax)
+            contrib = exp_series(mu).shift(length)
         prev = table.get(v)
         table[v] = contrib if prev is None else prev + contrib
 
@@ -567,10 +568,6 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
 
     dfs(origin, 0)
     return SpatialSeries.build(table, nmax)
-
-
-def loop_erased_two_point(x, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
-    return loop_erased_two_point_table(act, nmax, ctx).at(x)
 
 
 def interaction_two_point(x, y, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:

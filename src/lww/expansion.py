@@ -12,6 +12,17 @@ collapses exactly to (1 + alpha_X)^{e(X)} with
 This resummation (derived from the span pushforward and checked against
 literal hyperedge products in the tests) sidesteps the prose description of
 the subwalk weights entirely; the oracle identity certifies it end to end.
+
+The lace DFS is pruned by an exact order bound. Every loop in
+mu(omega_s, omega_t; interior) passes through both endpoints, so a lace
+edge's I^omega starts at order z^{2 |omega_t - omega_s|_1} or later, and the
+I-product of a walk starts no earlier than the sum of these orders. After
+omega_j is placed, an edge (s, t) with t <= j contributes 2 |omega_t -
+omega_s|_1 and an edge with s < j < t at least 2 (|omega_j - omega_s|_1 -
+(t - j)), since t - j steps remain to reach omega_t. A prefix whose bound exceeds the
+truncation budget nmax - m has only leaves whose truncated I-product is zero,
+so it is skipped. The bound concerns which loop lengths exist, not their
+weights: it holds for every activity, and the sum is unchanged.
 """
 
 from __future__ import annotations
@@ -19,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import GraphCtx, LoopActivity, PreconditionError
+from .core import GraphCtx, LoopActivity, PreconditionError, l1
 from .series import (
     SpatialSeries,
     ZSeries,
@@ -136,12 +147,21 @@ def pi_n_table(N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSe
 
 
 def _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, origin):
-    """Add the contribution of one lace (fixed subinterval vector) to table."""
+    """Add the contribution of one lace (fixed subinterval vector) to table.
+
+    A prefix omega_0..omega_j is extended only while the lowest z-order of
+    the I-product stays within `budget` (see the module docstring)."""
     budget = nmax - m
     cp_by_t: dict = {}
     for s, t in cp:
         cp_by_t.setdefault(t, []).append(s)
     lace_edges = sorted(positions)
+    closing: dict = {}  # t -> [s] of the lace edges (s, t)
+    spanning = [[] for _ in range(m + 1)]  # j -> [(s, t - j)] for s < j < t
+    for s, t in lace_edges:
+        closing.setdefault(t, []).append(s)
+        for j in range(s + 1, t):
+            spanning[j].append((s, t - j))
     state_walk = [origin]
 
     def complete():
@@ -163,24 +183,33 @@ def _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, origin):
             if c:
                 row[m + k] += c
 
-    def dfs(j):
+    def dfs(j, closed):
+        # closed: lowest order of the I-factors of the edges closed before j
         if j == m + 1:
             complete()
             return
         cur = state_walk[-1]
         checks = cp_by_t.get(j, ())
+        ends = closing.get(j, ())
+        opens = spanning[j]
         for w in ctx.neighbors(cur):
-            ok = True
-            for s in checks:
-                if state_walk[s] == w:
-                    ok = False
-                    break
-            if ok:
-                state_walk.append(w)
-                dfs(j + 1)
-                state_walk.pop()
+            if any(state_walk[s] == w for s in checks):
+                continue
+            now = closed
+            for s in ends:
+                now += 2 * l1(state_walk[s], w)
+            low = now
+            for s, left in opens:
+                gap = l1(state_walk[s], w) - left
+                if gap > 0:
+                    low += 2 * gap
+            if low > budget:
+                continue
+            state_walk.append(w)
+            dfs(j + 1, now)
+            state_walk.pop()
 
-    dfs(1)
+    dfs(1, 0)
 
 
 def pi1(x, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:

@@ -3,18 +3,35 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lww.core import GraphCtx, LoopActivity
-from lww.series import ZSeries, exp_series, reciprocal
+import lww
+from lww.core import GraphCtx, LoopActivity, l1, sap_key
+from lww.series import SpatialSeries, ZSeries, exp_series, reciprocal
 from lww import enumeration as en
 from lww import expansion as ex
-from lww.laces import compatible_positions_of_lace, lace_positions_for_vector
+from lww.laces import (
+    compatible_positions_of_lace,
+    lace_positions_for_vector,
+    valid_vectors,
+)
 
 CTX1 = GraphCtx.lattice(1)
 CTX2 = GraphCtx.lattice(2)
 HALF = LoopActivity.constant(Fraction(1, 2))
 ZERO = LoopActivity.constant(0)
 NM = 6
+
+
+def _table_activity(d):
+    """One polygon at weight 3, every other loop shape at 1/2."""
+    if d == 1:
+        poly = ((0,), (1,), (0,))
+    else:
+        e0, e1 = [tuple(int(j == i) for j in range(d)) for i in (0, 1)]
+        o = (0,) * d
+        poly = (o, e0, tuple(a + b for a, b in zip(e0, e1)), e1, o)
+    return LoopActivity.of_table({sap_key(poly): Fraction(3)}, Fraction(1, 2))
 
 
 def _random_walk(rng, ctx, n):
@@ -266,3 +283,86 @@ def test_pi_repulsive_bound():
                     i2 = en.interaction_two_point(x1, x, act, nm, ctx)
                     bound = bound + legs * i1 * i2
             assert direct.at(x).leq(bound), (ctx.d, x)
+
+
+# ---------------------------------------------------------------------------
+# the order-bound pruning of the lace DFS
+
+
+def _pi_n_unpruned(N, act, nmax, ctx):
+    """pi^(N) by the lace sum over every walk of every lace vector (no order
+    bound); the slow oracle for pi_n_table."""
+    origin = ctx.origin()
+    table = {}
+    for m in range(2, nmax + 1):
+        budget = nmax - m
+        for mvec in valid_vectors(N, m):
+            positions = lace_positions_for_vector(mvec)
+            cp = compatible_positions_of_lace(positions, m)
+            walks = [(origin,)]
+            for j in range(1, m + 1):
+                walks = [
+                    w + (v,)
+                    for w in walks
+                    for v in ctx.neighbors(w[-1])
+                    if all(w[s] != v for s, t in cp if t == j)
+                ]
+            for w in walks:
+                factor = ZSeries.one(budget)
+                for s, t in positions:
+                    factor = factor * ex._i_factor(w[s], w[t], w[s + 1 : t], act, budget, ctx)
+                if factor.is_zero():
+                    continue
+                factor = factor * ex._x_dressing(w, cp, act, budget, ctx)
+                row = table.setdefault(w[-1], [Fraction(0)] * (nmax + 1))
+                for k, c in enumerate(factor.coeffs):
+                    row[m + k] += c
+    a0_inv = reciprocal(en.alpha0(act, nmax, ctx))
+    return SpatialSeries.build(
+        {x: ZSeries(tuple(c)) * a0_inv for x, c in table.items()}, nmax
+    )
+
+
+ORACLE_NMAX = {1: 7, 2: 5, 3: 4}
+
+
+@pytest.mark.parametrize("d", sorted(ORACLE_NMAX))
+@pytest.mark.parametrize("act", [0, Fraction(1, 2), 2, "table"], ids=str)
+def test_pi_n_table_matches_unpruned_oracle(d, act):
+    ctx, nmax = GraphCtx.lattice(d), ORACLE_NMAX[d]
+    act = _table_activity(d) if act == "table" else LoopActivity.constant(act)
+    for N in range(1, ex.max_lace_edges(nmax) + 1):
+        want = _pi_n_unpruned(N, act, nmax, ctx)
+        assert ex.pi_n_table(N, act, nmax, ctx).to_json() == want.to_json(), N
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(0, 5), min_size=1, max_size=5), st.data())
+def test_i_factor_order_bound(d, steps, data):
+    """I^omega between w_s and w_t vanishes below order 2 |w_t - w_s|_1."""
+    ctx = GraphCtx.lattice(d)
+    w = [ctx.origin()]
+    for i in steps:
+        nbrs = ctx.neighbors(w[-1])
+        w.append(nbrs[i % len(nbrs)])
+    s = data.draw(st.integers(0, len(w) - 2))
+    t = data.draw(st.integers(s + 1, len(w) - 1))
+    lam = data.draw(st.sampled_from([0, Fraction(1, 2), 1, 3, "table"]))
+    act = _table_activity(d) if lam == "table" else LoopActivity.constant(lam)
+    bound = 2 * l1(w[s], w[t])
+    budget = min(bound + 2, 8 if d < 3 else 6)
+    factor = ex._i_factor(w[s], w[t], tuple(w[s + 1 : t]), act, budget, ctx)
+    assert all(c == 0 for c in factor.coeffs[:bound]), (w, s, t)
+
+
+def test_clear_caches_empties_every_cache():
+    ex.pi_total_table(HALF, 4, CTX2)
+    en.loop_erased_two_point_table(HALF, 4, CTX2)
+    caches = []
+    for name in ("core", "series", "enumeration", "heaps", "laces", "expansion",
+                 "sampling", "analysis", "verify", "cli"):
+        module = __import__(f"lww.{name}", fromlist=[name])
+        caches += [obj for obj in vars(module).values() if hasattr(obj, "cache_info")]
+    assert any(c.cache_info().currsize for c in caches)
+    lww.clear_caches()
+    assert all(c.cache_info().currsize == 0 for c in caches)

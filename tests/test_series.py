@@ -106,6 +106,13 @@ def test_json_round_trip():
     assert SpatialSeries.from_json(s.to_json(), 3).data == s.data
 
 
+def test_spatial_at():
+    a = ZSeries.of([Fraction(1, 3), Fraction(-2, 7)], 3)
+    s = SpatialSeries.build({(1, 0): a, (0, 0): ZSeries.one(3)}, 3)
+    assert s.at((1, 0)) == a and s.at((0, 0)) == ZSeries.one(3)
+    assert s.at((2, 0)) == ZSeries.zero(3)
+
+
 def _delta():
     return SpatialSeries.delta((0, 0), NMAX)
 
