@@ -8,6 +8,7 @@ Everything here is immutable and value-semantic.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -231,7 +232,8 @@ def loop_erase(w: Walk, ctx: Optional[GraphCtx] = None):
 
     Returns (saw, LoopRecord, erased walks in erasure order). The record
     canonicalizes each erased loop with sap_key (lattice isometries are
-    quotiented only in lattice mode).
+    quotiented only in lattice mode). A caller that reads no key calls
+    _erase, which returns (saw, erased walks) without computing any.
     """
     saw, erased = _erase(w)
     keys = tuple(sorted(sap_key(e, ctx) for e in erased))
@@ -336,32 +338,67 @@ def _apply_iso(p, perm, signs):
     return tuple(signs[i] * p[perm[i]] for i in range(len(p)))
 
 
+_STEP_CODES: dict = {}
+
+
+def _step_code(d: int):
+    """Byte code of the unit steps of Z^d, built on first use per d.
+
+    Returns (rank of each unit step, unit step of each rank, one translate
+    table per point-group isometry, grouped by the rank the isometry sends
+    to 0). Ranks follow the tuple order of the unit vectors, so step words
+    compare like the origin-translated point sequences they trace.
+    """
+    code = _STEP_CODES.get(d)
+    if code is None:
+        units = sorted(tuple(s if i == a else 0 for i in range(d)) for a in range(d) for s in (-1, 1))
+        rank = {u: r for r, u in enumerate(units)}
+        ranks = bytes(range(2 * d))
+        to_zero = [[] for _ in units]
+        for perm, signs in _point_group(d):
+            image = bytes(rank[_apply_iso(u, perm, signs)] for u in units)
+            to_zero[image.index(0)].append(bytes.maketrans(ranks, image))
+        code = _STEP_CODES[d] = (rank, units, to_zero)
+    return code
+
+
 def sap_key(sap: Walk, ctx: Optional[GraphCtx] = None):
     """Canonical key of a self-avoiding polygon.
 
     Normalizes over starting vertex, traversal orientation and, in lattice
     mode, point-group isometries with translation of the first vertex to the
     origin. Lexicographically minimal orbit element; deterministic.
+
+    On the lattice the polygon is read as its word of k unit steps, one byte
+    each. Rotating the start rotates the word, reversal reverses it and
+    negates every step, and an isometry translates every byte; negation is
+    an isometry, so the reversed word is taken without it. The key is the least word over both orientations, all rotations
+    and the point group, decoded to k points from the origin. Only words
+    starting with byte 0 can be least, so each rotation meets only the
+    isometries that send its first step to byte 0.
     """
     if sap[0] != sap[-1] or len(sap) < 3:
         raise PreconditionError("not a closed walk of length >= 2")
     cyc = sap[:-1]
     k = len(cyc)
-    rotations = [cyc[i:] + cyc[:i] for i in range(k)]
-    rotations += [tuple(reversed(r)) for r in rotations]
     lattice = ctx is None or ctx.is_lattice
     if not lattice:
+        rotations = [cyc[i:] + cyc[:i] for i in range(k)]
+        rotations += [tuple(reversed(r)) for r in rotations]
         return min(rotations)
-    d = len(cyc[0])
-    best = None
-    for rep in rotations:
-        base = rep[0]
-        shifted = [tuple(a - b for a, b in zip(v, base)) for v in rep]
-        for perm, signs in _point_group(d):
-            cand = tuple(_apply_iso(v, perm, signs) for v in shifted)
-            if best is None or cand < best:
-                best = cand
-    return best
+    rank, units, to_zero = _step_code(len(cyc[0]))
+    try:
+        word = bytes(rank[tuple(map(operator.sub, q, p))] for p, q in zip(sap, sap[1:]))
+    except KeyError:
+        raise PreconditionError("not a lattice polygon: a step is not a unit step") from None
+    rots = [w[i : i + k] for w in (word * 2, word[::-1] * 2) for i in range(k)]
+    best = min(r.translate(t) for r in rots for t in to_zero[r[0]])
+    p = (0,) * len(cyc[0])
+    out = [p]
+    for b in best[:-1]:
+        p = tuple(map(operator.add, p, units[b]))
+        out.append(p)
+    return tuple(out)
 
 
 _TABLE_CACHE: dict = {}

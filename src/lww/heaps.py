@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import GraphCtx, LoopActivity, PreconditionError, loop_erase
+from .core import GraphCtx, LoopActivity, PreconditionError, _erase, sap_key
 from .series import ZSeries
 from .enumeration import WalkConstraint, walk_sum, _per_length_division
 
@@ -188,10 +188,8 @@ def loop_addition(pair: LegalPair, trace=None):
 
 def loop_erasure_to_pair(w) -> LegalPair:
     """Total loop erasure: (LE(w), heap of erased cycles in erasure order)."""
-    saw, _, erased = loop_erase(w)
-    heap = CycleHeap.empty()
-    for loop in erased:
-        heap = heap.compose(OrientedCycle.from_closed_walk(loop))
+    saw, erased = _erase(w)
+    heap = CycleHeap.of(OrientedCycle.from_closed_walk(loop) for loop in erased)
     return LegalPair(eta=saw, heap=heap)
 
 
@@ -226,8 +224,6 @@ def cycle_weight(c: OrientedCycle, act: LoopActivity, nmax: int, ctx: GraphCtx) 
     if act.is_constant:
         lam = act.value
     else:
-        from .core import sap_key
-
         lam = act.weight_of_key(sap_key(c.rooted_at(c.seq[0]), ctx))
     return ZSeries.monomial(lam, len(c), nmax)
 

@@ -16,11 +16,11 @@ from itertools import combinations
 from .core import (
     GraphCtx,
     LoopActivity,
+    _erase,
     classify,
     concat,
     l1,
     loop_count,
-    loop_erase,
     loop_erase_last_exit,
     sap_key,
 )
@@ -74,12 +74,12 @@ def suite_core(nmax: int = 6) -> list:
 
     le_ok = lelast_ok = endpoints_ok = sap_ok = idem_ok = True
     for w in _all_walks(ctx, origin, nmax):
-        saw, rec, erased = loop_erase(w)
+        saw, erased = _erase(w)
         if loop_erase_last_exit(w) != saw:
             lelast_ok = False
         if saw[0] != w[0] or saw[-1] != w[-1]:
             endpoints_ok = False
-        if loop_erase(saw)[0] != saw:
+        if _erase(saw)[0] != saw:
             idem_ok = False
         for loop in erased:
             if classify(loop) != "SAP":
@@ -206,7 +206,7 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
         if sorted(eta_edges) != edges:
             ok = False
             break
-        _, rec, erased = loop_erase(w)
+        _, erased = _erase(w)
         if sorted(p.seq for p in pair.heap.pieces) != sorted(
             hp.OrientedCycle.from_closed_walk(e).seq for e in erased
         ):
@@ -235,23 +235,21 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
     ok = True
     count = 0
 
-    def heaps_below(budget, start_idx, seq):
+    def heaps_below(budget, seq):
         yield tuple(seq)
-        for i in range(len(cycles)):
-            c = cycles[i]
+        for c in cycles:
             if len(c) > budget:
                 continue
             seq.append(c)
-            yield from heaps_below(budget - len(c), i, seq)
+            yield from heaps_below(budget - len(c), seq)
             seq.pop()
 
-    seen_heaps = {}
     for eta in saws:
         budget = box_cap - (len(eta) - 1)
         if budget < 2:
             continue
         seen = set()
-        for seq in heaps_below(budget, 0, []):
+        for seq in heaps_below(budget, []):
             heap = hp.CycleHeap.of(seq)
             if heap.pieces in seen:
                 continue

@@ -1,12 +1,15 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lww import core, heaps as hp, verify
 from lww.core import (
     GraphCtx,
     LoopActivity,
     PreconditionError,
+    _erase,
     classify,
     concat,
     diamond_concat,
@@ -203,6 +206,100 @@ def test_sap_key_quotient():
     # finite-graph mode: only rotation/reversal
     tri = GraphCtx.finite([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
     assert sap_key((0, 1, 2, 0), tri) == sap_key((1, 2, 0, 1), tri) == sap_key((0, 2, 1, 0), tri)
+
+
+def _sap_key_oracle(sap):
+    """The lattice key by brute force: every rotation and orientation of the
+    point sequence, translated to the origin, under every signed permutation."""
+    cyc = sap[:-1]
+    k, d = len(cyc), len(cyc[0])
+    rotations = [cyc[i:] + cyc[:i] for i in range(k)]
+    rotations += [tuple(reversed(r)) for r in rotations]
+    best = None
+    for rep in rotations:
+        shifted = [tuple(a - b for a, b in zip(v, rep[0])) for v in rep]
+        for perm in itertools.permutations(range(d)):
+            for signs in itertools.product((1, -1), repeat=d):
+                cand = tuple(tuple(signs[i] * v[perm[i]] for i in range(d)) for v in shifted)
+                if best is None or cand < best:
+                    best = cand
+    return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(((1, 12), (2, 14), (3, 8), (4, 5))).flatmap(lambda dn: lattice_walks(*dn)))
+def test_sap_key_matches_oracle(w):
+    # the erased loops of w, and w closed by a straight path back to its
+    # start (often chiral, which few short erased loops are)
+    closed = list(w)
+    for axis in range(len(w[0])):
+        while closed[-1][axis]:
+            p = list(closed[-1])
+            p[axis] -= 1 if p[axis] > 0 else -1
+            closed.append(tuple(p))
+    loops = _erase(w)[1] + ([tuple(closed)] if len(closed) > 2 else [])
+    ctx = GraphCtx.lattice(len(w[0]))
+    for loop in loops:
+        assert sap_key(loop) == sap_key(loop, ctx) == _sap_key_oracle(loop)
+
+
+def test_sap_key_examples():
+    assert sap_key(w1(3, 2, 3)) == w1(0, -1)
+    square = ((5, 5), (5, 6), (4, 6), (4, 5), (5, 5))
+    assert sap_key(square) == ((0, 0), (-1, 0), (-1, -1), (0, -1))
+    # closed walks that are not self-avoiding get the same key as before
+    for closed in (
+        ((0, 0), (1, 0), (0, 0), (0, 1), (0, 0)),
+        ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1), (1, 0, 0), (0, 0, 0)),
+    ):
+        assert sap_key(closed) == _sap_key_oracle(closed)
+
+
+def test_sap_key_finite_graph_unchanged():
+    tri = GraphCtx.finite([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
+    assert sap_key((2, 1, 0, 2), tri) == (0, 1, 2)
+    box = hp.box_graph(3, 3)
+    square = ((1, 1), (2, 1), (2, 2), (1, 2), (1, 1))
+    # starting vertex and orientation only: no translation, no isometry
+    assert sap_key(square, box) == ((1, 1), (1, 2), (2, 2), (2, 1))
+    for c in hp.all_oriented_cycles(box, 8):
+        cyc = c.seq
+        rotations = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
+        rotations += [tuple(reversed(r)) for r in rotations]
+        assert sap_key(cyc + cyc[:1], box) == min(rotations)
+
+
+def test_sap_key_rejects_non_unit_steps():
+    for bad in (
+        ((0, 0), (2, 0), (0, 0)),
+        ((0, 0), (1, 1), (0, 0)),
+        ((0, 0), (0, 0), (0, 0)),
+        ((0, 0), (1,), (0, 0)),
+    ):
+        with pytest.raises(PreconditionError):
+            sap_key(bad)
+    with pytest.raises(PreconditionError):
+        sap_key(w1(0, 1))
+
+
+def test_loop_erasure_callers_compute_no_keys(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return sap_key(*args, **kwargs)
+
+    for mod in (core, hp, verify):
+        monkeypatch.setattr(mod, "sap_key", counting)
+    hp.loop_erasure_to_pair(((0, 0), (1, 0), (0, 0), (0, 1), (1, 1), (1, 0), (1, 1)))
+    assert all(r.passed for r in verify.suite_heaps(3, 3))
+    assert not calls
+    # suite_core's isometry check keys a fixed list of polygons; none is
+    # keyed per enumerated walk, so the count does not grow with nmax
+    verify.suite_core(0)
+    fixed = len(calls)
+    verify.suite_core(3)
+    assert len(calls) == 2 * fixed
 
 
 def test_walk_weight():

@@ -156,6 +156,20 @@ def test_round_trip_random(steps):
     assert hp.loop_addition(pair) == w
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=0, max_size=14))
+def test_erasure_heap_equals_composed_heap(steps):
+    # one CycleHeap.of over the erased cycles equals composing them one by one
+    w = [(0, 0)]
+    for s in steps:
+        w.append(CTX2.neighbors(w[-1])[s])
+    _, _, erased = loop_erase(tuple(w))
+    heap = hp.CycleHeap.empty()
+    for loop in erased:
+        heap = heap.compose(hp.OrientedCycle.from_closed_walk(loop))
+    assert hp.loop_erasure_to_pair(tuple(w)).heap == heap
+
+
 def test_trivial_heap_sum_examples():
     edge = GraphCtx.finite(["u", "v"], [("u", "v")])
     s = hp.trivial_heap_sum(frozenset(), edge, HALF, 4)
