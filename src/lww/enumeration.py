@@ -60,7 +60,6 @@ class WalkConstraint:
     must_avoid: frozenset = frozenset()
     no_return_to_start: bool = False
     saw_only: bool = False
-    sap_only: bool = False
     min_len: int = 0
     max_len: int = 0
 
@@ -145,10 +144,9 @@ def _walk_sum_impl(c, act, nmax, ctx, by_endpoint):
     end = c.end
     start = c.start
     no_ret = c.no_return_to_start
-    saw_only, sap_only = c.saw_only, c.sap_only
-    # activity 0 kills every branch that has closed a loop (unless the walk
-    # must close exactly one, as SAPs do)
-    zero_act = constant and act.value == 0 and not sap_only
+    saw_only = c.saw_only
+    # activity 0 kills every branch that has closed a loop
+    zero_act = constant and act.value == 0
     min_len = c.min_len
     budget = [node_budget()]
 
@@ -180,8 +178,6 @@ def _walk_sum_impl(c, act, nmax, ctx, by_endpoint):
             return
         if saw_only and state.count:
             return
-        if sap_only and (length < 2 or state.count != 1 or len(state.stack) != 1):
-            return
         if by_endpoint:
             row = table.get(v)
             if row is None:
@@ -198,7 +194,7 @@ def _walk_sum_impl(c, act, nmax, ctx, by_endpoint):
         record(v, length, hit_done)
         if length == max_len:
             return
-        if (saw_only or sap_only or zero_act) and state.count:
+        if (saw_only or zero_act) and state.count:
             return
         for w in ctx.neighbors(v):
             if w in avoid or (no_ret and w == start):
@@ -279,18 +275,60 @@ class _LEStates:
                                 "states (override with LWW_BUDGET)")
 
 
+def _saw_rows(n: int, ctx: GraphCtx) -> list:
+    """_transfer's rows for an activity that weighs every loop 0: the SAWs of
+    length m <= n from the origin of Z^d, counted by endpoint.
+
+    Depth-first over _LEStates' int points, with the SAW's points in a set
+    (a (2n+1)^d occupancy map would not fit in memory for large d) and an
+    explicit stack, so n is not bounded by the recursion limit. Each SAW
+    expanded is charge()d.
+    """
+    states = _LEStates(ctx, n)
+    moves, rows = states.moves, [{0: 1}] + [{} for _ in range(n)]
+    last, path, on_path = rows[n], [], set()
+    todo = [(0, 0)] if n else []  # (endpoint, length) of the SAWs to expand
+    while todo:
+        q, m = todo.pop()
+        for p in path[m:]:  # back up to this SAW's parent
+            on_path.remove(p)
+        del path[m:]
+        path.append(q)
+        on_path.add(q)
+        states.charge(1)
+        m += 1
+        row = rows[m]
+        for mv in moves:
+            r = q + mv
+            if r not in on_path:
+                row[r] = row.get(r, 0) + 1
+                if m < n - 1:
+                    todo.append((r, m))
+                elif m < n:  # expand r in place: no step out of r lands on r
+                    states.charge(1)
+                    for mv2 in moves:
+                        t = r + mv2
+                        if t not in on_path:
+                            last[t] = last.get(t, 0) + 1
+    return [{states.point(q): Fraction(c) for q, c in row.items()} for row in rows]
+
+
 def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list:
     """Walks of length m <= n from the origin of Z^d, summed by endpoint.
 
     Walks sharing a loop-erasure state (_LEStates) at the same time are
     merged. Level n is recorded, never stored. Constant activities carry
     sum_k N_k lambda^k as one int with N_k in digit k, so a charged loop is
-    a shift; table activities carry a Fraction.
+    a shift; table activities carry a Fraction. An activity that weighs
+    every loop 0 (lambda = 0, or a table of zeros) leaves only the SAWs,
+    which share no states: _saw_rows counts them instead.
 
     Returns rows: rows[m] maps each endpoint to [N_0, N_1, ...] (act=None)
     or to the weight sum of the m-step walks ending there. Raises
     ResourceError when more than node_budget() states are expanded.
     """
+    if act is not None and act.sup() == 0:
+        return _saw_rows(n, ctx)
     states = _LEStates(ctx, n)
     packed = act is None or act.is_constant
     width = (states.base**n).bit_length()  # N_k <= (2d)^n
@@ -498,10 +536,10 @@ def _default_origin(ctx: GraphCtx):
 def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -> SpatialSeries:
     """G(x) for all endpoints at once: direct weighted enumeration from 0.
 
-    Lattice activities that can weight a loop go through _transfer; lambda
-    = 0 (SAWs share no states) and finite graphs use the DFS."""
+    Lattice activities go through _transfer (its SAW counter when every
+    loop weighs 0); finite graphs use the DFS."""
     start = _default_origin(ctx) if origin is None else origin
-    if not (ctx.is_lattice and act.sup() > 0):
+    if not ctx.is_lattice:
         return walk_sum_by_endpoint(
             WalkConstraint(start=start, end=None, max_len=nmax), act, nmax, ctx
         )
@@ -637,28 +675,14 @@ def loop_count_table(n_max: int, d: int, endpoint_resolved: bool = False) -> Loo
     )
 
 
-def _srw_levels(d: int, n: int) -> list:
-    """Endpoint counts of the m-step simple random walks on Z^d, m = 0..n."""
-    levels = [{(0,) * d: 1}]
-    for _ in range(n):
-        nxt: dict = {}
-        for x, c in levels[-1].items():
-            for i in range(d):
-                for s in (-1, 1):
-                    y = x[:i] + (x[i] + s,) + x[i + 1 :]
-                    nxt[y] = nxt.get(y, 0) + c
-        levels.append(nxt)
-    return levels
-
-
 def chi_series(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """Susceptibility: endpoint-summed walk weights.
 
-    lambda = 1 sums the simple-random-walk endpoint counts (loop weights are
-    identically 1 there); everything else goes through two_point_table.
+    lambda = 1 on the lattice is the simple random walk (every loop weighs
+    1), so chi_m = (2d)^m; everything else goes through two_point_table.
     """
     if ctx.is_lattice and act.is_constant and act.value == 1:
-        return ZSeries(tuple(Fraction(sum(c.values())) for c in _srw_levels(ctx.d, nmax)))
+        return ZSeries(tuple(Fraction(2 * ctx.d) ** m for m in range(nmax + 1)))
     return two_point_table(act, nmax, ctx).sum_over_x()
 
 

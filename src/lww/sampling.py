@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .core import GraphCtx, LoopActivity, PreconditionError
-from .enumeration import _LEStates, _srw_levels, _transfer
+from .enumeration import _LEStates, _transfer
 
 MAX_STEPS = 64  # importance walks; bounds the (BATCH, n+1) stack and the O(n^2) sweep
 BATCH = 8192  # samples per kernel call; bounds memory, outputs do not depend on it
@@ -57,16 +57,16 @@ class UnsupportedMethod(ValueError):
 def msd_exact(n: int, d: int, act: LoopActivity) -> Fraction:
     """<|w_n|^2> under the n-step loop-weighted measure, by enumeration.
 
-    lambda = 1 uses the simple-random-walk endpoint counts (loop weights are
-    all 1); every other activity uses the loop-erasure transfer engine.
+    lambda = 1 is the simple random walk (every loop weighs 1), whose mean
+    squared displacement is n; every other activity sums _transfer's last
+    row (at lambda = 0, the n-step SAWs).
     """
-    ctx = GraphCtx.lattice(d)  # checks d before the lambda = 1 shortcut
+    ctx = GraphCtx.lattice(d)  # checks d before the lambda = 1 closed form
     if n < 0:
         raise PreconditionError(f"need n >= 0, got {n}")
     if act.is_constant and act.value == 1:
-        ends = _srw_levels(d, n)[-1]
-    else:
-        ends = _transfer(n, ctx, act)[n]
+        return Fraction(n)
+    ends = _transfer(n, ctx, act)[n]
     num = sum(w * sum(x * x for x in pt) for pt, w in ends.items())
     return Fraction(num) / sum(ends.values())
 

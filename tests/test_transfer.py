@@ -5,7 +5,11 @@ merge walks by their partial loop erasure; sample_exact runs on the same
 states and has its own oracle in test_sampling.py. The oracle below shares
 no code with that engine: it enumerates every walk on its own and erases
 loops with its own stack. Results must agree exactly, down to the
-canonical text.
+canonical text. Activities that weigh every loop 0 take the engine's SAW
+counter, checked here also against the generic DFS (walk_sum_by_endpoint),
+the pinned SAW counts and test_acceptance's independent SAW enumerator;
+the lambda = 1 closed forms are checked against simple-random-walk
+endpoint counts.
 """
 
 from collections import Counter
@@ -15,11 +19,13 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import lww
 from lww import enumeration as en
 from lww import sampling as sp
 from lww.cli import main
 from lww.core import GraphCtx, LoopActivity, sap_key
 from lww.series import SpatialSeries, ZSeries
+from test_acceptance import _saw_counts_brute
 
 SIZES = {1: 8, 2: 6, 3: 4}  # (2d)^n stays small for the oracle
 LAMBDAS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
@@ -82,8 +88,13 @@ def _table_activity(d):
     return LoopActivity.of_table({sap_key(poly): Fraction(3)}, Fraction(1, 2))
 
 
+def _zero_table_activity(d):
+    """A sap_key table that weighs every loop 0: the SAW counter's other input."""
+    return LoopActivity.of_table({key: 0 for key, _ in _table_activity(d).table}, 0)
+
+
 def _activities(d):
-    return [LoopActivity.constant(lam) for lam in LAMBDAS] + [_table_activity(d)]
+    return [LoopActivity.constant(lam) for lam in LAMBDAS] + [_table_activity(d), _zero_table_activity(d)]
 
 
 @pytest.mark.parametrize("d", sorted(SIZES))
@@ -136,18 +147,110 @@ def test_engine_matches_oracle_property(d, n, lam):
         assert table.c_n(m, lam) == sum(w for (k, _), w in weights.items() if k == m)
 
 
+SAW_SIZES = {1: 10, 2: 9, 3: 6, 4: 5}
+SAW_COUNTS = {  # n-step SAWs from the origin, n = 1, 2, ...
+    2: (4, 12, 36, 100, 284, 780, 2172, 5916, 16268, 44100, 120292, 324932),
+    3: (6, 30, 150, 726, 3534, 16926, 81390, 387966),
+}
+
+
+@pytest.mark.parametrize("d", sorted(SAW_SIZES))
+def test_saw_counter_matches_dfs(d):
+    """lambda = 0 on the lattice against the generic DFS, which keeps serving
+    finite graphs and constrained sums; then the same for a table of zeros."""
+    n, ctx = SAW_SIZES[d], GraphCtx.lattice(d)
+    zero = LoopActivity.constant(0)
+    for origin in ((0,) * d, (2,) + (-1,) * (d - 1)):
+        dfs = en.walk_sum_by_endpoint(en.WalkConstraint(start=origin, max_len=n), zero, n, ctx)
+        assert en.two_point_table(zero, n, ctx, origin).to_json() == dfs.to_json()
+    ends = {x: s.coeffs[n] for x, s in dfs.data}  # from the shifted origin
+    msd = Fraction(sum(w * sum((a - b) ** 2 for a, b in zip(x, origin)) for x, w in ends.items()), sum(ends.values()))
+    assert sp.msd_exact(n, d, zero) == msd
+    if d in SIZES:  # the DFS enumerates every walk under a table activity
+        m, act = SIZES[d], _zero_table_activity(d)
+        dfs = en.walk_sum_by_endpoint(en.WalkConstraint(start=(0,) * d, max_len=m), act, m, ctx)
+        assert en.two_point_table(act, m, ctx).to_json() == dfs.to_json()
+
+
+@pytest.mark.parametrize("d", sorted(SAW_COUNTS))
+def test_saw_counts_pinned(d):
+    counts = SAW_COUNTS[d]
+    chi = en.chi_series(LoopActivity.constant(0), len(counts), GraphCtx.lattice(d))
+    assert chi.coeffs == (1,) + counts
+    assert tuple(_saw_counts_brute(d, len(counts))) == (1,) + counts
+
+
+def test_saw_counter_charges_each_expanded_saw(monkeypatch):
+    expanded = 1 + sum(SAW_COUNTS[2][:4])  # the SAWs shorter than 5 steps
+    ctx, zero = GraphCtx.lattice(2), LoopActivity.constant(0)
+    monkeypatch.setenv("LWW_BUDGET", str(expanded))
+    assert sum(en._transfer(5, ctx, zero)[5].values()) == SAW_COUNTS[2][4]
+    monkeypatch.setenv("LWW_BUDGET", str(expanded - 1))
+    with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
+        en._transfer(5, ctx, zero)
+
+
+def test_saw_counter_high_dimension():
+    # d = 10 at n = 3 would need a (2n+1)^d = 7^10 table as an occupancy map
+    chi = en.chi_series(LoopActivity.constant(0), 3, GraphCtx.lattice(10))
+    assert chi.coeffs == (1, 20, 20 * 19, 20 * 19 * 19)
+
+
+def _srw_levels(d, n):
+    """Endpoint counts of the m-step simple random walks on Z^d, m = 0..n."""
+    levels = [{(0,) * d: 1}]
+    for _ in range(n):
+        nxt = {}
+        for x, c in levels[-1].items():
+            for i in range(d):
+                for s in (-1, 1):
+                    y = x[:i] + (x[i] + s,) + x[i + 1 :]
+                    nxt[y] = nxt.get(y, 0) + c
+        levels.append(nxt)
+    return levels
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_lambda1_closed_forms(d):
+    one, ctx = LoopActivity.constant(1), GraphCtx.lattice(d)
+    levels = _srw_levels(d, 12)
+    assert en.chi_series(one, 12, ctx).coeffs == tuple(sum(ends.values()) for ends in levels)
+    for n, ends in enumerate(levels):
+        msd = Fraction(sum(c * sum(a * a for a in x) for x, c in ends.items()), sum(ends.values()))
+        assert sp.msd_exact(n, d, one) == msd
+
+
+@pytest.mark.parametrize("d", (1, 2, 3))
+def test_engine_exact_at_lambda1(d, monkeypatch):
+    """The closed forms bypass the engine; the engine itself stays exact there."""
+    calls = []
+    transfer = en._transfer
+    monkeypatch.setattr(en, "_transfer", lambda *a: calls.append(a) or transfer(*a))
+    one, ctx, n = LoopActivity.constant(1), GraphCtx.lattice(d), 8
+    chi = en.two_point_table.__wrapped__(one, n, ctx).sum_over_x()
+    assert calls and chi.coeffs == tuple((2 * d) ** m for m in range(n + 1))
+
+
 def test_transfer_budget_guard(monkeypatch, capsys):
-    half = LoopActivity.constant(Fraction(1, 2))
+    half, zero = LoopActivity.constant(Fraction(1, 2)), LoopActivity.constant(0)
     monkeypatch.setenv("LWW_BUDGET", "1000")
+    lww.clear_caches()
     for call in (
         lambda: en.loop_count_table(10, 2),
         lambda: sp.msd_exact(10, 2, half),
         lambda: en.two_point_table(half, 10, GraphCtx.lattice(2)),
         lambda: sp.sample_exact(10, 2, half, seed=0, count=1),
+        lambda: en.two_point_table(zero, 10, GraphCtx.lattice(2)),
+        lambda: sp.msd_exact(10, 2, zero),
     ):
         with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
             call()
-    for argv in (["enumerate", "--n", "10"], ["msd", "--lambda", "1/2", "--n", "10"], ["sample", "--n", "12"]):
+    for argv in (
+        ["enumerate", "--n", "10"],
+        ["msd", "--lambda", "1/2", "--n", "10"],
+        ["sample", "--n", "12"],
+        ["chi", "--d", "2", "--lambda", "0", "--nmax", "12"],
+    ):
         assert main(argv) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and "LWW_BUDGET" in err[0]
