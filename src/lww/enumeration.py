@@ -1,10 +1,15 @@
 """Exhaustive walk-sum engine.
 
-Everything here reduces to depth-first enumeration of walks with the
-loop-erasure state carried along, so activity weights never require
-re-scanning the walk. Lattice loop measures use a catalog of closed-walk
-shapes rooted at the origin; "sum over closed walks hitting A avoiding B"
-becomes a translation count per shape.
+Lattice two-point tables, loop-count tables and exact MSDs run forward over
+loop-erasure states (_transfer), merging walks that share their partial
+loop erasure; an activity that weighs every loop 0 counts SAWs instead
+(_saw_rows). Constrained sums and finite graphs use a depth-first search
+that carries the loop-erasure state along (LEState), so activity weights
+never require re-scanning the walk. Callers that need the walks themselves
+take them from the two generators `walks` and `saws`. Lattice loop measures
+use a catalog of closed-walk shapes rooted at the origin; "sum over closed
+walks hitting A avoiding B" becomes a translation count per shape, and the
+interaction factor I = 1 - exp(-mu) of every caller is _i_factor.
 """
 
 from __future__ import annotations
@@ -42,6 +47,34 @@ def _guard(ctx: GraphCtx, max_len: int):
             f"naive walk count {ctx.max_degree()}^{max_len} exceeds budget "
             f"{node_budget()} (override with LWW_BUDGET)"
         )
+
+
+def walks(ctx: GraphCtx, start, max_len: int):
+    """Every walk of at most max_len steps from start, as tuples, depth first.
+
+    Each walk yielded is charged against node_budget(); one more raises
+    ResourceError."""
+    return _grow(ctx, start, max_len, False)
+
+
+def saws(ctx: GraphCtx, start, max_len: int):
+    """Every self-avoiding walk of at most max_len steps from start, as
+    tuples, depth first, charged like walks()."""
+    return _grow(ctx, start, max_len, True)
+
+
+def _grow(ctx, start, max_len, self_avoiding):
+    left = node_budget()
+    stack = [(start,)]
+    while stack:
+        w = stack.pop()
+        left -= 1
+        if left < 0:
+            raise ResourceError(f"walk generator yields more than {node_budget()} walks "
+                                "(override with LWW_BUDGET)")
+        yield w
+        if len(w) <= max_len:
+            stack.extend(w + (v,) for v in ctx.neighbors(w[-1]) if not (self_avoiding and v in w))
 
 
 @dataclass(frozen=True)
@@ -380,7 +413,8 @@ def closed_walk_catalog(d: int, max_len: int):
     """Closed walks rooted at the origin of Z^d with 2 <= length <= max_len.
 
     Aggregated by (relative range, steps, erased-loop key multiset); each
-    entry is (range frozenset, n, keys tuple, count).
+    entry is (range frozenset, n, keys tuple, count), in the order the DFS
+    first meets it.
     """
     ctx = GraphCtx.lattice(d)
     _guard(ctx, max_len)
@@ -407,7 +441,7 @@ def closed_walk_catalog(d: int, max_len: int):
 
     if max_len >= 2:
         dfs(origin, 0)
-    return tuple((rng, n, keys, cnt) for (rng, n, keys), cnt in sorted(agg.items()))
+    return tuple((rng, n, keys, cnt) for (rng, n, keys), cnt in agg.items())
 
 
 def _mu_lattice(A, B_hit, C_avoid, act, nmax, d) -> ZSeries:
@@ -452,6 +486,21 @@ def _per_length_division(raw: ZSeries) -> ZSeries:
     )
 
 
+def _closed_sum(avoid: frozenset, act, nmax, ctx) -> ZSeries:
+    """Weight sum of the closed walks of >= 1 step avoiding `avoid`, over
+    every root of a finite graph."""
+    acc = ZSeries.zero(nmax)
+    for x in ctx.vertices():
+        if x not in avoid:
+            acc = acc + walk_sum(
+                WalkConstraint(start=x, end=x, must_avoid=avoid, min_len=1, max_len=nmax),
+                act,
+                nmax,
+                ctx,
+            )
+    return acc
+
+
 def _mu_finite(A, B_hit, C_avoid, act, nmax, ctx) -> ZSeries:
     """Loop measure on a finite graph via inclusion-exclusion on the misses."""
     A = frozenset(A) - frozenset(C_avoid)
@@ -460,17 +509,7 @@ def _mu_finite(A, B_hit, C_avoid, act, nmax, ctx) -> ZSeries:
         return ZSeries.zero(nmax)
 
     def closed_sum(avoid: frozenset) -> ZSeries:
-        acc = ZSeries.zero(nmax)
-        for x in ctx.vertices():
-            if x in avoid:
-                continue
-            acc = acc + walk_sum(
-                WalkConstraint(start=x, end=x, must_avoid=avoid, min_len=1, max_len=nmax),
-                act,
-                nmax,
-                ctx,
-            )
-        return acc
+        return _closed_sum(avoid, act, nmax, ctx)
 
     if B_hit is None:
         # hit A = all - miss A
@@ -576,59 +615,57 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
     Theorem "LM-Rep" route to the two-point function; must agree with
     two_point_table coefficientwise.
     """
-    origin = ctx.origin()
     table: dict = {}
-    path = [origin]
-    in_path = {origin}
-
-    def add(v, length):
+    for eta in saws(ctx, ctx.origin(), nmax):
+        length = len(eta) - 1
         budget = nmax - length
         if budget < 2:  # no loop fits: exp(mu) = 1
             contrib = ZSeries.one(nmax).shift(length)
         else:
-            mu = _mu_range_cached(frozenset(in_path), act, budget, ctx, nmax)
+            mu = _mu_range_cached(frozenset(eta), act, budget, ctx, nmax)
             contrib = exp_series(mu).shift(length)
-        prev = table.get(v)
-        table[v] = contrib if prev is None else prev + contrib
-
-    def dfs(v, length):
-        add(v, length)
-        if length == nmax:
-            return
-        for w in ctx.neighbors(v):
-            if w in in_path:
-                continue
-            path.append(w)
-            in_path.add(w)
-            dfs(w, length + 1)
-            in_path.remove(w)
-            path.pop()
-
-    dfs(origin, 0)
+        prev = table.get(eta[-1])
+        table[eta[-1]] = contrib if prev is None else prev + contrib
     return SpatialSeries.build(table, nmax)
+
+
+@lru_cache(maxsize=None)
+def _mu_pair(delta, interior: frozenset, act: LoopActivity, budget: int, ctx: GraphCtx) -> ZSeries:
+    """mu(0, delta; interior) truncated at budget (translation-normalized)."""
+    if budget < 2:
+        return ZSeries.zero(budget if budget >= 0 else 0)
+    origin = ctx.origin() if ctx.is_lattice else None
+    return generalized_loop_measure(
+        frozenset([origin]), frozenset([delta]), interior, act, budget, ctx
+    )
+
+
+def _i_factor(wa, wb, interior, act, budget, ctx) -> ZSeries:
+    """I^omega = 1 - exp(-mu(wa, wb; interior)) between two marked times,
+    truncated at `budget`; 1 when wa = wb."""
+    if wa == wb:
+        return ZSeries.one(budget)
+    if ctx.is_lattice:
+        delta = tuple(b - a for a, b in zip(wa, wb))
+        inter = frozenset(tuple(c - a for a, c in zip(wa, v)) for v in interior)
+        mu = _mu_pair(delta, inter, act, budget, ctx)
+    else:
+        mu = generalized_loop_measure(
+            frozenset([wa]), frozenset([wb]), frozenset(interior), act, budget, ctx
+        )
+    return ZSeries.one(budget) - exp_series(-mu)
 
 
 def interaction_two_point(x, y, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """I(x,y) = 1 if x=y else 1 - exp(-mu(x,y))."""
-    if x == y:
-        return ZSeries.one(nmax)
-    mu = generalized_loop_measure(
-        frozenset([x]), frozenset([y]), frozenset(), act, nmax, ctx
-    )
-    return ZSeries.one(nmax) - exp_series(-mu)
+    return _i_factor(x, y, (), act, nmax, ctx)
 
 
 def i_omega(w, a: int, b: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """I^w(a,b): walk-dependent interaction along w between times a < b."""
     if not (0 <= a < b <= len(w) - 1):
         raise PreconditionError("need 0 <= a < b <= |w|")
-    if w[a] == w[b]:
-        return ZSeries.one(nmax)
-    interior = frozenset(w[a + 1 : b])
-    mu = generalized_loop_measure(
-        frozenset([w[a]]), frozenset([w[b]]), interior, act, nmax, ctx
-    )
-    return ZSeries.one(nmax) - exp_series(-mu)
+    return _i_factor(w[a], w[b], w[a + 1 : b], act, nmax, ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -692,35 +729,32 @@ def chi_series(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
 
 def visit_weighted_closed_sum(x, y, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """sum over closed walks at x of |{j>=1: w_j = y}| * weight."""
+    return _visit_sum(x, x, y, frozenset(), act, nmax, ctx)
+
+
+def _visit_sum(x, end, b, avoid, act, nmax, ctx) -> ZSeries:
+    """sum over walks x -> end of >= 1 step that never step onto `avoid`, of
+    |{j>=1: w_j = b}| * weight."""
     _guard(ctx, nmax)
     coeffs = [Fraction(0)] * (nmax + 1)
     constant = act.is_constant
     state = LEState(x, ctx, constant)
-    visits = [0]
 
-    def weight():
-        if constant:
-            return act.value**state.count
-        return act.weight_of_keys(state.keys)
-
-    def dfs(v, length):
-        if v == x and length >= 1 and visits[0]:
-            coeffs[length] += weight() * visits[0]
+    def dfs(v, length, visits):
+        if v == end and length >= 1 and visits:
+            weight = act.value**state.count if constant else act.weight_of_keys(state.keys)
+            coeffs[length] += weight * visits
         if length == nmax:
             return
         rem = nmax - length - 1
         for w in ctx.neighbors(v):
-            if ctx.distance(w, x) > rem:
+            if w in avoid or ctx.distance(w, end) > rem:
                 continue
             state.push(w)
-            if w == y:
-                visits[0] += 1
-            dfs(w, length + 1)
-            if w == y:
-                visits[0] -= 1
+            dfs(w, length + 1, visits + (w == b))
             state.pop()
 
-    dfs(x, 0)
+    dfs(x, 0, 0)
     return ZSeries(tuple(coeffs))
 
 
@@ -899,38 +933,7 @@ def split_visit_sum(x, y, b, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSe
     weighted by the number of visits to b (j >= 1)."""
     if x == y or b == x:
         raise PreconditionError("need x != y and b != x")
-    _guard(ctx, nmax)
-    coeffs = [Fraction(0)] * (nmax + 1)
-    constant = act.is_constant
-    state = LEState(x, ctx, constant)
-    visits = [0]
-
-    def weight():
-        if constant:
-            return act.value**state.count
-        return act.weight_of_keys(state.keys)
-
-    def dfs(v, length):
-        if v == y and visits[0]:
-            coeffs[length] += weight() * visits[0]
-        if length == nmax:
-            return
-        rem = nmax - length - 1
-        for w in ctx.neighbors(v):
-            if w == x:
-                continue
-            if ctx.distance(w, y) > rem + 1:
-                continue
-            state.push(w)
-            if w == b:
-                visits[0] += 1
-            dfs(w, length + 1)
-            if w == b:
-                visits[0] -= 1
-            state.pop()
-
-    dfs(x, 0)
-    return ZSeries(tuple(coeffs))
+    return _visit_sum(x, y, b, frozenset([x]), act, nmax, ctx)
 
 
 def split_visit_sum_rhs(x, y, b, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:

@@ -43,41 +43,16 @@ from .enumeration import (
     alpha0,
     alpha_renorm,
     closed_walk_catalog,
-    generalized_loop_measure,
     two_point_table,
+    walks,
     _guard,
+    _i_factor,
 )
 from .laces import (
     compatible_positions_of_lace,
     lace_positions_for_vector,
     valid_vectors,
 )
-
-
-@lru_cache(maxsize=None)
-def _mu_pair(delta, interior: frozenset, act: LoopActivity, budget: int, ctx: GraphCtx) -> ZSeries:
-    """mu(0, delta; interior) truncated at budget (translation-normalized)."""
-    if budget < 2:
-        return ZSeries.zero(budget if budget >= 0 else 0)
-    origin = ctx.origin() if ctx.is_lattice else None
-    return generalized_loop_measure(
-        frozenset([origin]), frozenset([delta]), interior, act, budget, ctx
-    )
-
-
-def _i_factor(wa, wb, interior, act, budget, ctx) -> ZSeries:
-    """I^omega between two marked times, truncated at `budget`."""
-    if wa == wb:
-        return ZSeries.one(budget)
-    if ctx.is_lattice:
-        delta = tuple(b - a for a, b in zip(wa, wb))
-        inter = frozenset(tuple(c - a for a, c in zip(wa, v)) for v in interior)
-        mu = _mu_pair(delta, inter, act, budget, ctx)
-    else:
-        mu = generalized_loop_measure(
-            frozenset([wa]), frozenset([wb]), frozenset(interior), act, budget, ctx
-        )
-    return ZSeries.one(budget) - exp_series(-mu)
 
 
 def _x_dressing(walk, cp_set, act, budget, ctx) -> ZSeries:
@@ -319,25 +294,11 @@ def loop_universe(region, act: LoopActivity, cutoff: int, ctx: GraphCtx):
 
     region = frozenset(region)
     origin = ctx.origin()
-    walks = []
-
-    def dfs(path):
-        v = path[-1]
-        if v == origin and len(path) > 1:
-            walks.append(tuple(path))
-        if len(path) - 1 >= cutoff:
-            return
-        for w in ctx.neighbors(v):
-            if sum(abs(a) for a in w) > cutoff - len(path):
-                continue
-            path.append(w)
-            dfs(path)
-            path.pop()
-
-    dfs([origin])
     seen = set()
     out = []
-    for w in walks:
+    for w in walks(ctx, origin, cutoff):
+        if len(w) == 1 or w[-1] != origin:
+            continue
         for p in region:
             for r in set(w):
                 v = tuple(a - b for a, b in zip(p, r))

@@ -14,8 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import GraphCtx, LoopActivity, PreconditionError, _erase, sap_key
-from .series import ZSeries
-from .enumeration import WalkConstraint, walk_sum, _per_length_division
+from .series import ZSeries, reciprocal
+from .enumeration import _closed_sum, _per_length_division, saws
 
 
 @dataclass(frozen=True)
@@ -199,23 +199,15 @@ def loop_erasure_to_pair(w) -> LegalPair:
 
 @lru_cache(maxsize=None)
 def all_oriented_cycles(ctx: GraphCtx, max_len: int):
-    """All oriented cycles of length 2..max_len on a finite graph."""
+    """All oriented cycles of length 2..max_len on a finite graph: each is a
+    SAW of at most max_len - 1 steps whose end neighbours its start, closed."""
     if ctx.is_lattice:
         raise PreconditionError("finite graph mode only")
     out = set()
-    verts = ctx.vertices()
-    for root in verts:
-        # DFS for self-avoiding closed walks from root
-        def dfs(path):
-            v = path[-1]
-            for w in ctx.neighbors(v):
-                if w == root and len(path) >= 2:
-                    out.add(OrientedCycle.from_closed_walk(tuple(path) + (root,)))
-                if w in path or len(path) > max_len - 1:
-                    continue
-                dfs(path + [w])
-
-        dfs([root])
+    for root in ctx.vertices():
+        for eta in saws(ctx, root, max_len - 1):
+            if len(eta) >= 2 and root in ctx.neighbors(eta[-1]):
+                out.add(OrientedCycle.from_closed_walk(eta + (root,)))
     return tuple(sorted(out, key=lambda c: c.seq))
 
 
@@ -228,53 +220,62 @@ def cycle_weight(c: OrientedCycle, act: LoopActivity, nmax: int, ctx: GraphCtx) 
     return ZSeries.monomial(lam, len(c), nmax)
 
 
+def _heap_pieces(ctx: GraphCtx, act: LoopActivity, nmax: int, unoriented: bool) -> list:
+    """(vertex set, signed weight) of each piece of a trivial-heap sum.
+
+    Oriented cycles weigh -w(C). With unoriented=True one orientation of
+    each cycle stands for both: -2 w(C) for length > 2, -w(C) for trivial
+    cycles.
+    """
+    seen = set()
+    out = []
+    for c in all_oriented_cycles(ctx, nmax):
+        mult = 1
+        if unoriented:
+            base = min(c.seq, c.reversed_cycle().seq)
+            if base in seen:
+                continue
+            seen.add(base)
+            mult = 1 if len(c) == 2 else 2
+        out.append((c.vertices(), cycle_weight(c, act, nmax, ctx) * Fraction(-mult)))
+    return out
+
+
+def _heap_sum(pieces: list, forbidden: frozenset, nmax: int) -> ZSeries:
+    """Sum over sets of pairwise disjoint pieces avoiding `forbidden` of the
+    product of their weights (the empty set gives 1): a DFS over the
+    independent sets of the concurrency graph."""
+    pieces = [p for p in pieces if not p[0] & forbidden]
+    total = ZSeries.one(nmax)
+
+    def dfs(start, chosen_verts, weight: ZSeries):
+        nonlocal total
+        for i in range(start, len(pieces)):
+            verts, w = pieces[i]
+            if chosen_verts & verts:
+                continue
+            w2 = weight * w
+            if w2.is_zero():
+                continue
+            total = total + w2
+            dfs(i + 1, chosen_verts | verts, w2)
+
+    dfs(0, frozenset(), ZSeries.one(nmax))
+    return total
+
+
 def trivial_heap_sum(forbidden, ctx: GraphCtx, act: LoopActivity, nmax: int) -> ZSeries:
     """Signed sum over sets of pairwise disjoint cycles avoiding `forbidden`.
 
     Equals exp(-(loop measure of closed walks avoiding forbidden)) by the
     heap theorem; diverges on infinite lattices, so finite graphs only.
     """
-    if ctx.is_lattice:
-        raise PreconditionError("finite graph mode only")
-    forbidden = frozenset(forbidden)
-    cycles = [
-        c
-        for c in all_oriented_cycles(ctx, nmax)
-        if not (c.vertices() & forbidden) and len(c) <= nmax
-    ]
-    total = [ZSeries.one(nmax)]
-
-    # DFS over independent sets of the concurrency graph
-    def dfs(start, chosen_verts, weight: ZSeries):
-        for i in range(start, len(cycles)):
-            c = cycles[i]
-            if chosen_verts & c.vertices():
-                continue
-            w2 = weight * cycle_weight(c, act, nmax, ctx) * Fraction(-1)
-            if w2.is_zero():
-                continue
-            total[0] = total[0] + w2
-            dfs(i + 1, chosen_verts | c.vertices(), w2)
-
-    dfs(0, frozenset(), ZSeries.one(nmax))
-    return total[0]
+    return _heap_sum(_heap_pieces(ctx, act, nmax, False), frozenset(forbidden), nmax)
 
 
 def closed_walk_loop_sum(forbidden, ctx: GraphCtx, act: LoopActivity, nmax: int) -> ZSeries:
     """sum over closed walks avoiding `forbidden` of w/|w| (all roots)."""
-    forbidden = frozenset(forbidden)
-    acc = ZSeries.zero(nmax)
-    for v in ctx.vertices():
-        if v in forbidden:
-            continue
-        raw = walk_sum(
-            WalkConstraint(start=v, end=v, must_avoid=forbidden, min_len=1, max_len=nmax),
-            act,
-            nmax,
-            ctx,
-        )
-        acc = acc + _per_length_division(raw)
-    return acc
+    return _per_length_division(_closed_sum(frozenset(forbidden), act, nmax, ctx))
 
 
 def cycle_gas_two_point(x, ctx: GraphCtx, act: LoopActivity, nmax: int, origin=None, unoriented: bool = False) -> ZSeries:
@@ -289,37 +290,12 @@ def cycle_gas_two_point(x, ctx: GraphCtx, act: LoopActivity, nmax: int, origin=N
     if ctx.is_lattice:
         raise PreconditionError("finite graph mode only")
     start = origin if origin is not None else ctx.vertices()[0]
-    denom = (
-        trivial_heap_sum(frozenset(), ctx, act, nmax)
-        if not unoriented
-        else unoriented_heap_sum(frozenset(), ctx, act, nmax)
-    )
+    pieces = _heap_pieces(ctx, act, nmax, unoriented)
     num = ZSeries.zero(nmax)
-
-    def saw_walks(path):
-        yield tuple(path)
-        if len(path) - 1 >= nmax:
-            return
-        for w in ctx.neighbors(path[-1]):
-            if w in path:
-                continue
-            path.append(w)
-            yield from saw_walks(path)
-            path.pop()
-
-    for eta in saw_walks([start]):
-        if eta[-1] != x:
-            continue
-        n = len(eta) - 1
-        ths = (
-            trivial_heap_sum(frozenset(eta), ctx, act, nmax)
-            if not unoriented
-            else unoriented_heap_sum(frozenset(eta), ctx, act, nmax)
-        )
-        num = num + ths.shift(n)
-    from .series import reciprocal
-
-    return num * reciprocal(denom)
+    for eta in saws(ctx, start, nmax):
+        if eta[-1] == x:
+            num = num + _heap_sum(pieces, frozenset(eta), nmax).shift(len(eta) - 1)
+    return num * reciprocal(_heap_sum(pieces, frozenset(), nmax))
 
 
 def unoriented_heap_sum(forbidden, ctx: GraphCtx, act: LoopActivity, nmax: int) -> ZSeries:
@@ -328,39 +304,7 @@ def unoriented_heap_sum(forbidden, ctx: GraphCtx, act: LoopActivity, nmax: int) 
     Unoriented cycles of length > 2 get weight -2*lambda z^{|C|}; trivial
     cycles -lambda z^2.
     """
-    if ctx.is_lattice:
-        raise PreconditionError("finite graph mode only")
-    forbidden = frozenset(forbidden)
-    seen = set()
-    unoriented = []
-    for c in all_oriented_cycles(ctx, nmax):
-        if c.vertices() & forbidden or len(c) > nmax:
-            continue
-        base = min(c.seq, c.reversed_cycle().seq)
-        if base in seen:
-            continue
-        seen.add(base)
-        unoriented.append(c)
-    total = [ZSeries.one(nmax)]
-
-    def wgt(c: OrientedCycle) -> ZSeries:
-        mult = 1 if len(c) == 2 else 2
-        w = cycle_weight(c, act, nmax, ctx) * Fraction(-mult)
-        return w
-
-    def dfs(start, chosen_verts, weight: ZSeries):
-        for i in range(start, len(unoriented)):
-            c = unoriented[i]
-            if chosen_verts & c.vertices():
-                continue
-            w2 = weight * wgt(c)
-            if w2.is_zero():
-                continue
-            total[0] = total[0] + w2
-            dfs(i + 1, chosen_verts | c.vertices(), w2)
-
-    dfs(0, frozenset(), ZSeries.one(nmax))
-    return total[0]
+    return _heap_sum(_heap_pieces(ctx, act, nmax, True), frozenset(forbidden), nmax)
 
 
 def box_graph(w: int, h: int) -> GraphCtx:

@@ -57,16 +57,6 @@ def _series_eq(suite, name, a: ZSeries, b: ZSeries, out):
     return ok
 
 
-def _all_walks(ctx, start, nmax):
-    stack = [(start,)]
-    while stack:
-        w = stack.pop()
-        yield w
-        if len(w) - 1 < nmax:
-            for nb in ctx.neighbors(w[-1]):
-                stack.append(w + (nb,))
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -76,7 +66,7 @@ def suite_core(nmax: int = 6) -> list:
     origin = ctx.origin()
 
     le_ok = lelast_ok = endpoints_ok = sap_ok = idem_ok = True
-    for w in _all_walks(ctx, origin, nmax):
+    for w in en.walks(ctx, origin, nmax):
         saw, erased = _erase(w)
         if loop_erase_last_exit(w) != saw:
             lelast_ok = False
@@ -113,11 +103,11 @@ def suite_core(nmax: int = 6) -> list:
 
     # non-repulsiveness witnesses (both strict directions)
     sup_found = sub_found = False
-    for w1 in _all_walks(ctx, origin, nmax):
+    for w1 in en.walks(ctx, origin, nmax):
         if sup_found and sub_found:
             break
         n1 = loop_count(w1)
-        for w2 in _all_walks(ctx, w1[-1], nmax - (len(w1) - 1)):
+        for w2 in en.walks(ctx, w1[-1], nmax - (len(w1) - 1)):
             if len(w2) == 1:
                 continue
             n12 = loop_count(concat(w1, w2))
@@ -166,14 +156,12 @@ def suite_lm_rep(d: int, lam, nmax: int, max_l1: int = 3) -> list:
     _series_eq("lm-rep", f"alpha0 = 1 + z lam |Omega| (D*H)(0) (d={d}, lambda={lam})", a0, rhs, out)
     # SAP form of alpha0 - 1: sum over polygons of lam z^k exp(mu(range))
     sap_sum = ZSeries.zero(nmax)
-    seen = set()
-    for w in _all_walks(ctx, ctx.origin(), nmax):
-        if len(w) >= 3 and classify(w) == "SAP" and w not in seen:
-            seen.add(w)
-            mu = en.loop_measure(frozenset(w), frozenset(), act, nmax - (len(w) - 1), ctx)
-            sap_sum = sap_sum + (
-                exp_series(ZSeries.of(mu.coeffs, nmax)) * Fraction(lam)
-            ).shift(len(w) - 1)
+    origin = ctx.origin()
+    for eta in en.saws(ctx, origin, nmax - 1):
+        if len(eta) >= 2 and origin in ctx.neighbors(eta[-1]):
+            k = len(eta)  # steps of the polygon eta + (origin,)
+            mu = en.loop_measure(frozenset(eta), frozenset(), act, nmax - k, ctx)
+            sap_sum = sap_sum + (exp_series(ZSeries.of(mu.coeffs, nmax)) * Fraction(lam)).shift(k)
     _series_eq(
         "lm-rep",
         f"alpha0 - 1 = sum over SAPs of lam z^k exp(mu(range)) (d={d}, lambda={lam})",
@@ -190,8 +178,10 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
     origin = ctx.origin()
     ok = True
     total = 0
-    for w in _all_walks(ctx, origin, nmax_walks):
-        pair = hp.loop_erasure_to_pair(w)
+    for w in en.walks(ctx, origin, nmax_walks):
+        saw, erased = _erase(w)
+        loops = [hp.OrientedCycle.from_closed_walk(e) for e in erased]
+        pair = hp.LegalPair(eta=saw, heap=hp.CycleHeap.of(loops))
         back = hp.loop_addition(pair)
         total += 1
         if back != w:
@@ -209,10 +199,7 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
         if sorted(eta_edges) != edges:
             ok = False
             break
-        _, erased = _erase(w)
-        if sorted(p.seq for p in pair.heap.pieces) != sorted(
-            hp.OrientedCycle.from_closed_walk(e).seq for e in erased
-        ):
+        if sorted(p.seq for p in pair.heap.pieces) != sorted(c.seq for c in loops):
             ok = False
             break
     out.append(
@@ -222,19 +209,6 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
     # legal pairs on a 3x3 box of total size <= box_cap
     box = hp.box_graph(3, 3)
     cycles = [c for c in hp.all_oriented_cycles(box, box_cap)]
-    vert0 = (0, 0)
-    saws = []
-
-    def saw_dfs(path):
-        saws.append(tuple(path))
-        for w in box.neighbors(path[-1]):
-            if w in path or len(path) > box_cap:
-                continue
-            path.append(w)
-            saw_dfs(path)
-            path.pop()
-
-    saw_dfs([vert0])
     ok = True
     count = 0
 
@@ -247,7 +221,7 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
             yield from heaps_below(budget - len(c), seq)
             seq.pop()
 
-    for eta in saws:
+    for eta in en.saws(box, (0, 0), box_cap):
         budget = box_cap - (len(eta) - 1)
         if budget < 2:
             continue

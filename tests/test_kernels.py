@@ -1,0 +1,350 @@
+"""The shared walk kernels against slow oracles.
+
+The two walk generators (walks, saws), the interaction factor, the visit
+sum, the heap sum and the closed-walk catalog each have one implementation
+that several public functions call. The oracles below are independent
+enumerations, or the bodies those functions had before they shared a
+kernel, kept here so the merge is checked Fraction for Fraction.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from math import comb
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import lww
+from lww import enumeration as en
+from lww import expansion as ex
+from lww import heaps as hp
+from lww.core import GraphCtx, LoopActivity, _erase, sap_key, walk_weight
+from lww.series import ZSeries, exp_series
+from lww.verify import SAW_COUNTS_D2
+from test_acceptance import _saw_counts_brute
+from test_expansion import _table_activity
+
+LAMBDAS = (Fraction(0), Fraction(1, 2), Fraction(2))
+BOXES = ((2, 2), (2, 3), (3, 3))
+
+
+def _lengths(gen):
+    return Counter(len(w) - 1 for w in gen)
+
+
+def _saw_dfs(ctx, start, max_len):
+    """Recursive SAW enumeration (verify.suite_heaps' former saw_dfs)."""
+    out = []
+
+    def rec(path):
+        out.append(tuple(path))
+        for w in ctx.neighbors(path[-1]):
+            if w in path or len(path) > max_len:
+                continue
+            path.append(w)
+            rec(path)
+            path.pop()
+
+    rec([start])
+    return out
+
+
+def _cycles_dfs(ctx, max_len):
+    """heaps.all_oriented_cycles' former DFS for self-avoiding closed walks."""
+    out = set()
+    for root in ctx.vertices():
+
+        def dfs(path):
+            for w in ctx.neighbors(path[-1]):
+                if w == root and len(path) >= 2:
+                    out.add(hp.OrientedCycle.from_closed_walk(tuple(path) + (root,)))
+                if w in path or len(path) > max_len - 1:
+                    continue
+                dfs(path + [w])
+
+        dfs([root])
+    return tuple(sorted(out, key=lambda c: c.seq))
+
+
+# ---------------------------------------------------------------------------
+# generators
+
+
+@pytest.mark.parametrize("d,n", [(1, 8), (2, 6), (3, 4)])
+def test_walks_counts(d, n):
+    ctx = GraphCtx.lattice(d)
+    ws = list(en.walks(ctx, ctx.origin(), n))
+    assert _lengths(ws) == {m: (2 * d) ** m for m in range(n + 1)}
+    assert len(set(ws)) == len(ws)
+    assert all(b in ctx.neighbors(a) for w in ws for a, b in zip(w, w[1:]))
+
+
+@pytest.mark.parametrize("d,n", [(1, 10), (2, 8), (3, 5)])
+def test_saws_counts(d, n):
+    ctx = GraphCtx.lattice(d)
+    got = _lengths(en.saws(ctx, ctx.origin(), n))
+    assert [got[m] for m in range(n + 1)] == _saw_counts_brute(d, n)
+    if d == 2:
+        assert tuple(got[m] for m in range(1, n + 1)) == SAW_COUNTS_D2[:n]
+
+
+def test_saws_on_box_match_recursive_dfs():
+    box = hp.box_graph(3, 3)
+    for start in ((0, 0), (1, 1), (2, 1)):
+        for cap in (0, 1, 4, 8, 10):
+            got = list(en.saws(box, start, cap))
+            assert len(set(got)) == len(got)
+            assert set(got) == set(_saw_dfs(box, start, cap)), (start, cap)
+
+
+@pytest.mark.parametrize("dims", BOXES)
+def test_all_oriented_cycles_match_dfs(dims):
+    box = hp.box_graph(*dims)
+    for cap in (1, 2, 4, 8):
+        assert hp.all_oriented_cycles(box, cap) == _cycles_dfs(box, cap), cap
+
+
+def test_generators_charge_each_walk(monkeypatch):
+    ctx = GraphCtx.lattice(2)
+    o = ctx.origin()
+    for gen, total in ((en.walks, 1 + 4 + 16 + 64), (en.saws, 1 + 4 + 12 + 36)):
+        monkeypatch.setenv("LWW_BUDGET", str(total))
+        assert len(list(gen(ctx, o, 3))) == total
+        monkeypatch.setenv("LWW_BUDGET", str(total - 1))
+        with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
+            list(gen(ctx, o, 3))
+
+
+def test_loop_erased_table_and_universe_charge_walks(monkeypatch):
+    ctx = GraphCtx.lattice(2)
+    half = LoopActivity.constant(Fraction(1, 2))
+    lww.clear_caches()
+    for m in (2, 4, 6):  # the catalogs are cached, so only the SAWs are charged
+        en.closed_walk_catalog(2, m)
+    n_saws = sum(_saw_counts_brute(2, 6))  # 1217
+    monkeypatch.setenv("LWW_BUDGET", str(n_saws - 1))
+    with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
+        en.loop_erased_two_point_table(half, 6, ctx)
+    monkeypatch.setenv("LWW_BUDGET", str(n_saws))
+    assert en.loop_erased_two_point_table(half, 6, ctx).support()
+    n_walks = sum(4**m for m in range(5))  # 341: loop_universe's cutoff 4
+    monkeypatch.setenv("LWW_BUDGET", str(n_walks - 1))
+    with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
+        ex.loop_universe({(0, 0)}, half, 4, ctx)
+    monkeypatch.setenv("LWW_BUDGET", str(n_walks))
+    assert ex.loop_universe({(0, 0)}, half, 4, ctx)
+    lww.clear_caches()
+
+
+# ---------------------------------------------------------------------------
+# the interaction factor
+
+
+def _i_oracle(x, y, interior, act, nmax, ctx):
+    """I = 1 - exp(-mu(x, y; interior)) from the uncached loop measure."""
+    if x == y:
+        return ZSeries.one(nmax)
+    mu = en.generalized_loop_measure(
+        frozenset([x]), frozenset([y]), frozenset(interior), act, nmax, ctx
+    )
+    return ZSeries.one(nmax) - exp_series(-mu)
+
+
+def _activity(d, lam):
+    return _table_activity(d) if lam == "table" else LoopActivity.constant(lam)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.lists(st.integers(0, 5), min_size=1, max_size=5), st.data())
+def test_interaction_factor_matches_loop_measure(d, steps, data):
+    ctx = GraphCtx.lattice(d)
+    w = [ctx.origin()]
+    for i in steps:
+        nbrs = ctx.neighbors(w[-1])
+        w.append(nbrs[i % len(nbrs)])
+    w = tuple(w)
+    a = data.draw(st.integers(0, len(w) - 2))
+    b = data.draw(st.integers(a + 1, len(w) - 1))
+    act = _activity(d, data.draw(st.sampled_from(LAMBDAS + ("table",))))
+    nmax = data.draw(st.integers(0, 6))
+    got = en.i_omega(w, a, b, act, nmax, ctx)
+    assert got.coeffs == _i_oracle(w[a], w[b], w[a + 1 : b], act, nmax, ctx).coeffs
+    got = en.interaction_two_point(w[a], w[b], act, nmax, ctx)
+    assert got.coeffs == _i_oracle(w[a], w[b], (), act, nmax, ctx).coeffs
+
+
+def test_interaction_factor_on_a_box():
+    box = hp.box_graph(3, 2)
+    act = LoopActivity.constant(Fraction(1, 2))
+    w = ((0, 0), (1, 0), (1, 1), (2, 1), (2, 0), (1, 0))
+    for a in range(len(w) - 1):
+        for b in range(a + 1, len(w)):
+            got = en.i_omega(w, a, b, act, 6, box)
+            assert got.coeffs == _i_oracle(w[a], w[b], w[a + 1 : b], act, 6, box).coeffs
+            got = en.interaction_two_point(w[a], w[b], act, 6, box)
+            assert got.coeffs == _i_oracle(w[a], w[b], (), act, 6, box).coeffs
+
+
+# ---------------------------------------------------------------------------
+# visit sums
+
+
+def _visit_brute(x, end, b, avoid, act, nmax, ctx):
+    """Walks x -> end of 1..nmax steps off `avoid`, weighted by walk_weight
+    times the number of visits to b at times j >= 1."""
+    coeffs = [Fraction(0)] * (nmax + 1)
+    for w in en.walks(ctx, x, nmax):
+        if len(w) == 1 or w[-1] != end or any(v in avoid for v in w[1:]):
+            continue
+        n, lf = walk_weight(w, act, ctx)
+        coeffs[n] += lf * w[1:].count(b)
+    return ZSeries(tuple(coeffs))
+
+
+@pytest.mark.parametrize("d,n", [(1, 6), (2, 6)])
+@pytest.mark.parametrize("lam", LAMBDAS + ("table",), ids=str)
+def test_visit_sums_match_brute_force(d, n, lam):
+    ctx = GraphCtx.lattice(d)
+    act = _activity(d, lam)
+    o = ctx.origin()
+    e = ctx.neighbors(o)[1]
+    e2 = tuple(2 * c for c in e)
+    pts = [o, e, e2, ctx.neighbors(o)[0 if d == 1 else 3]]
+    for y in pts:
+        got = en.visit_weighted_closed_sum(o, y, act, n, ctx)
+        assert got.coeffs == _visit_brute(o, o, y, (), act, n, ctx).coeffs, y
+    for y in pts[1:]:
+        for b in pts[1:]:
+            got = en.split_visit_sum(o, y, b, act, n, ctx)
+            assert got.coeffs == _visit_brute(o, y, b, {o}, act, n, ctx).coeffs, (y, b)
+
+
+# ---------------------------------------------------------------------------
+# heap sums and the closed-walk sum
+
+
+def _trivial_heap_oracle(forbidden, ctx, act, nmax):
+    """trivial_heap_sum's former body: cycle weights rebuilt at every node."""
+    cycles = [
+        c
+        for c in hp.all_oriented_cycles(ctx, nmax)
+        if not (c.vertices() & forbidden) and len(c) <= nmax
+    ]
+    total = [ZSeries.one(nmax)]
+
+    def dfs(start, chosen_verts, weight):
+        for i in range(start, len(cycles)):
+            c = cycles[i]
+            if chosen_verts & c.vertices():
+                continue
+            w2 = weight * hp.cycle_weight(c, act, nmax, ctx) * Fraction(-1)
+            if w2.is_zero():
+                continue
+            total[0] = total[0] + w2
+            dfs(i + 1, chosen_verts | c.vertices(), w2)
+
+    dfs(0, frozenset(), ZSeries.one(nmax))
+    return total[0]
+
+
+def _unoriented_heap_oracle(forbidden, ctx, act, nmax):
+    """unoriented_heap_sum's former body."""
+    seen = set()
+    unoriented = []
+    for c in hp.all_oriented_cycles(ctx, nmax):
+        if c.vertices() & forbidden or len(c) > nmax:
+            continue
+        base = min(c.seq, c.reversed_cycle().seq)
+        if base in seen:
+            continue
+        seen.add(base)
+        unoriented.append(c)
+    total = [ZSeries.one(nmax)]
+
+    def dfs(start, chosen_verts, weight):
+        for i in range(start, len(unoriented)):
+            c = unoriented[i]
+            if chosen_verts & c.vertices():
+                continue
+            mult = 1 if len(c) == 2 else 2
+            w2 = weight * (hp.cycle_weight(c, act, nmax, ctx) * Fraction(-mult))
+            if w2.is_zero():
+                continue
+            total[0] = total[0] + w2
+            dfs(i + 1, chosen_verts | c.vertices(), w2)
+
+    dfs(0, frozenset(), ZSeries.one(nmax))
+    return total[0]
+
+
+def _closed_walk_loop_sum_oracle(forbidden, ctx, act, nmax):
+    """closed_walk_loop_sum's former body: one division per root."""
+    acc = ZSeries.zero(nmax)
+    for v in ctx.vertices():
+        if v in forbidden:
+            continue
+        raw = en.walk_sum(
+            en.WalkConstraint(start=v, end=v, must_avoid=forbidden, min_len=1, max_len=nmax),
+            act,
+            nmax,
+            ctx,
+        )
+        acc = acc + en._per_length_division(raw)
+    return acc
+
+
+@pytest.mark.parametrize("dims", BOXES)
+def test_heap_sums_match_former_bodies(dims):
+    box = hp.box_graph(*dims)
+    square = ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))
+    acts = [LoopActivity.constant(lam) for lam in LAMBDAS]
+    acts.append(LoopActivity.of_table({sap_key(square, box): Fraction(3)}, Fraction(1, 2)))
+    nmax = 6 if dims == (3, 3) else 8
+    for act in acts:
+        for forbidden in (frozenset(), frozenset([(0, 0)]), frozenset([(1, 0), (1, 1)])):
+            args = (forbidden, box, act, nmax)
+            assert hp.trivial_heap_sum(*args).coeffs == _trivial_heap_oracle(*args).coeffs
+            assert hp.unoriented_heap_sum(*args).coeffs == _unoriented_heap_oracle(*args).coeffs
+            got = hp.closed_walk_loop_sum(*args)
+            assert got.coeffs == _closed_walk_loop_sum_oracle(*args).coeffs
+
+
+# ---------------------------------------------------------------------------
+# the closed-walk catalog
+
+
+def _closed_walks(n, d):
+    """Number of closed n-step walks from the origin of Z^d."""
+    if n % 2:
+        return 0
+    if d == 1:
+        return comb(n, n // 2)
+    if d == 2:
+        return comb(n, n // 2) ** 2
+    # d = 3: choose a_i steps along each axis each way, sum_i a_i = n/2
+    h = n // 2
+    return sum(
+        comb(n, 2 * a) * comb(2 * a, a) * comb(n - 2 * a, 2 * b) * comb(2 * b, b)
+        * comb(n - 2 * a - 2 * b, h - a - b)
+        for a in range(h + 1)
+        for b in range(h - a + 1)
+    )
+
+
+@pytest.mark.parametrize("d,n", [(1, 10), (2, 8), (3, 6)])
+def test_closed_walk_catalog(d, n):
+    ctx = GraphCtx.lattice(d)
+    o = ctx.origin()
+    cat = en.closed_walk_catalog(d, n)
+    per_len = Counter()
+    for _, m, _, cnt in cat:
+        per_len[m] += cnt
+    assert per_len == {m: _closed_walks(m, d) for m in range(2, n + 1, 2)}
+    want = Counter()
+    for w in en.walks(ctx, o, n):
+        if len(w) > 2 and w[-1] == o:
+            keys = tuple(sorted(sap_key(loop) for loop in _erase(w)[1]))
+            want[(frozenset(w), len(w) - 1, keys)] += 1
+    got = {(rng, m, keys): cnt for rng, m, keys, cnt in cat}
+    assert len(got) == len(cat)
+    assert got == want
