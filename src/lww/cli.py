@@ -103,7 +103,13 @@ def _ctx(args) -> GraphCtx:
     return ctx
 
 
+def _lattice_only(args) -> None:
+    if args.graph:
+        raise PreconditionError(f"lww {args.command} supports Z^d only, not --graph")
+
+
 def cmd_enumerate(args) -> int:
+    _lattice_only(args)
     table = en.loop_count_table(args.n, args.d)
     rows = [(n, k, c) for (n, k), c in sorted(table.rows().items())]
     _emit(
@@ -196,6 +202,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    _lattice_only(args)
     act = LoopActivity.constant(args.lam)
     walks = sp.sample_exact(args.n, args.d, act, args.seed, args.samples)
     rows = sp.walk_rows(walks, args.n, args.d)
@@ -205,6 +212,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_msd(args) -> int:
+    _lattice_only(args)
     act = LoopActivity.constant(args.lam)
     payload = {"_meta": _meta(args)}
     rows = []
@@ -227,6 +235,7 @@ def cmd_msd(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    _lattice_only(args)
     ctx = GraphCtx.lattice(args.d)
     act = LoopActivity.constant(args.lam)
     chi = en.chi_series(act, args.nmax, ctx)

@@ -256,8 +256,15 @@ class _LEStates:
     1991), and a walk's loop weight depends only on the loops it erases. A
     state is the SAW's steps as base-2d digits under a leading 1 (the origin
     alone is 1); points are ints in radix 2n+1. successors() is the chain's
-    one transition rule: _transfer runs it forward, sampling.sample_exact
-    backward, and both charge() the states they expand to node_budget().
+    transition rule and _transfer runs it forward. sampling.sample_exact runs
+    the chain up to the point group instead, by canonical_moves() and
+    push_frame(). Both charge() the states they expand to node_budget().
+
+    A SAW is canonical when its axes first appear in the order 0, 1, ... and
+    each axis is first taken in the + direction: one SAW per orbit of the
+    point group (2^d d! isometries), and prefixes of canonical SAWs are
+    canonical. Under a constant activity every SAW of an orbit has the same
+    completion sums.
     """
 
     def __init__(self, ctx: GraphCtx, n: int):
@@ -300,6 +307,36 @@ class _LEStates:
                 cut = self.powers[len(pts) - 1 - j]
                 out.append((q, code // cut, cut + code % cut))
         return out
+
+    def canonical_moves(self, k: int) -> list:
+        """(step, move, multiplicity, axes used after it) of each step out of a
+        canonical SAW on the first k axes, in GraphCtx.neighbors order. Step s
+        < d is -e_s and step 2d-1-s is +e_s. Each direction of a used axis is
+        its own step; the 2(d-k) steps onto unused axes map to the one
+        canonical push +e_k, which never lands on the SAW."""
+        out = [(s, self.moves[s], 1, k) for s in range(self.base) if s < k or s >= self.base - k]
+        if k < self.d:
+            s = self.base - 1 - k
+            out.insert(k, (s, self.moves[s], 2 * (self.d - k), k + 1))
+        return out
+
+    def root_frame(self) -> tuple:
+        """The frame of the SAW of no steps: every step is the canonical +e_0."""
+        return (self.base - 1,) * self.base
+
+    def push_frame(self, frame: tuple, k: int, s: int):
+        """The frame and axis count after a push s out of a SAW on k axes.
+
+        frame[s] is the canonical step of a push s: for a used axis the
+        isometry that takes the SAW to its canonical SAW, for an unused one
+        +e_k. A first step on an unused axis assigns it canonical axis k.
+        """
+        plus_k = self.base - 1 - k
+        if k == self.d or frame[s] != plus_k:  # s is on a used axis
+            return frame, k
+        f = [plus_k - 1 if c == plus_k else c for c in frame]
+        f[s], f[self.base - 1 - s] = plus_k, k
+        return tuple(f), k + 1
 
     def charge(self, states: int):
         self.left -= states

@@ -7,7 +7,9 @@ of a run with seed s reads its own stream, keyed by the exact 64-bit pair
 not depend on how samples are batched. Seeds are integers in [0, 2^64).
 Importance samples are generated and loop-erased a batch at a time by array
 kernels. The exact sampler runs on the transfer engine's loop-erasure states
-under its node_budget(); its memory is not capped.
+under its node_budget(). It stores completion sums for one state per orbit
+of the point group, about 8x fewer than all states in d = 2 and 48x in
+d = 3, but its memory is still not capped.
 """
 
 from __future__ import annotations
@@ -230,49 +232,132 @@ def msd_importance(cfg: SamplerConfig):
     return est, math.sqrt(var)
 
 
+def _completion_sums(states: _LEStates, p: int, q: int) -> list:
+    """Completion sums of the canonical states of _LEStates, by level.
+
+    levels[m] maps each canonical SAW that m steps can reach (length <= m,
+    of the parity of m) to q^(n-m) times its completion sum under lambda =
+    p/q, an int: a push weighs q and an erasure p, times the sum of the state
+    it leads to. levels[n] is None: every sum there is 1. Level m is filled
+    by one depth-first pass over the canonical SAWs of length <= m, whose
+    points, positions and prefix codes are kept along the path, so no state
+    is decoded. Each state filled is charge()d.
+    """
+    base, n = states.base, states.n
+    moves = [states.canonical_moves(k) for k in range(states.d + 1)]
+    levels = [None] * (n + 1)
+    for m in reversed(range(n)):
+        sums, level = levels[m + 1], {}
+        path, codes, pos = [], [], {}
+        todo = [(0, 0, 1, 0)]  # (length, endpoint, code, axes used) of the SAWs to visit
+        while todo:
+            length, x, code, k = todo.pop()
+            for y in path[length:]:  # back up to this SAW's parent
+                del pos[y]
+            del path[length:], codes[length:]
+            pos[x] = length
+            path.append(x)
+            codes.append(code)
+            fill = (m - length) % 2 == 0
+            total = 0
+            for s, mv, mult, k2 in moves[k]:
+                y = x + mv
+                j = pos.get(y)
+                if j is None:
+                    child = code * base + s
+                    if length < m:
+                        todo.append((length + 1, y, child, k2))
+                    if fill:
+                        total += mult * q * (1 if sums is None else sums[child])
+                elif fill:
+                    total += p * (1 if sums is None else sums[codes[j]])
+            if fill:
+                states.charge(1)
+                level[code] = total
+        levels[m] = level
+    return levels
+
+
+def _walk_down(states: _LEStates, levels: list, p: int, q: int, ks: list) -> list:
+    """Steps of one exact draw, as GraphCtx.neighbors indices, given the top
+    53 bits ks of its raw words.
+
+    The walk is drawn in the original frame. Its partial loop erasure is a
+    stack of (point, canonical code, frame, axes used): a push extends it,
+    an erasure pops it back to the hit point, and the canonical child of
+    every step is read off the top in O(1).
+    """
+    base, moves = states.base, states.moves
+    x, code, frame, k = 0, 1, states.root_frame(), 0
+    stack, pos = [(x, code, frame, k)], {x: 0}
+    steps = []
+    for m, kt in enumerate(ks):
+        sums = levels[m + 1]
+        u = kt * levels[m][code]  # 2^53 * u * total
+        acc = 0
+        for s, mv in enumerate(moves):  # stops at the first with u * total < acc
+            j = pos.get(x + mv)
+            if j is None:
+                child, w = code * base + frame[s], q
+            else:
+                child, w = stack[j][1], p
+            acc += w if sums is None else w * sums[child]
+            if u < acc << 53:
+                break
+        steps.append(s)
+        if j is None:
+            frame, k = states.push_frame(frame, k, s)
+            x, code = x + mv, child
+            pos[x] = len(stack)
+            stack.append((x, code, frame, k))
+        else:
+            for y, *_ in stack[j + 1 :]:
+                del pos[y]
+            del stack[j + 1 :]
+            x, code, frame, k = stack[j]
+    return steps
+
+
+def _lattice_walks(steps: np.ndarray, d: int) -> list:
+    """Vertex tuples of the walks from the origin of Z^d that take the
+    GraphCtx.neighbors steps in the rows of steps."""
+    ctx = GraphCtx.lattice(d)
+    moves = np.array(ctx.neighbors(ctx.origin()), dtype=np.int64)
+    points = np.zeros((steps.shape[0], steps.shape[1] + 1, d), dtype=np.int64)
+    np.cumsum(moves[steps], axis=1, out=points[:, 1:])
+    return [tuple(map(tuple, w)) for w in points.tolist()]
+
+
 def sample_exact(n: int, d: int, act: LoopActivity, seed: int, count: int):
     """i.i.d. exact draws from the n-step loop-weighted walk distribution.
 
     Sequential sampling on enumeration._LEStates: a step weighs 1 (push) or
     lambda = p/q (erasure) times the completion sum of the state it leads
-    to. The states reachable in fewer than n steps are collected forward,
-    then their sums filled in backward, times q^(steps left) so that they
-    are integers: a push weighs q and an erasure p. A draw takes the first
-    step whose running weight exceeds u times the total, where u = k / 2^53
-    and k is the top 53 bits of a raw word, as Generator(Philox).random.
+    to. The sums depend on a state only up to the point group, so they are
+    filled in backward for canonical states alone (_completion_sums) and
+    each walk is drawn in the original frame (_walk_down). A draw takes the
+    first step whose running weight exceeds u times the total, where u =
+    k / 2^53 and k is the top 53 bits of a raw word, as
+    Generator(Philox).random. At lambda = 1 every sum of r steps is (2d)^r,
+    so step t is neighbor (k_t 2d) >> 53 and nothing is filled. Each step
+    drawn is charge()d like a state expanded.
     """
     _check_seed(seed)
     if n < 0 or count < 0:
         raise PreconditionError(f"need n >= 0 and count >= 0, got n={n}, count={count}")
     p, q = act.constant_value().as_integer_ratio()
     states = _LEStates(GraphCtx.lattice(d), n)
-    levels = [{1}]  # levels[m]: the states after m steps, then their completion sums
-    for m in range(n):
-        states.charge(len(levels[m]))
-        if m < n - 1:
-            levels.append({c for code in levels[m] for _, c, _ in states.successors(code)})
-
-    def options(m, code):
-        """(endpoint, next state, weight) of each step out of a state after m steps."""
-        sums = levels[m + 1] if m < n - 1 else None
-        return [(x, c, (p if loop else q) * (1 if sums is None else sums[c]))
-                for x, c, loop in states.successors(code)]
-
-    for m in reversed(range(n)):
-        levels[m] = {code: sum(w for _, _, w in options(m, code)) for code in levels[m]}
+    levels = None if p == q else _completion_sums(states, p, q)
     walks = []
     for start in range(0, count, BATCH):
-        for ks in _philox_raw(seed, start, min(BATCH, count - start), n) >> np.uint64(11):
-            code, walk = 1, [states.point(0)]
-            for m in range(n):
-                u = int(ks[m]) * levels[m][code]  # 2^53 * u * total
-                acc = 0
-                for x, code, w in options(m, code):  # stops at the first with u * total < acc
-                    acc += w
-                    if u < acc << 53:
-                        break
-                walk.append(states.point(x))
-            walks.append(tuple(walk))
+        size = min(BATCH, count - start)
+        states.charge(n * size)
+        ks = _philox_raw(seed, start, size, n) >> np.uint64(11)
+        if levels is None:
+            steps = ks.astype(object) * states.base >> 53
+        else:
+            steps = [_walk_down(states, levels, p, q, row) for row in ks.tolist()]
+        walks += _lattice_walks(np.array(steps, dtype=np.int64), d)
     return walks
 
 

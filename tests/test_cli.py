@@ -187,6 +187,25 @@ def test_bad_graph_file_exit_code(capsys, tmp_path, payload):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["enumerate", "--n", "2"],
+        ["sample", "--n", "2"],
+        ["msd", "--n", "2"],
+        ["msd", "--method", "importance", "--n", "2"],
+        ["analyze", "--nmax", "2"],
+    ],
+)
+def test_lattice_only_commands_reject_graph(capsys, tmp_path, argv):
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps({"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]]}))
+    assert main(argv + ["--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == "" and len(err) == 1 and "Z^d only" in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["two-point", "--d", "2", "--x", "1"],
         ["two-point", "--d", "1", "--x", "1,0"],
         ["loop-measure", "--d", "2", "--hit", "0"],

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lww.core import GraphCtx, LoopActivity, PreconditionError, loop_count
-from lww.enumeration import loop_count_table
+from lww.enumeration import ResourceError, _LEStates, loop_count_table
 from lww import sampling as sp
 
 
@@ -147,6 +147,106 @@ def test_sample_exact_matches_oracle(d, lam):
         for seed, count in ((0, 25), (7, 25), (2**64 - 1, 25), (3, 0)):
             want = _sample_oracle(n, d, lam, seed, count)
             assert sp.sample_exact(n, d, LoopActivity.constant(lam), seed, count) == want, (n, seed)
+
+
+@pytest.mark.parametrize("d, ns", [(4, range(6)), (2, (8,))])
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(3)])
+def test_sample_exact_matches_oracle_more_sizes(d, ns, lam):
+    for n in ns:
+        for seed, count in ((0, 25), (7, 25), (2**64 - 1, 25)):
+            want = _sample_oracle(n, d, lam, seed, count)
+            assert sp.sample_exact(n, d, LoopActivity.constant(lam), seed, count) == want, (n, seed)
+
+
+def _sums_oracle(n, d, p, q):
+    """sample_exact's former tables, without the quotient: every state that
+    m < n steps reach, collected forward by _LEStates.successors, mapped to
+    q^(n-m) times its completion sum, filled in backward."""
+    states = _LEStates(GraphCtx.lattice(d), n)
+    levels = [{1}]
+    for m in range(n - 1):
+        levels.append({c for code in levels[m] for _, c, _ in states.successors(code)})
+    for m in reversed(range(n)):
+        sums = levels[m + 1] if m < n - 1 else None
+        levels[m] = {
+            code: sum((p if loop else q) * (1 if sums is None else sums[c]) for _, c, loop in states.successors(code))
+            for code in levels[m]
+        }
+    return levels[:n]
+
+
+def _canonical_code(code, d):
+    """The state of the canonical SAW of a state's orbit: axes renumbered in
+    order of first appearance, each first taken in the + direction."""
+    base, digits = 2 * d, []
+    while code > 1:
+        code, s = divmod(code, base)
+        digits.append(s)
+    first = {}  # axis -> (canonical axis, sign of its first step)
+    out = 1
+    for s in reversed(digits):
+        axis, sign = (s, -1) if s < d else (base - 1 - s, 1)
+        c, sign0 = first.setdefault(axis, (len(first), sign))
+        out = out * base + (base - 1 - c if sign == sign0 else c)
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("lam", [Fraction(0), Fraction(1, 2), Fraction(3)])
+def test_canonical_sums_match_every_orbit(d, lam):
+    p, q = lam.as_integer_ratio()
+    for n in range(8):
+        canon = sp._completion_sums(_LEStates(GraphCtx.lattice(d), n), p, q)
+        assert len(canon) == n + 1 and canon[n] is None
+        for m, level in enumerate(_sums_oracle(n, d, p, q)):
+            orbits = {}
+            for code, total in level.items():
+                orbits.setdefault(_canonical_code(code, d), set()).add(total)
+            assert all(len(totals) == 1 for totals in orbits.values()), (n, m)
+            assert canon[m] == {c: totals.pop() for c, totals in orbits.items()}, (n, m)
+
+
+def _canonical_state_count(n, d):
+    """States the backward fill charges: canonical SAWs of length <= m of
+    the parity of m, summed over m < n, counted from the oracle's tables."""
+    return sum(len({_canonical_code(c, d) for c in level}) for level in _sums_oracle(n, d, 1, 2))
+
+
+@pytest.mark.parametrize("d, n, lam", [(2, 6, Fraction(1, 2)), (3, 5, Fraction(3)), (2, 7, Fraction(1))])
+def test_sample_exact_budget_is_exact(monkeypatch, d, n, lam):
+    """The fill charges each canonical state it fills and the walk-down each
+    step it draws; lambda = 1 fills nothing."""
+    count, act = 9, LoopActivity.constant(lam)
+    charged = (0 if lam == 1 else _canonical_state_count(n, d)) + n * count
+    monkeypatch.setenv("LWW_BUDGET", str(charged))
+    want = sp.sample_exact(n, d, act, 4, count)
+    assert want == _sample_oracle(n, d, lam, 4, count)
+    monkeypatch.setenv("LWW_BUDGET", str(charged - 1))
+    with pytest.raises(ResourceError, match="LWW_BUDGET"):
+        sp.sample_exact(n, d, act, 4, count)
+
+
+def test_sample_exact_independent_of_batch_size(monkeypatch):
+    for lam in (Fraction(1, 2), Fraction(1)):
+        got = []
+        for batch in (1, 3, 2000):
+            monkeypatch.setattr(sp, "BATCH", batch)
+            got.append(sp.sample_exact(7, 2, LoopActivity.constant(lam), 2**63 + 5, 10))
+        assert got[0] == got[1] == got[2]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lambda1_closed_form_matches_general_path(d):
+    """At lambda = 1 sample_exact skips the fill; the general path with
+    p = q = 1 draws the same walks."""
+    for n in (0, 1, 5, 8):
+        for seed in (0, 7, 2**64 - 1):
+            states = _LEStates(GraphCtx.lattice(d), n)
+            levels = sp._completion_sums(states, 1, 1)
+            ks = (sp._philox_raw(seed, 0, 30, n) >> np.uint64(11)).tolist()
+            steps = np.array([sp._walk_down(states, levels, 1, 1, row) for row in ks], dtype=np.int64)
+            want = sp._lattice_walks(steps, d)
+            assert sp.sample_exact(n, d, LoopActivity.constant(1), seed, 30) == want, (n, seed)
 
 
 def test_csv_rows_shape():
