@@ -144,6 +144,7 @@ def cmd_loop_measure(args) -> int:
 
 
 def cmd_alpha(args) -> int:
+    _lattice_only(args)
     ctx = _ctx(args)
     act = LoopActivity.constant(args.lam)
     a0 = en.alpha0(act, args.nmax, ctx)
@@ -162,6 +163,7 @@ def cmd_alpha(args) -> int:
 
 
 def cmd_pi(args) -> int:
+    _lattice_only(args)
     ctx = _ctx(args)
     act = LoopActivity.constant(args.lam)
     direct = ex.pi_total_table(act, args.nmax, ctx)

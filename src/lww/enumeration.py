@@ -6,10 +6,12 @@ loop erasure; an activity that weighs every loop 0 counts SAWs instead
 (_saw_rows). Constrained sums and finite graphs use a depth-first search
 that carries the loop-erasure state along (LEState), so activity weights
 never require re-scanning the walk. Callers that need the walks themselves
-take them from the two generators `walks` and `saws`. Lattice loop measures
-use a catalog of closed-walk shapes rooted at the origin; "sum over closed
-walks hitting A avoiding B" becomes a translation count per shape, and the
-interaction factor I = 1 - exp(-mu) of every caller is _i_factor.
+take them from the two generators `walks` and `saws`. Loop measures on both
+kinds of graph read one catalog of closed walks (rooted at the origin of
+Z^d, or at every vertex of a finite graph): "sum over closed walks hitting
+A avoiding B" becomes a count per entry of its ranges (lattice translates,
+or the finite range itself), and the interaction factor I = 1 - exp(-mu) of
+every caller is _i_factor.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Optional
 
 from .core import (
     GraphCtx,
     LoopActivity,
     PreconditionError,
-    l1,
     sap_key,
 )
 from .series import ZSeries, SpatialSeries, exp_series, reciprocal, spatial_convolve
@@ -446,138 +448,97 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list
 
 
 @lru_cache(maxsize=None)
-def closed_walk_catalog(d: int, max_len: int):
-    """Closed walks rooted at the origin of Z^d with 2 <= length <= max_len.
+def closed_walk_catalog(ctx: GraphCtx, max_len: int):
+    """Closed walks with 2 <= length <= max_len, rooted at the origin of Z^d
+    or at every vertex of a finite graph.
 
-    Aggregated by (relative range, steps, erased-loop key multiset); each
-    entry is (range frozenset, n, keys tuple, count), in the order the DFS
-    first meets it.
+    Aggregated by (range, steps, erased-loop key multiset); each entry is
+    (range frozenset, n, keys tuple, count), in the order the DFS first
+    meets it. A lattice range is relative to the origin, a finite one is
+    the walk's own vertex set.
     """
-    ctx = GraphCtx.lattice(d)
     _guard(ctx, max_len)
-    origin = ctx.origin()
     agg: dict = {}
-    state = LEState(origin, ctx, False)
-    path = [origin]
+    for root in (ctx.origin(),) if ctx.is_lattice else ctx.vertices():
+        state = LEState(root, ctx, False)
+        path = [root]
 
-    def dfs(v, length):
-        if v == origin and length >= 2:
-            key = (frozenset(path), length, tuple(sorted(state.keys)))
-            agg[key] = agg.get(key, 0) + 1
-        if length == max_len:
-            return
-        rem = max_len - length - 1
-        for w in ctx.neighbors(v):
-            if l1(w, origin) > rem:
-                continue
-            state.push(w)
-            path.append(w)
-            dfs(w, length + 1)
-            path.pop()
-            state.pop()
+        def dfs(v, length):
+            if v == root and length >= 2:
+                key = (frozenset(path), length, tuple(sorted(state.keys)))
+                agg[key] = agg.get(key, 0) + 1
+            if length == max_len:
+                return
+            rem = max_len - length - 1
+            for w in ctx.neighbors(v):
+                if ctx.distance(w, root) > rem:
+                    continue
+                state.push(w)
+                path.append(w)
+                dfs(w, length + 1)
+                path.pop()
+                state.pop()
 
-    if max_len >= 2:
-        dfs(origin, 0)
+        if max_len >= 2:
+            dfs(root, 0)
     return tuple((rng, n, keys, cnt) for (rng, n, keys), cnt in agg.items())
 
 
-def _mu_lattice(A, B_hit, C_avoid, act, nmax, d) -> ZSeries:
-    """Loop measure on Z^d: hit A (and B_hit if given), avoid C_avoid."""
-    A = frozenset(A)
-    C = frozenset(C_avoid)
-    B = frozenset(B_hit) if B_hit is not None else None
-    A = A - C
-    if B is not None:
-        B = B - C
-        if not B:
-            return ZSeries.zero(nmax)
-    if not A:
-        return ZSeries.zero(nmax)
-    coeffs = [Fraction(0)] * (nmax + 1)
-    for rng, n, keys, cnt in closed_walk_catalog(d, nmax - nmax % 2):
+def _closed_walks_meeting(region, act, nmax, ctx):
+    """The rooted closed walks of at most nmax steps that meet `region`, by
+    catalog entry: (n, the entry's w(X)/|X| summed over its walks, ranges).
+
+    On Z^d the ranges are the translates of the entry's range that meet the
+    region, one per rooted walk of the shape; on a finite graph the range
+    itself, when it meets the region. Entries of weight 0 are skipped.
+    """
+    for rng, n, keys, cnt in closed_walk_catalog(ctx, nmax - nmax % 2 if ctx.is_lattice else nmax):
         if n > nmax:
             continue
         w = act.weight_of_keys(keys) * Fraction(cnt, n)
         if w == 0:
             continue
-        cands = set()
-        for a in A:
-            for r in rng:
-                cands.add(tuple(p - q for p, q in zip(a, r)))
-        total = 0
-        for v in cands:
-            shifted = [tuple(p + q for p, q in zip(r, v)) for r in rng]
-            if C and any(s in C for s in shifted):
-                continue
-            if B is not None and not any(s in B for s in shifted):
-                continue
-            total += 1
-        if total:
-            coeffs[n] += w * total
-    return ZSeries(tuple(coeffs))
+        if not ctx.is_lattice:
+            if not rng.isdisjoint(region):
+                yield n, w, (rng,)
+            continue
+        shifts = {tuple(map(sub, a, r)) for a in region for r in rng}
+        yield n, w, [[tuple(map(add, r, v)) for r in rng] for v in shifts]
 
 
-def _per_length_division(raw: ZSeries) -> ZSeries:
-    return ZSeries(
-        tuple(c / n if n else Fraction(0) for n, c in enumerate(raw.coeffs))
-    )
-
-
-def _closed_sum(avoid: frozenset, act, nmax, ctx) -> ZSeries:
-    """Weight sum of the closed walks of >= 1 step avoiding `avoid`, over
-    every root of a finite graph."""
-    acc = ZSeries.zero(nmax)
-    for x in ctx.vertices():
-        if x not in avoid:
-            acc = acc + walk_sum(
-                WalkConstraint(start=x, end=x, must_avoid=avoid, min_len=1, max_len=nmax),
-                act,
-                nmax,
-                ctx,
-            )
-    return acc
-
-
-def _mu_finite(A, B_hit, C_avoid, act, nmax, ctx) -> ZSeries:
-    """Loop measure on a finite graph via inclusion-exclusion on the misses."""
-    A = frozenset(A) - frozenset(C_avoid)
-    C = frozenset(C_avoid)
+def _mu(A, B, C, act, nmax, ctx) -> ZSeries:
+    """mu(A, B; C): closed walks (any root) hitting A, and B unless B is
+    None, avoiding C, weight w/|w|."""
+    C = frozenset(C)
+    A = frozenset(A) - C
+    if B is not None:
+        B = frozenset(B) - C
+        if not B:
+            return ZSeries.zero(nmax)
     if not A:
         return ZSeries.zero(nmax)
-
-    def closed_sum(avoid: frozenset) -> ZSeries:
-        return _closed_sum(avoid, act, nmax, ctx)
-
-    if B_hit is None:
-        # hit A = all - miss A
-        raw = closed_sum(C) - closed_sum(C | A)
-        return _per_length_division(raw)
-    B = frozenset(B_hit) - C
-    if not B:
-        return ZSeries.zero(nmax)
-    raw = (
-        closed_sum(C)
-        - closed_sum(C | A)
-        - closed_sum(C | B)
-        + closed_sum(C | A | B)
-    )
-    return _per_length_division(raw)
+    coeffs = [Fraction(0)] * (nmax + 1)
+    for n, w, ranges in _closed_walks_meeting(A, act, nmax, ctx):
+        count = sum(
+            1
+            for s in ranges
+            if (not C or C.isdisjoint(s)) and (B is None or not B.isdisjoint(s))
+        )
+        if count:
+            coeffs[n] += w * count
+    return ZSeries(tuple(coeffs))
 
 
 def loop_measure(A, B, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """mu(A;B): closed walks (any root) hitting A, avoiding B, weight w/|w|."""
-    if ctx.is_lattice:
-        return _mu_lattice(A, None, B, act, nmax, ctx.d)
-    return _mu_finite(A, None, B, act, nmax, ctx)
+    return _mu(A, None, B, act, nmax, ctx)
 
 
 def generalized_loop_measure(
     A, B, C, act: LoopActivity, nmax: int, ctx: GraphCtx
 ) -> ZSeries:
     """mu(A,B;C): closed walks hitting both A and B, avoiding C."""
-    if ctx.is_lattice:
-        return _mu_lattice(A, B, C, act, nmax, ctx.d)
-    return _mu_finite(A, B, C, act, nmax, ctx)
+    return _mu(A, B, C, act, nmax, ctx)
 
 
 @lru_cache(maxsize=None)
@@ -671,9 +632,8 @@ def _mu_pair(delta, interior: frozenset, act: LoopActivity, budget: int, ctx: Gr
     """mu(0, delta; interior) truncated at budget (translation-normalized)."""
     if budget < 2:
         return ZSeries.zero(budget if budget >= 0 else 0)
-    origin = ctx.origin() if ctx.is_lattice else None
     return generalized_loop_measure(
-        frozenset([origin]), frozenset([delta]), interior, act, budget, ctx
+        frozenset([ctx.origin()]), frozenset([delta]), interior, act, budget, ctx
     )
 
 

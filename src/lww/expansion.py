@@ -42,9 +42,9 @@ from .series import (
 from .enumeration import (
     alpha0,
     alpha_renorm,
-    closed_walk_catalog,
     two_point_table,
     walks,
+    _closed_walks_meeting,
     _guard,
     _i_factor,
 )
@@ -63,37 +63,17 @@ def _x_dressing(walk, cp_set, act, budget, ctx) -> ZSeries:
     """
     if budget < 2:
         return ZSeries.one(max(budget, 0))
-    if not ctx.is_lattice:
-        raise PreconditionError("expansion runs on the lattice")
     rng_positions: dict = {}
     for j, v in enumerate(walk):
         rng_positions.setdefault(v, []).append(j)
     acc = [Fraction(0)] * (budget + 1)
-    for rng, n, keys, cnt in closed_walk_catalog(ctx.d, budget - budget % 2):
-        if n > budget:
-            continue
-        w = act.weight_of_keys(keys) * Fraction(cnt, n)
-        if w == 0:
-            continue
-        cands = set()
-        for p in rng_positions:
-            for r in rng:
-                cands.add(tuple(a - b for a, b in zip(p, r)))
-        for v in cands:
-            hit = []
-            for r in rng:
-                p = tuple(a + b for a, b in zip(r, v))
-                if p in rng_positions:
-                    hit.extend(rng_positions[p])
-            if not hit:
-                continue
-            hit = sorted(set(hit))
-            e = len(hit)
-            for a, b in zip(hit, hit[1:]):
-                if (a, b) in cp_set:
-                    e -= 1
-            if e:
-                acc[n] += w * e
+    for n, w, ranges in _closed_walks_meeting(rng_positions, act, budget, ctx):
+        e = 0
+        for points in ranges:
+            hit = sorted({j for p in points for j in rng_positions.get(p, ())})
+            e += len(hit) - sum((a, b) in cp_set for a, b in zip(hit, hit[1:]))
+        if e:
+            acc[n] += w * e
     return exp_series(ZSeries(tuple(acc)))
 
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .core import GraphCtx, LoopActivity, PreconditionError, _erase, sap_key
 from .series import ZSeries, reciprocal
-from .enumeration import _closed_sum, _per_length_division, saws
+from .enumeration import loop_measure, saws
 
 
 @dataclass(frozen=True)
@@ -274,8 +274,10 @@ def trivial_heap_sum(forbidden, ctx: GraphCtx, act: LoopActivity, nmax: int) -> 
 
 
 def closed_walk_loop_sum(forbidden, ctx: GraphCtx, act: LoopActivity, nmax: int) -> ZSeries:
-    """sum over closed walks avoiding `forbidden` of w/|w| (all roots)."""
-    return _per_length_division(_closed_sum(frozenset(forbidden), act, nmax, ctx))
+    """sum over closed walks avoiding `forbidden` of w/|w| (all roots): the
+    loop measure mu(V - F; F) with F = `forbidden`, since a closed walk that
+    avoids F lies in V - F."""
+    return loop_measure(frozenset(ctx.vertices()).difference(forbidden), forbidden, act, nmax, ctx)
 
 
 def cycle_gas_two_point(x, ctx: GraphCtx, act: LoopActivity, nmax: int, origin=None, unoriented: bool = False) -> ZSeries:

@@ -192,6 +192,8 @@ def test_bad_graph_file_exit_code(capsys, tmp_path, payload):
         ["msd", "--n", "2"],
         ["msd", "--method", "importance", "--n", "2"],
         ["analyze", "--nmax", "2"],
+        ["alpha", "--nmax", "2"],
+        ["pi", "--nmax", "2"],
     ],
 )
 def test_lattice_only_commands_reject_graph(capsys, tmp_path, argv):
@@ -201,6 +203,25 @@ def test_lattice_only_commands_reject_graph(capsys, tmp_path, argv):
     captured = capsys.readouterr()
     err = captured.err.strip().splitlines()
     assert captured.out == "" and len(err) == 1 and "Z^d only" in err[0]
+
+
+@pytest.mark.parametrize(
+    "where,want",
+    [
+        (["--hit", "1,1"], ["0/1", "0/1", "2/1", "0/1", "8/1", "0/1", "89/3"]),
+        (["--hit", "1,1", "--avoid", "0,0"], ["0/1", "0/1", "2/1", "0/1", "13/2", "0/1", "62/3"]),
+        (["--hit", "0,0;2,2", "--avoid", "1,1"], ["0/1", "0/1", "2/1", "0/1", "2/1", "0/1", "8/3"]),
+    ],
+)
+def test_loop_measure_on_a_box_graph(capsys, tmp_path, where, want):
+    verts = [[i, j] for i in range(3) for j in range(3)]
+    edges = [[[i, j], [i + di, j + dj]] for i, j in verts for di, dj in ((1, 0), (0, 1)) if i + di < 3 and j + dj < 3]
+    path = tmp_path / "box.json"
+    path.write_text(json.dumps({"vertices": verts, "edges": edges}))
+    argv = ["loop-measure", "--graph", str(path), "--lambda", "1/2", "--nmax", "6", "--format", "json"]
+    code, out = run(capsys, *argv, *where)
+    assert code == 0
+    assert json.loads(out)["coeffs"] == want
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,14 @@
 """The shared walk kernels against slow oracles.
 
 The two walk generators (walks, saws), the interaction factor, the visit
-sum, the heap sum and the closed-walk catalog each have one implementation
-that several public functions call. The oracles below are independent
-enumerations, or the bodies those functions had before they shared a
-kernel, kept here so the merge is checked Fraction for Fraction.
+sum, the heap sum, the closed-walk catalog and the loop measure (on Z^d and
+finite graphs alike) each have one implementation that several public
+functions call. The oracles below are independent enumerations, or the
+bodies those functions had before they shared a kernel, kept here so the
+merge is checked Fraction for Fraction.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb
@@ -120,7 +122,7 @@ def test_loop_erased_table_and_universe_charge_walks(monkeypatch):
     half = LoopActivity.constant(Fraction(1, 2))
     lww.clear_caches()
     for m in (2, 4, 6):  # the catalogs are cached, so only the SAWs are charged
-        en.closed_walk_catalog(2, m)
+        en.closed_walk_catalog(GraphCtx.lattice(2), m)
     n_saws = sum(_saw_counts_brute(2, 6))  # 1217
     monkeypatch.setenv("LWW_BUDGET", str(n_saws - 1))
     with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
@@ -289,7 +291,7 @@ def _closed_walk_loop_sum_oracle(forbidden, ctx, act, nmax):
             nmax,
             ctx,
         )
-        acc = acc + en._per_length_division(raw)
+        acc = acc + ZSeries(tuple(c / n if n else Fraction(0) for n, c in enumerate(raw.coeffs)))
     return acc
 
 
@@ -335,7 +337,7 @@ def _closed_walks(n, d):
 def test_closed_walk_catalog(d, n):
     ctx = GraphCtx.lattice(d)
     o = ctx.origin()
-    cat = en.closed_walk_catalog(d, n)
+    cat = en.closed_walk_catalog(GraphCtx.lattice(d), n)
     per_len = Counter()
     for _, m, _, cnt in cat:
         per_len[m] += cnt
@@ -348,3 +350,128 @@ def test_closed_walk_catalog(d, n):
     got = {(rng, m, keys): cnt for rng, m, keys, cnt in cat}
     assert len(got) == len(cat)
     assert got == want
+
+
+@pytest.mark.parametrize("dims,n", [((2, 2), 8), ((2, 3), 7), ((3, 3), 6)])
+def test_closed_walk_catalog_on_a_box(dims, n):
+    box = hp.box_graph(*dims)
+    cat = en.closed_walk_catalog(box, n)
+    want = Counter()
+    for root in box.vertices():
+        for w in en.walks(box, root, n):
+            if len(w) > 2 and w[-1] == root:
+                keys = tuple(sorted(sap_key(loop, box) for loop in _erase(w)[1]))
+                want[(frozenset(w), len(w) - 1, keys)] += 1
+    got = {(rng, m, keys): cnt for rng, m, keys, cnt in cat}
+    assert len(got) == len(cat)
+    assert got == want
+    # closed walks over every root: the trace of the adjacency matrix power
+    verts = box.vertices()
+    adj = [[int(v in box.neighbors(u)) for v in verts] for u in verts]
+    power, traces = adj, {}
+    for m in range(2, n + 1):
+        power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in power]
+        traces[m] = sum(power[i][i] for i in range(len(verts)))
+    per_len = Counter()
+    for _, m, _, cnt in cat:
+        per_len[m] += cnt
+    assert per_len == {m: t for m, t in traces.items() if t}
+
+
+# ---------------------------------------------------------------------------
+# loop measures
+
+
+def _mu_finite_oracle(A, B, C, act, nmax, ctx):
+    """The former finite-graph loop measure: inclusion-exclusion on the
+    misses, each term one constrained walk_sum per root, divided by the
+    length at the end."""
+    C = frozenset(C)
+    A = frozenset(A) - C
+    if not A:
+        return ZSeries.zero(nmax)
+
+    def closed(avoid):
+        acc = ZSeries.zero(nmax)
+        for x in ctx.vertices():
+            if x not in avoid:
+                acc = acc + en.walk_sum(
+                    en.WalkConstraint(start=x, end=x, must_avoid=avoid, min_len=1, max_len=nmax),
+                    act,
+                    nmax,
+                    ctx,
+                )
+        return acc
+
+    if B is None:
+        raw = closed(C) - closed(C | A)
+    else:
+        B = frozenset(B) - C
+        if not B:
+            return ZSeries.zero(nmax)
+        raw = closed(C) - closed(C | A) - closed(C | B) + closed(C | A | B)
+    return ZSeries(tuple(c / n if n else Fraction(0) for n, c in enumerate(raw.coeffs)))
+
+
+def _box_cases(box, seed):
+    """(A, B, C) triples on a box: random ones, then B = None, A meeting C
+    and B inside C."""
+    rng = random.Random(seed)
+    verts = box.vertices()
+
+    def some(lo, hi):
+        return frozenset(rng.sample(verts, rng.randint(lo, hi)))
+
+    cases = [(some(1, 3), some(1, 2), some(0, 2)) for _ in range(4)]
+    cases += [(some(1, 3), None, some(0, 2)) for _ in range(2)]
+    a, c = some(1, 3), some(1, 2)
+    cases.append((a | c, some(1, 2), c))
+    cases.append((a, c, c | some(0, 1)))
+    cases.append((a, None, a))
+    return cases
+
+
+@pytest.mark.parametrize("dims", BOXES)
+def test_loop_measures_on_a_box_match_inclusion_exclusion(dims):
+    box = hp.box_graph(*dims)
+    square = ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))
+    acts = [LoopActivity.constant(lam) for lam in LAMBDAS]
+    acts.append(LoopActivity.of_table({sap_key(square, box): Fraction(3)}, Fraction(1, 2)))
+    for i, act in enumerate(acts):
+        for A, B, C in _box_cases(box, 10 * BOXES.index(dims) + i):
+            for nmax in (0, 3, 6):
+                if B is None:
+                    got = en.loop_measure(A, C, act, nmax, box)
+                else:
+                    got = en.generalized_loop_measure(A, B, C, act, nmax, box)
+                assert got.coeffs == _mu_finite_oracle(A, B, C, act, nmax, box).coeffs, (A, B, C, nmax)
+
+
+def _mu_brute(A, B, C, act, nmax, ctx):
+    """mu(A, B; C) on Z^d from every closed walk rooted within reach of A."""
+    coeffs = [Fraction(0)] * (nmax + 1)
+    roots = {w[-1] for a in A for w in en.walks(ctx, a, nmax // 2)}
+    for root in roots:
+        for w in en.walks(ctx, root, nmax):
+            if len(w) < 3 or w[-1] != root or not set(w) & A or set(w) & C:
+                continue
+            if B is not None and not set(w) & B:
+                continue
+            n, lf = walk_weight(w, act, ctx)
+            coeffs[n] += lf / n
+    return ZSeries(tuple(coeffs))
+
+
+@pytest.mark.parametrize("d,nmax", [(1, 7), (2, 4), (3, 4)])
+@pytest.mark.parametrize("lam", LAMBDAS + ("table",), ids=str)
+def test_lattice_loop_measures_match_brute_force(d, nmax, lam):
+    ctx = GraphCtx.lattice(d)
+    act = _activity(d, lam)
+    o = ctx.origin()
+    e, f = ctx.neighbors(o)[-1], ctx.neighbors(o)[0]
+    A, B = frozenset([o, e]), frozenset([f])
+    for C in (frozenset(), frozenset([e]), frozenset([f]), frozenset([tuple(2 * c for c in e)])):
+        got = en.loop_measure(A, C, act, nmax, ctx)
+        assert got.coeffs == _mu_brute(A, None, C, act, nmax, ctx).coeffs, C
+        got = en.generalized_loop_measure(A, B, C, act, nmax, ctx)
+        assert got.coeffs == _mu_brute(A, B, C, act, nmax, ctx).coeffs, C
