@@ -116,10 +116,6 @@ class GraphCtx:
         return _finite_dist(self.adjacency)[p][q]
 
 
-def neighbors(p, ctx: GraphCtx):
-    return ctx.neighbors(p)
-
-
 def l1(p, q) -> int:
     return sum(abs(a - b) for a, b in zip(p, q))
 

@@ -3,15 +3,16 @@
 Lattice two-point tables, loop-count tables and exact MSDs run forward over
 loop-erasure states (_transfer), merging walks that share their partial
 loop erasure; an activity that weighs every loop 0 counts SAWs instead
-(_saw_rows). Constrained sums and finite graphs use a depth-first search
-that carries the loop-erasure state along (LEState), so activity weights
-never require re-scanning the walk. Callers that need the walks themselves
-take them from the two generators `walks` and `saws`. Loop measures on both
-kinds of graph read one catalog of closed walks (rooted at the origin of
-Z^d, or at every vertex of a finite graph): "sum over closed walks hitting
-A avoiding B" becomes a count per entry of its ranges (lattice translates,
-or the finite range itself), and the interaction factor I = 1 - exp(-mu) of
-every caller is _i_factor.
+(_saw_rows). Every other exhaustive sum (constrained walk sums, visit sums,
+bubble chains, the closed-walk catalog, finite graphs) reads one
+depth-first generator, _grow, which carries each walk's partial loop
+erasure along, so activity weights never require re-scanning the walk;
+`walks` and `saws` are its walks alone. Loop measures on both kinds of
+graph read one catalog of closed walks (rooted at the origin of Z^d, or at
+every vertex of a finite graph): "sum over closed walks hitting A avoiding
+B" becomes a count per entry of its ranges (lattice translates, or the
+finite range itself), and the interaction factor I = 1 - exp(-mu) of every
+caller is _i_factor.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .core import (
     GraphCtx,
     LoopActivity,
     PreconditionError,
+    _erase,
     sap_key,
 )
 from .series import ZSeries, SpatialSeries, exp_series, reciprocal, spatial_convolve
@@ -56,198 +58,62 @@ def walks(ctx: GraphCtx, start, max_len: int):
 
     Each walk yielded is charged against node_budget(); one more raises
     ResourceError."""
-    return _grow(ctx, start, max_len, False)
+    return (w for w, _, _ in _grow(ctx, (start,), max_len))
 
 
 def saws(ctx: GraphCtx, start, max_len: int):
     """Every self-avoiding walk of at most max_len steps from start, as
     tuples, depth first, charged like walks()."""
-    return _grow(ctx, start, max_len, True)
+    return (w for w, _, _ in _grow(ctx, (start,), max_len, self_avoiding=True))
 
 
-def _grow(ctx, start, max_len, self_avoiding):
+def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_avoiding=False):
+    """(walk, LE(walk), erased loops) for prefix and for every extension of
+    it of at most max_len steps in all that never steps onto `avoid` and can
+    still reach `end` (when given) in the steps left, depth first.
+
+    The loop erasure is carried along: a step onto the SAW truncates it at
+    the hit point and erases the loop saw[j:] + (v,), or its sap_key when
+    `keys` is true, so act.weight_of_keys(erased) is the walk's loop weight
+    under either kind of activity. Erased lists are shared between walks;
+    do not mutate them. Each walk yielded is charged to node_budget().
+    """
+    saw, erased = _erase(prefix)
+    if keys:
+        erased = [sap_key(loop, ctx) for loop in erased]
     left = node_budget()
-    stack = [(start,)]
+    stack = [(prefix, saw, erased)]
     while stack:
-        w = stack.pop()
+        node = stack.pop()
         left -= 1
         if left < 0:
             raise ResourceError(f"walk generator yields more than {node_budget()} walks "
                                 "(override with LWW_BUDGET)")
-        yield w
-        if len(w) <= max_len:
-            stack.extend(w + (v,) for v in ctx.neighbors(w[-1]) if not (self_avoiding and v in w))
+        yield node
+        w, saw, erased = node
+        room = max_len - len(w)  # steps left after the next one
+        if room < 0:
+            continue
+        for v in ctx.neighbors(w[-1]):
+            if v in avoid or (end is not None and ctx.distance(v, end) > room):
+                continue
+            if v not in saw:
+                stack.append((w + (v,), saw + (v,), erased))
+            elif not self_avoiding:
+                j = saw.index(v)
+                loop = saw[j:] + (v,)
+                stack.append((w + (v,), saw[: j + 1], erased + [sap_key(loop, ctx) if keys else loop]))
 
 
-@dataclass(frozen=True)
-class WalkConstraint:
-    """Conjunctive constraints for walk sums.
-
-    must_hit is satisfied when the walk range intersects it (any element);
-    must_avoid excludes every listed vertex from the whole walk;
-    no_return_to_start forbids the start vertex in w[1:]; end=None means any
-    endpoint.
-    """
-
-    start: tuple
-    end: Optional[object] = None
-    must_hit: frozenset = frozenset()
-    must_avoid: frozenset = frozenset()
-    no_return_to_start: bool = False
-    saw_only: bool = False
-    min_len: int = 0
-    max_len: int = 0
-
-
-class LEState:
-    """Incremental loop-erasure state for DFS enumeration with undo."""
-
-    __slots__ = ("ctx", "constant", "stack", "pos", "count", "keys", "undo")
-
-    def __init__(self, start, ctx, constant: bool):
-        self.ctx = ctx
-        self.constant = constant
-        self.stack = [start]
-        self.pos = {start: 0}
-        self.count = 0
-        self.keys = []
-        self.undo = []
-
-    def push(self, v):
-        j = self.pos.get(v)
-        if j is None:
-            self.pos[v] = len(self.stack)
-            self.stack.append(v)
-            self.undo.append((False, None))
-        else:
-            removed = self.stack[j + 1 :]
-            for u in removed:
-                del self.pos[u]
-            del self.stack[j + 1 :]
-            self.count += 1
-            if not self.constant:
-                loop = (self.stack[j],) + tuple(removed) + (v,)
-                self.keys.append(sap_key(loop, self.ctx))
-            self.undo.append((True, removed))
-
-    def pop(self):
-        erased, removed = self.undo.pop()
-        if erased:
-            self.count -= 1
-            if not self.constant:
-                self.keys.pop()
-            base = len(self.stack)
-            for i, u in enumerate(removed):
-                self.pos[u] = base + i
-            self.stack.extend(removed)
-        else:
-            v = self.stack.pop()
-            del self.pos[v]
-
-
-def walk_sum(c: WalkConstraint, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
-    """Sum of z^{|w|} * activity factor over walks satisfying the constraint."""
-    return _walk_sum_impl(c, act, nmax, ctx, by_endpoint=False)
-
-
-def walk_sum_by_endpoint(
-    c: WalkConstraint, act: LoopActivity, nmax: int, ctx: GraphCtx
-) -> SpatialSeries:
-    """Like walk_sum with end=None, but resolved by endpoint."""
-    return _walk_sum_impl(c, act, nmax, ctx, by_endpoint=True)
-
-
-def _walk_sum_impl(c, act, nmax, ctx, by_endpoint):
-    max_len = min(c.max_len, nmax)
-    if max_len < 0 or c.start in c.must_avoid:
-        return (
-            SpatialSeries.build({}, nmax) if by_endpoint else ZSeries.zero(nmax)
-        )
-    _guard(ctx, max_len)
-    constant = act.is_constant
-    lam_pows = None
-    if constant:
-        lam_pows = [Fraction(1)]
-        for _ in range(max_len // 2 + 1):
-            lam_pows.append(lam_pows[-1] * act.value)
-
+def walk_sum(start, end, act: LoopActivity, nmax: int, ctx: GraphCtx, avoid=frozenset()) -> ZSeries:
+    """Sum of z^{|w|} * loop weight over the walks start -> end (any end when
+    end is None) of at most nmax steps, the 0-step walk included, that never
+    step onto `avoid` (start in avoid: no return to start)."""
+    _guard(ctx, nmax)
     coeffs = [Fraction(0)] * (nmax + 1)
-    table: dict = {}
-    state = LEState(c.start, ctx, constant)
-    avoid = c.must_avoid
-    hit = c.must_hit
-    end = c.end
-    start = c.start
-    no_ret = c.no_return_to_start
-    saw_only = c.saw_only
-    # activity 0 kills every branch that has closed a loop
-    zero_act = constant and act.value == 0
-    min_len = c.min_len
-    budget = [node_budget()]
-
-    def weight() -> Fraction:
-        if constant:
-            return lam_pows[state.count]
-        return act.weight_of_keys(state.keys)
-
-    def feasible(v, length, hit_done) -> bool:
-        rem = max_len - length
-        if rem < 0:
-            return False
-        if end is not None:
-            if hit_done:
-                need = ctx.distance(v, end)
-            else:
-                need = min(ctx.distance(v, a) + ctx.distance(a, end) for a in hit)
-            if need > rem:
-                return False
-        elif not hit_done:
-            if min(ctx.distance(v, a) for a in hit) > rem:
-                return False
-        return True
-
-    def record(v, length, hit_done):
-        if length < min_len or not hit_done:
-            return
-        if end is not None and v != end:
-            return
-        if saw_only and state.count:
-            return
-        if by_endpoint:
-            row = table.get(v)
-            if row is None:
-                row = [Fraction(0)] * (nmax + 1)
-                table[v] = row
-            row[length] += weight()
-        else:
-            coeffs[length] += weight()
-
-    def dfs(v, length, hit_done):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise ResourceError(f"enumeration node budget {node_budget()} exceeded (override with LWW_BUDGET)")
-        record(v, length, hit_done)
-        if length == max_len:
-            return
-        if (saw_only or zero_act) and state.count:
-            return
-        for w in ctx.neighbors(v):
-            if w in avoid or (no_ret and w == start):
-                continue
-            hd = hit_done or (w in hit)
-            if not feasible(w, length + 1, hd):
-                continue
-            state.push(w)
-            dfs(w, length + 1, hd)
-            state.pop()
-
-    hit_done = (not hit) or (start in hit)
-    if feasible(start, 0, hit_done):
-        dfs(start, 0, hit_done)
-    if by_endpoint:
-        return SpatialSeries.build(
-            {x: ZSeries(tuple(row)) for x, row in table.items()}, nmax
-        )
+    for w, _, erased in _grow(ctx, (start,), nmax, end, avoid, not act.is_constant):
+        if end is None or w[-1] == end:
+            coeffs[len(w) - 1] += act.weight_of_keys(erased)
     return ZSeries(tuple(coeffs))
 
 
@@ -453,34 +319,17 @@ def closed_walk_catalog(ctx: GraphCtx, max_len: int):
     or at every vertex of a finite graph.
 
     Aggregated by (range, steps, erased-loop key multiset); each entry is
-    (range frozenset, n, keys tuple, count), in the order the DFS first
-    meets it. A lattice range is relative to the origin, a finite one is
-    the walk's own vertex set.
+    (range frozenset, n, keys tuple, count), in the order _grow first yields
+    a walk of it (root by root on a finite graph). A lattice range is
+    relative to the origin, a finite one is the walk's own vertex set.
     """
     _guard(ctx, max_len)
     agg: dict = {}
     for root in (ctx.origin(),) if ctx.is_lattice else ctx.vertices():
-        state = LEState(root, ctx, False)
-        path = [root]
-
-        def dfs(v, length):
-            if v == root and length >= 2:
-                key = (frozenset(path), length, tuple(sorted(state.keys)))
+        for w, _, keys in _grow(ctx, (root,), max_len, end=root, keys=True):
+            if len(w) > 2 and w[-1] == root:
+                key = (frozenset(w), len(w) - 1, tuple(sorted(keys)))
                 agg[key] = agg.get(key, 0) + 1
-            if length == max_len:
-                return
-            rem = max_len - length - 1
-            for w in ctx.neighbors(v):
-                if ctx.distance(w, root) > rem:
-                    continue
-                state.push(w)
-                path.append(w)
-                dfs(w, length + 1)
-                path.pop()
-                state.pop()
-
-        if max_len >= 2:
-            dfs(root, 0)
     return tuple((rng, n, keys, cnt) for (rng, n, keys), cnt in agg.items())
 
 
@@ -574,17 +423,18 @@ def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) ->
     """G(x) for all endpoints at once: direct weighted enumeration from 0.
 
     Lattice activities go through _transfer (its SAW counter when every
-    loop weighs 0); finite graphs use the DFS."""
+    loop weighs 0); finite graphs enumerate every walk with _grow."""
     start = _default_origin(ctx) if origin is None else origin
-    if not ctx.is_lattice:
-        return walk_sum_by_endpoint(
-            WalkConstraint(start=start, end=None, max_len=nmax), act, nmax, ctx
-        )
+    if ctx.is_lattice:
+        terms = ((tuple(map(add, x, start)), m, w) for m, row in enumerate(_transfer(nmax, ctx, act))
+                 for x, w in row.items())
+    else:
+        _guard(ctx, nmax)
+        terms = ((w[-1], len(w) - 1, act.weight_of_keys(erased))
+                 for w, _, erased in _grow(ctx, (start,), nmax, keys=not act.is_constant))
     table: dict = {}
-    for m, row in enumerate(_transfer(nmax, ctx, act)):
-        for x, w in row.items():
-            y = tuple(a + b for a, b in zip(x, start))
-            table.setdefault(y, [Fraction(0)] * (nmax + 1))[m] = w
+    for x, m, w in terms:
+        table.setdefault(x, [Fraction(0)] * (nmax + 1))[m] += w
     return SpatialSeries.build({x: ZSeries(tuple(c)) for x, c in table.items()}, nmax)
 
 
@@ -734,36 +584,15 @@ def _visit_sum(x, end, b, avoid, act, nmax, ctx) -> ZSeries:
     |{j>=1: w_j = b}| * weight."""
     _guard(ctx, nmax)
     coeffs = [Fraction(0)] * (nmax + 1)
-    constant = act.is_constant
-    state = LEState(x, ctx, constant)
-
-    def dfs(v, length, visits):
-        if v == end and length >= 1 and visits:
-            weight = act.value**state.count if constant else act.weight_of_keys(state.keys)
-            coeffs[length] += weight * visits
-        if length == nmax:
-            return
-        rem = nmax - length - 1
-        for w in ctx.neighbors(v):
-            if w in avoid or ctx.distance(w, end) > rem:
-                continue
-            state.push(w)
-            dfs(w, length + 1, visits + (w == b))
-            state.pop()
-
-    dfs(x, 0, 0)
+    for w, _, erased in _grow(ctx, (x,), nmax, end, avoid, not act.is_constant):
+        if w[-1] == end:
+            coeffs[len(w) - 1] += act.weight_of_keys(erased) * w[1:].count(b)
     return ZSeries(tuple(coeffs))
 
 
 def restricted_alpha0(x, forbidden: frozenset, act, nmax, ctx) -> ZSeries:
     """1 + sum over closed walks at x avoiding `forbidden`."""
-    closed = walk_sum(
-        WalkConstraint(start=x, end=x, must_avoid=forbidden, min_len=1, max_len=nmax),
-        act,
-        nmax,
-        ctx,
-    )
-    return ZSeries.one(nmax) + closed
+    return walk_sum(x, x, act, nmax, ctx, forbidden)
 
 
 def true_bubble_chain(
@@ -797,105 +626,50 @@ def bubble_chain_pinch_part(
         raise PreconditionError("pinch part needs x != y")
     lam = act.constant_value()
     coeffs = [Fraction(0)] * (nmax + 1)
-    state = LEState(x, ctx, True)
-
-    # forward phase: pieces i = 1.. from pinch to pinch; P-ranges of the
-    # piece loop erasures accumulate avoidance sets.
+    back = ctx.distance(y, x)
+    # forward pieces run from pinch to pinch; the ranges of their loop
+    # erasures accumulate into the set later pieces avoid
     pinches = [x]
     P_ranges: list = []  # range(LE(piece)) per forward piece, in order
 
-    def run_return_phase(k, used, fwd_factor):
-        # Return pieces i = 1..k: from pinches[k-i+1] to pinches[k-i]. A piece
-        # ends at its FIRST arrival at the target (the next shrink boundary);
-        # before that it avoids the not-yet-erased part of the loop erasure
-        # (earlier pieces' LE ranges minus its own start) but may revisit its
-        # start. The last piece additionally carries a free closed tail at x.
-        def rt_piece(i, used2, factor2):
-            if i > k:
-                coeffs[used2] += factor2 * lam**k
-                return
-            start_v = pinches[k - i + 1]
-            target = pinches[k - i]
-            block = set(forbidden)
-            for m in range(0, k - i + 1):
-                block |= P_ranges[m]
-            block.discard(start_v)
-            block.discard(target)
-            later = 0
-            for m in range(k - i, 0, -1):
-                later += ctx.distance(pinches[m], pinches[m - 1])
-            st = LEState(start_v, ctx, True)
-            last = i == k
+    def forward(used, factor):
+        avoid = forbidden.union({x}, *P_ranges)
+        for piece, saw, erased in _grow(ctx, (pinches[-1],), nmax - used - back, y, avoid):
+            if len(piece) == 1:
+                continue
+            pinches.append(piece[-1])
+            P_ranges.append(frozenset(saw))
+            used2, f = used + len(piece) - 1, factor * lam ** len(erased)
+            if piece[-1] == y:
+                returning(1, used2, f)
+            else:
+                forward(used2, f)
+            P_ranges.pop()
+            pinches.pop()
 
-            def tail(v, ln):
-                # free closed tail at x after the final shrink
-                if v == x:
-                    rt_piece(k + 1, used2 + ln, factor2 * lam**st.count)
-                for w in ctx.neighbors(v):
-                    if w in forbidden:
-                        continue
-                    if used2 + ln + 1 + ctx.distance(w, x) > nmax:
-                        continue
-                    st.push(w)
-                    tail(w, ln + 1)
-                    st.pop()
+    def returning(i, used, factor):
+        # Return piece i of k runs from pinches[k-i+1] to pinches[k-i] and
+        # ends at its FIRST arrival at that target (the next shrink
+        # boundary); before it, the piece avoids the not-yet-erased part of
+        # the loop erasure (earlier pieces' LE ranges minus its own start)
+        # but may revisit its start. The final step never erases a loop, as
+        # the interior avoids the target. The last piece goes on with a free
+        # closed tail at x, whose loops the same erasure weighs.
+        k = len(P_ranges)
+        start, target = pinches[k - i + 1], pinches[k - i]
+        avoid = forbidden.union(*P_ranges[: k - i + 1]) - {start} | {target}
+        room = nmax - used - sum(ctx.distance(p, q) for p, q in zip(pinches[1 : k - i + 1], pinches))
+        for piece, _, erased in _grow(ctx, (start,), room, target, avoid):
+            if len(piece) > room or target not in ctx.neighbors(piece[-1]):
+                continue
+            if i < k:
+                returning(i + 1, used + len(piece), factor * lam ** len(erased))
+                continue
+            for w, _, loops in _grow(ctx, piece + (x,), nmax - used, x, forbidden):
+                if w[-1] == x:
+                    coeffs[used + len(w) - 1] += factor * lam ** (len(loops) + k)
 
-            def dfs(v, ln):
-                for w in ctx.neighbors(v):
-                    if w == target:
-                        if used2 + ln + 1 + later > nmax:
-                            continue
-                        st.push(w)
-                        if last:
-                            tail(w, ln + 1)
-                        else:
-                            rt_piece(i + 1, used2 + ln + 1, factor2 * lam**st.count)
-                        st.pop()
-                        continue
-                    if w in block:
-                        continue
-                    if used2 + ln + 1 + ctx.distance(w, target) + later > nmax:
-                        continue
-                    st.push(w)
-                    dfs(w, ln + 1)
-                    st.pop()
-
-            dfs(start_v, 0)
-
-        rt_piece(1, used, fwd_factor)
-
-    def fw_piece(i, used, factor):
-        start_v = pinches[-1]
-        avoid = set(forbidden)
-        avoid.add(x)
-        for P in P_ranges:
-            avoid |= P
-        st = LEState(start_v, ctx, True)
-        need_back = ctx.distance(y, x)
-
-        def dfs(v, ln):
-            if ln >= 1:
-                pinches.append(v)
-                P_ranges.append(frozenset(st.stack))
-                f2 = factor * lam**st.count
-                if v == y:
-                    run_return_phase(i, used + ln, f2)
-                else:
-                    fw_piece(i + 1, used + ln, f2)
-                P_ranges.pop()
-                pinches.pop()
-            for w in ctx.neighbors(v):
-                if w in avoid:
-                    continue
-                if used + ln + 1 + ctx.distance(w, y) + need_back > nmax:
-                    continue
-                st.push(w)
-                dfs(w, ln + 1)
-                st.pop()
-
-        dfs(start_v, 0)
-
-    fw_piece(1, 0, Fraction(1))
+    forward(0, Fraction(1))
     return ZSeries(tuple(coeffs))
 
 
@@ -940,32 +714,12 @@ def split_visit_sum_rhs(x, y, b, act: LoopActivity, nmax: int, ctx: GraphCtx) ->
         raise PreconditionError("need x != y and b != x")
     _guard(ctx, nmax)
     acc = [Fraction(0)] * (nmax + 1)
-    constant = act.is_constant
-    state = LEState(x, ctx, constant)
-
-    def weight():
-        if constant:
-            return act.value**state.count
-        return act.weight_of_keys(state.keys)
-
-    def handle_omega1(a, length):
-        le_range = frozenset(state.stack)
-        w1 = weight()
+    for omega1, saw, erased in _grow(ctx, (x,), nmax, avoid={x}, keys=not act.is_constant):
+        a, length, le_range = omega1[-1], len(omega1) - 1, frozenset(saw)
         rem = nmax - length
-        inner = walk_sum(
-            WalkConstraint(
-                start=a,
-                end=y,
-                must_avoid=le_range - {a},
-                no_return_to_start=True,
-                max_len=rem,
-            ),
-            act,
-            rem,
-            ctx,
-        )
+        inner = walk_sum(a, y, act, rem, ctx, le_range)
         if inner.is_zero():
-            return
+            continue
         # Visits at the split point come with a free pile of closed walks at
         # a (the part of the walk between the mark and the last return to a);
         # genuine chains to b != a depart a at once and may not exist for
@@ -975,26 +729,11 @@ def split_visit_sum_rhs(x, y, b, act: LoopActivity, nmax: int, ctx: GraphCtx) ->
         else:
             factor = ZSeries.zero(rem)
         if a != x and a != b:
-            factor = factor + bubble_chain_pinch_part(
-                a, b, act, rem, ctx, forbidden=le_range - {a}
-            )
-        term = factor * inner
-        for n, c in enumerate(term.coeffs):
-            if c and length + n <= nmax:
+            factor = factor + bubble_chain_pinch_part(a, b, act, rem, ctx, forbidden=le_range - {a})
+        w1 = act.weight_of_keys(erased)
+        for n, c in enumerate((factor * inner).coeffs):
+            if c:
                 acc[length + n] += w1 * c
-
-    def dfs(v, length):
-        handle_omega1(v, length)
-        if length == nmax:
-            return
-        for w in ctx.neighbors(v):
-            if w == x:
-                continue
-            state.push(w)
-            dfs(w, length + 1)
-            state.pop()
-
-    dfs(x, 0)
     return ZSeries(tuple(acc))
 
 

@@ -359,11 +359,3 @@ def sample_exact(n: int, d: int, act: LoopActivity, seed: int, count: int):
             steps = [_walk_down(states, levels, p, q, row) for row in ks.tolist()]
         walks += _lattice_walks(np.array(steps, dtype=np.int64), d)
     return walks
-
-
-def msd_importance_csv_rows(cfg: SamplerConfig):
-    """Per-sample rows (sample_index, loop_count, end coords..., |end|^2)."""
-    rows = []
-    for batch in _importance_batches(cfg):
-        rows += _rows(*batch)
-    return rows

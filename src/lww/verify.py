@@ -141,13 +141,8 @@ def suite_lm_rep(d: int, lam, nmax: int, max_l1: int = 3) -> list:
     )
     # alpha0 cross-check: alpha0 = 1 + closed-walk sum = 1 + z lam |Omega| D*H(0)
     a0 = en.alpha0(act, nmax, ctx)
-    closed = en.walk_sum(
-        en.WalkConstraint(start=ctx.origin(), end=ctx.origin(), min_len=1, max_len=nmax),
-        act,
-        nmax,
-        ctx,
-    )
-    _series_eq("lm-rep", f"alpha0 = 1 + closed walk sum (d={d}, lambda={lam})", a0, ZSeries.one(nmax) + closed, out)
+    closed = en.walk_sum(ctx.origin(), ctx.origin(), act, nmax, ctx)  # the 0-step walk is the 1
+    _series_eq("lm-rep", f"alpha0 = 1 + closed walk sum (d={d}, lambda={lam})", a0, closed, out)
     h = en.reduced_table(act, nmax, ctx)
     dh0 = ZSeries.zero(nmax)
     for y in ctx.neighbors(ctx.origin()):
@@ -463,13 +458,8 @@ def suite_inequalities(nmax: int = 8) -> list:
 
         # derivative respects subset inclusion of walk sets: walks avoiding a
         # vertex form a subset of all walks with the same weights
-        sub = en.walk_sum(
-            en.WalkConstraint(start=origin, must_avoid=frozenset([(2, 2)]), max_len=nmax),
-            act,
-            nmax,
-            ctx,
-        )
-        full = en.walk_sum(en.WalkConstraint(start=origin, max_len=nmax), act, nmax, ctx)
+        sub = en.walk_sum(origin, None, act, nmax, ctx, frozenset([(2, 2)]))
+        full = en.walk_sum(origin, None, act, nmax, ctx)
         ok = sub.derivative().leq(full.derivative()) and sub.leq(full)
         out.append(CheckResult("ineq", f"d/dz monotone under subset inclusion (lambda={lam})", ok))
     return out

@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -291,3 +295,20 @@ def test_cli_argv_property(cmd, size, d, lam, point, samples, importance):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2), argv
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("script,argv,header", [
+    ("series_tables.py", ["--nmax", "4", "--lambdas", "1/2"], "## lambda = 1/2"),
+    ("msd_experiment.py", ["--n", "4", "--samples", "1000", "--lambdas", "0,1/2"],
+     "# d=2 n=4 samples=1000 seed=1"),
+])
+def test_scripts_run(script, argv, header):
+    """The scripts import the package API; a removal there breaks them."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == header

@@ -15,7 +15,6 @@ from lww.core import (
     diamond_concat,
     loop_erase,
     loop_erase_last_exit,
-    neighbors,
     preimage_segments,
     sap_key,
     shrinking_times,
@@ -47,10 +46,10 @@ def lattice_walks(draw, d=2, max_steps=10):
 
 
 def test_neighbors_orders():
-    assert neighbors((0,), CTX1) == [(-1,), (1,)]
-    assert neighbors((0, 0), CTX2) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    assert CTX1.neighbors((0,)) == [(-1,), (1,)]
+    assert CTX2.neighbors((0, 0)) == [(-1, 0), (0, -1), (0, 1), (1, 0)]
     tri = GraphCtx.finite([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
-    assert neighbors(0, tri) == [1, 2]
+    assert tri.neighbors(0) == [1, 2]
 
 
 def test_concat():

@@ -1,9 +1,10 @@
 import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from lww.core import GraphCtx, LoopActivity
+from lww.core import GraphCtx, LoopActivity, walk_weight
 from lww.series import ZSeries, exp_series
 from lww import enumeration as en
 
@@ -15,40 +16,30 @@ ZERO = LoopActivity.constant(0)
 
 
 def test_walk_sum_closed_srw():
-    s = en.walk_sum(en.WalkConstraint(start=(0,), end=(0,), max_len=4), ONE, 4, CTX1)
+    s = en.walk_sum((0,), (0,), ONE, 4, CTX1)
     assert s.coeffs == ZSeries.of([1, 0, 2, 0, 6], 4).coeffs
 
 
 def test_walk_sum_saw_counts():
-    s = en.walk_sum(
-        en.WalkConstraint(start=(0, 0), saw_only=True, max_len=4), ONE, 4, CTX2
-    )
-    assert s.coeffs == ZSeries.of([1, 4, 12, 36, 100], 4).coeffs
-    # lambda = 0 equals the saw_only sum
-    s0 = en.walk_sum(en.WalkConstraint(start=(0, 0), max_len=4), ZERO, 4, CTX2)
-    assert s0.coeffs == s.coeffs
+    counts = Counter(len(w) - 1 for w in en.saws(CTX2, (0, 0), 4))
+    assert [counts[m] for m in range(5)] == [1, 4, 12, 36, 100]
+    # lambda = 0 equals the SAW count
+    s0 = en.walk_sum((0, 0), None, ZERO, 4, CTX2)
+    assert s0.coeffs == ZSeries.of([1, 4, 12, 36, 100], 4).coeffs
 
 
 def test_walk_sum_constraints():
-    # must_avoid empties the sum when it contains the start
-    s = en.walk_sum(
-        en.WalkConstraint(start=(0,), must_avoid=frozenset([(0,)]), max_len=3),
-        ONE,
-        3,
-        CTX1,
-    )
-    assert s.is_zero()
-    # must_hit as range-intersection
-    s = en.walk_sum(
-        en.WalkConstraint(start=(0,), must_hit=frozenset([(2,)]), max_len=3),
-        ONE,
-        3,
-        CTX1,
-    )
+    # avoid holding the start forbids every return to it: (0,1,2,1) and
+    # (0,1,2,3) are the 3-step walks on the + side
+    s = en.walk_sum((0,), None, ONE, 3, CTX1, frozenset([(0,)]))
+    assert s.coeffs == ZSeries.of([1, 2, 2, 4], 3).coeffs
+    assert en.walk_sum((0,), (0,), ONE, 3, CTX1, frozenset([(0,)])).coeffs == ZSeries.one(3).coeffs
+    # hitting a vertex as range-intersection
+    hit = Counter(len(w) - 1 for w in en.walks(CTX1, (0,), 3) if (2,) in w)
     # walks hitting 2 within 3 steps: lengths 2 and 3
-    assert s.coeffs[0] == 0 and s.coeffs[1] == 0
-    assert s.coeffs[2] == 1  # (0,1,2)
-    assert s.coeffs[3] == 2  # (0,1,2,1), (0,1,2,3)
+    assert hit[0] == 0 and hit[1] == 0
+    assert hit[2] == 1  # (0,1,2)
+    assert hit[3] == 2  # (0,1,2,1), (0,1,2,3)
 
 
 def test_loop_count_table():
@@ -99,15 +90,13 @@ def test_loop_measure_finite_graph_agrees():
     A = frozenset([(1, 1)])
     mu_fin = en.loop_measure(A, frozenset(), HALF, 4, box)
     # direct check: per-length sum over closed walks in the box through (1,1)
-    raw = ZSeries.zero(4)
+    coeffs = [Fraction(0)] * 5
     for v in box.vertices():
-        s = en.walk_sum(
-            en.WalkConstraint(start=v, end=v, must_hit=A, min_len=1, max_len=4),
-            HALF,
-            4,
-            box,
-        )
-        raw = raw + s
+        for w in en.walks(box, v, 4):
+            if len(w) > 1 and w[-1] == v and not A.isdisjoint(w):
+                n, lf = walk_weight(w, HALF, box)
+                coeffs[n] += lf
+    raw = ZSeries(tuple(coeffs))
     expect = ZSeries(tuple(c / n if n else Fraction(0) for n, c in enumerate(raw.coeffs)))
     assert mu_fin.coeffs == expect.coeffs
 
@@ -173,7 +162,7 @@ def test_visit_sum_examples():
     total = ZSeries.zero(4)
     for y in [(-2,), (-1,), (0,), (1,), (2,)]:
         total = total + en.visit_weighted_closed_sum((0,), y, HALF, 4, CTX1)
-    raw = en.walk_sum(en.WalkConstraint(start=(0,), end=(0,), min_len=1, max_len=4), HALF, 4, CTX1)
+    raw = en.walk_sum((0,), (0,), HALF, 4, CTX1)  # the 0-step walk has n = 0
     expect = ZSeries(tuple(Fraction(n) * c for n, c in enumerate(raw.coeffs)))
     assert total.coeffs == expect.coeffs
 
@@ -237,7 +226,7 @@ def test_budget_guard():
     os.environ["LWW_BUDGET"] = "1000"
     try:
         with pytest.raises(en.ResourceError):
-            en.walk_sum(en.WalkConstraint(start=(0, 0), max_len=10), ONE, 10, CTX2)
+            en.walk_sum((0, 0), None, ONE, 10, CTX2)
     finally:
         del os.environ["LWW_BUDGET"]
 

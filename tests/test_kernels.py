@@ -1,7 +1,8 @@
 """The shared walk kernels against slow oracles.
 
-The two walk generators (walks, saws), the interaction factor, the visit
-sum, the heap sum, the closed-walk catalog and the loop measure (on Z^d and
+The walk generator _grow (with the loop erasure it carries, and walks and
+saws on top of it), the interaction factor, the visit sum, the bubble
+chain, the heap sum, the closed-walk catalog and the loop measure (on Z^d and
 finite graphs alike) each have one implementation that several public
 functions call. The oracles below are independent enumerations, or the
 bodies those functions had before they shared a kernel, kept here so the
@@ -104,6 +105,44 @@ def test_all_oriented_cycles_match_dfs(dims):
     box = hp.box_graph(*dims)
     for cap in (1, 2, 4, 8):
         assert hp.all_oriented_cycles(box, cap) == _cycles_dfs(box, cap), cap
+
+
+GROW_CASES = [(GraphCtx.lattice(1), 8), (GraphCtx.lattice(2), 6), (GraphCtx.lattice(3), 4)]
+GROW_CASES += [(hp.box_graph(*dims), 6) for dims in BOXES]
+
+
+def _all_walks(ctx, start, n):
+    """Every walk of at most n steps from start, level by level."""
+    level, out = [(start,)], [(start,)]
+    for _ in range(n):
+        level = [w + (v,) for w in level for v in ctx.neighbors(w[-1])]
+        out += level
+    return out
+
+
+@pytest.mark.parametrize("ctx,n", GROW_CASES, ids=["Z1", "Z2", "Z3"] + [f"box{w}x{h}" for w, h in BOXES])
+def test_grow_carries_the_loop_erasure(ctx, n):
+    o = ctx.origin() if ctx.is_lattice else (0, 0)
+    nb = ctx.neighbors(o)
+    prefix = (o, nb[-1], o, nb[0])  # erases the loop (o, nb[-1], o)
+    if not ctx.is_lattice:
+        prefix = ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0), (1, 0))
+    for start in ((o,), prefix):
+        m = n + len(start) - 1
+        plain = list(en._grow(ctx, start, m))
+        assert all(t == (t[0], *_erase(t[0])) for t in plain)
+        want = sorted(start + w[1:] for w in _all_walks(ctx, start[-1], n))
+        assert sorted(t[0] for t in plain) == want
+        keyed = list(en._grow(ctx, start, m, keys=True))
+        assert [t[0] for t in keyed] == [t[0] for t in plain]
+        for w, saw, keys in keyed:
+            assert saw == _erase(w)[0]
+            assert keys == [sap_key(loop, ctx) for loop in _erase(w)[1]]
+    far = nb[-1] if ctx.is_lattice else (1, 1)
+    for end, avoid in ((o, frozenset()), (far, frozenset([o])), (far, frozenset([nb[0]])), (o, frozenset([far]))):
+        got = sorted(w for w, _, _ in en._grow(ctx, (o,), n, end, avoid) if w[-1] == end)
+        want = sorted(w for w in en.walks(ctx, o, n) if w[-1] == end and avoid.isdisjoint(w[1:]))
+        assert got == want, (end, avoid)
 
 
 def test_generators_charge_each_walk(monkeypatch):
@@ -221,6 +260,21 @@ def test_visit_sums_match_brute_force(d, n, lam):
             assert got.coeffs == _visit_brute(o, y, b, {o}, act, n, ctx).coeffs, (y, b)
 
 
+@pytest.mark.parametrize("d,n", [(1, 8), (2, 6)])
+@pytest.mark.parametrize("lam", (Fraction(1, 2), Fraction(2)), ids=str)
+def test_restricted_bubble_chain_matches_brute_force(d, n, lam):
+    """The bubble chain avoiding F is the visit sum of the closed walks at o
+    that never step onto F."""
+    ctx = GraphCtx.lattice(d)
+    act = LoopActivity.constant(lam)
+    o = ctx.origin()
+    e = ctx.neighbors(o)[-1]
+    for F in (frozenset([tuple(-c for c in e)]), frozenset([tuple(-2 * c for c in e)])):
+        for y in ctx.neighbors(o)[1:3] + [tuple(2 * c for c in e)]:
+            got = en.true_bubble_chain(o, y, act, n, ctx, forbidden=F)
+            assert got.coeffs == _visit_brute(o, o, y, F, act, n, ctx).coeffs, (F, y)
+
+
 # ---------------------------------------------------------------------------
 # heap sums and the closed-walk sum
 
@@ -285,12 +339,7 @@ def _closed_walk_loop_sum_oracle(forbidden, ctx, act, nmax):
     for v in ctx.vertices():
         if v in forbidden:
             continue
-        raw = en.walk_sum(
-            en.WalkConstraint(start=v, end=v, must_avoid=forbidden, min_len=1, max_len=nmax),
-            act,
-            nmax,
-            ctx,
-        )
+        raw = en.walk_sum(v, v, act, nmax, ctx, forbidden)  # the 0-step walk has n = 0
         acc = acc + ZSeries(tuple(c / n if n else Fraction(0) for n, c in enumerate(raw.coeffs)))
     return acc
 
@@ -395,12 +444,7 @@ def _mu_finite_oracle(A, B, C, act, nmax, ctx):
         acc = ZSeries.zero(nmax)
         for x in ctx.vertices():
             if x not in avoid:
-                acc = acc + en.walk_sum(
-                    en.WalkConstraint(start=x, end=x, must_avoid=avoid, min_len=1, max_len=nmax),
-                    act,
-                    nmax,
-                    ctx,
-                )
+                acc = acc + en.walk_sum(x, x, act, nmax, ctx, avoid)
         return acc
 
     if B is None:

@@ -250,8 +250,8 @@ def test_lambda1_closed_form_matches_general_path(d):
 
 
 def test_csv_rows_shape():
-    cfg = sp.SamplerConfig(d=2, n=5, lam=Fraction(1, 2), num_samples=10, seed=4)
-    rows = sp.msd_importance_csv_rows(cfg)
+    walks = sp.sample_exact(5, 2, LoopActivity.constant(1), seed=4, count=10)
+    rows = sp.walk_rows(walks, 5, 2)
     assert len(rows) == 10
     for i, row in enumerate(rows):
         assert row[0] == i
@@ -353,7 +353,8 @@ def test_msd_importance_independent_of_batch_size(monkeypatch):
     got = []
     for batch in (1000, 2048, 7000):
         monkeypatch.setattr(sp, "BATCH", batch)
-        got.append((sp.msd_importance(cfg), sp.msd_importance_csv_rows(cfg)))
+        rows = [row for b in sp._importance_batches(cfg) for row in sp._rows(*b)]
+        got.append((sp.msd_importance(cfg), rows))
     assert got[0] == got[1] == got[2]
 
 

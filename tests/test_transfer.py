@@ -6,8 +6,8 @@ states and has its own oracle in test_sampling.py. The oracle below shares
 no code with that engine: it enumerates every walk on its own and erases
 loops with its own stack. Results must agree exactly, down to the
 canonical text. Activities that weigh every loop 0 take the engine's SAW
-counter, checked here also against the generic DFS (walk_sum_by_endpoint),
-the pinned SAW counts and test_acceptance's independent SAW enumerator;
+counter, checked here also against the saws() and walks() generators, the
+pinned SAW counts and test_acceptance's independent SAW enumerator;
 the lambda = 1 closed forms are checked against simple-random-walk
 endpoint counts.
 """
@@ -23,7 +23,7 @@ import lww
 from lww import enumeration as en
 from lww import sampling as sp
 from lww.cli import main
-from lww.core import GraphCtx, LoopActivity, sap_key
+from lww.core import GraphCtx, LoopActivity, sap_key, walk_weight
 from lww.series import SpatialSeries, ZSeries
 from test_acceptance import _saw_counts_brute
 
@@ -154,21 +154,30 @@ SAW_COUNTS = {  # n-step SAWs from the origin, n = 1, 2, ...
 }
 
 
+def _generator_table(ws, act, n, ctx):
+    """Endpoint table of the walks ws, each weighed by walk_weight."""
+    rows = {}
+    for w in ws:
+        m, lf = walk_weight(w, act, ctx)
+        rows.setdefault(w[-1], [Fraction(0)] * (n + 1))[m] += lf
+    return SpatialSeries.build({x: ZSeries(tuple(c)) for x, c in rows.items()}, n)
+
+
 @pytest.mark.parametrize("d", sorted(SAW_SIZES))
 def test_saw_counter_matches_dfs(d):
-    """lambda = 0 on the lattice against the generic DFS, which keeps serving
-    finite graphs and constrained sums; then the same for a table of zeros."""
+    """lambda = 0 on the lattice against the SAWs of saws(); then a table of
+    zeros against every walk of walks(), each weighed by walk_weight."""
     n, ctx = SAW_SIZES[d], GraphCtx.lattice(d)
     zero = LoopActivity.constant(0)
     for origin in ((0,) * d, (2,) + (-1,) * (d - 1)):
-        dfs = en.walk_sum_by_endpoint(en.WalkConstraint(start=origin, max_len=n), zero, n, ctx)
+        dfs = _generator_table(en.saws(ctx, origin, n), zero, n, ctx)
         assert en.two_point_table(zero, n, ctx, origin).to_json() == dfs.to_json()
     ends = {x: s.coeffs[n] for x, s in dfs.data}  # from the shifted origin
     msd = Fraction(sum(w * sum((a - b) ** 2 for a, b in zip(x, origin)) for x, w in ends.items()), sum(ends.values()))
     assert sp.msd_exact(n, d, zero) == msd
-    if d in SIZES:  # the DFS enumerates every walk under a table activity
+    if d in SIZES:
         m, act = SIZES[d], _zero_table_activity(d)
-        dfs = en.walk_sum_by_endpoint(en.WalkConstraint(start=(0,) * d, max_len=m), act, m, ctx)
+        dfs = _generator_table(en.walks(ctx, (0,) * d, m), act, m, ctx)
         assert en.two_point_table(act, m, ctx).to_json() == dfs.to_json()
 
 
