@@ -31,7 +31,7 @@ from .core import (
     _erase,
     sap_key,
 )
-from .series import ZSeries, SpatialSeries, exp_series, reciprocal, spatial_convolve
+from .series import SeriesSum, ZSeries, SpatialSeries, exp_series, reciprocal, spatial_convolve
 
 DEFAULT_BUDGET = 10**9
 
@@ -366,7 +366,7 @@ def _mu(A, B, C, act, nmax, ctx) -> ZSeries:
             return ZSeries.zero(nmax)
     if not A:
         return ZSeries.zero(nmax)
-    coeffs = [Fraction(0)] * (nmax + 1)
+    acc = SeriesSum(nmax)
     for n, w, ranges in _closed_walks_meeting(A, act, nmax, ctx):
         count = sum(
             1
@@ -374,8 +374,8 @@ def _mu(A, B, C, act, nmax, ctx) -> ZSeries:
             if (not C or C.isdisjoint(s)) and (B is None or not B.isdisjoint(s))
         )
         if count:
-            coeffs[n] += w * count
-    return ZSeries(tuple(coeffs))
+            acc.add_term(n, w * count)
+    return acc.value()
 
 
 def loop_measure(A, B, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
@@ -472,9 +472,11 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
         else:
             mu = _mu_range_cached(frozenset(eta), act, budget, ctx, nmax)
             contrib = exp_series(mu).shift(length)
-        prev = table.get(eta[-1])
-        table[eta[-1]] = contrib if prev is None else prev + contrib
-    return SpatialSeries.build(table, nmax)
+        acc = table.get(eta[-1])
+        if acc is None:
+            acc = table[eta[-1]] = SeriesSum(nmax)
+        acc.add(contrib)
+    return SpatialSeries.build({x: acc.value() for x, acc in table.items()}, nmax)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .core import GraphCtx, LoopActivity, PreconditionError, _erase, sap_key
-from .series import ZSeries, reciprocal
+from .series import SeriesSum, ZSeries, reciprocal
 from .enumeration import loop_measure, saws
 
 
@@ -246,22 +246,20 @@ def _heap_sum(pieces: list, forbidden: frozenset, nmax: int) -> ZSeries:
     product of their weights (the empty set gives 1): a DFS over the
     independent sets of the concurrency graph."""
     pieces = [p for p in pieces if not p[0] & forbidden]
-    total = ZSeries.one(nmax)
+    total = SeriesSum(nmax)
 
     def dfs(start, chosen_verts, weight: ZSeries):
-        nonlocal total
+        total.add(weight)
         for i in range(start, len(pieces)):
             verts, w = pieces[i]
             if chosen_verts & verts:
                 continue
             w2 = weight * w
-            if w2.is_zero():
-                continue
-            total = total + w2
-            dfs(i + 1, chosen_verts | verts, w2)
+            if not w2.is_zero():
+                dfs(i + 1, chosen_verts | verts, w2)
 
     dfs(0, frozenset(), ZSeries.one(nmax))
-    return total
+    return total.value()
 
 
 def trivial_heap_sum(forbidden, ctx: GraphCtx, act: LoopActivity, nmax: int) -> ZSeries:
@@ -293,10 +291,8 @@ def cycle_gas_two_point(x, ctx: GraphCtx, act: LoopActivity, nmax: int, origin=N
         raise PreconditionError("finite graph mode only")
     start = origin if origin is not None else ctx.vertices()[0]
     pieces = _heap_pieces(ctx, act, nmax, unoriented)
-    num = ZSeries.zero(nmax)
-    for eta in saws(ctx, start, nmax):
-        if eta[-1] == x:
-            num = num + _heap_sum(pieces, frozenset(eta), nmax).shift(len(eta) - 1)
+    num = ZSeries.sum((_heap_sum(pieces, frozenset(eta), nmax).shift(len(eta) - 1)
+                       for eta in saws(ctx, start, nmax) if eta[-1] == x), nmax)
     return num * reciprocal(_heap_sum(pieces, frozenset(), nmax))
 
 

@@ -4,18 +4,59 @@ ZSeries is the arithmetic substrate for every identity check: a tuple of
 Fraction coefficients c_0..c_{nmax}, closed under ring ops at fixed
 truncation order. SpatialSeries maps lattice points (or finite-graph
 vertices) to ZSeries with finite support.
+
+The kernels (product, exp, log1p, reciprocal, sums of many series, spatial
+convolution and inverse) are integer-scaled: each operand is scaled once to
+integer numerators over one common denominator (the lcm of its
+denominators), the recurrence runs on Python ints, and a normalised Fraction
+is built only for each output coefficient (the shared ZERO when it
+vanishes). Coefficients in and out are normalised Fractions (an int
+coefficient is read as n/1), and every result is the same exact rational
+the schoolbook Fraction recurrence gives, so serialised outputs cannot
+change; there is no knob choosing between the two. A product with a factor
+that has at most one nonzero coefficient (the monomials of the heap sums)
+skips the scaling and multiplies that coefficient into the other factor.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from functools import cached_property
+from math import factorial, lcm
+from operator import add
 
 from .core import PreconditionError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _scaled(coeffs) -> tuple:
+    """(nums, den) with coeffs[k] == nums[k] / den, den the lcm of the denominators."""
+    den = lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _fractions(nums, dens) -> tuple:
+    """Normalised Fraction coefficients nums[k] / dens[k]."""
+    return tuple(Fraction(x, d) if x else ZERO for x, d in zip(nums, dens))
+
+
+def _cauchy(a, b, out: list) -> list:
+    """Add into `out` the product of the sparse int rows a, b ((k, value)
+    pairs sorted by k), truncated at len(out)."""
+    n = len(out)
+    for i, ai in a:
+        for j, bj in b:
+            if i + j >= n:
+                break
+            out[i + j] += ai * bj
+    return out
+
+
+def _support(nums) -> list:
+    return [(k, v) for k, v in enumerate(nums) if v]
 
 
 @dataclass(frozen=True)
@@ -52,6 +93,14 @@ class ZSeries:
         co += [ZERO] * (nmax + 1 - len(co))
         return ZSeries(tuple(co))
 
+    @staticmethod
+    def sum(series, nmax: int) -> "ZSeries":
+        """Sum of an iterable of series at order nmax, each coefficient built once."""
+        acc = SeriesSum(nmax)
+        for s in series:
+            acc.add(s)
+        return acc.value()
+
     def _check(self, other: "ZSeries"):
         if self.nmax != other.nmax:
             raise PreconditionError("mismatched truncation orders")
@@ -68,21 +117,28 @@ class ZSeries:
         return ZSeries(tuple(-a for a in self.coeffs))
 
     def __mul__(self, other):
-        if isinstance(other, ZSeries):
-            self._check(other)
-            n = self.nmax
-            a, b = self.coeffs, other.coeffs
-            out = [ZERO] * (n + 1)
-            for i, ai in enumerate(a):
-                if ai == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    bj = b[j]
-                    if bj != 0:
-                        out[i + j] += ai * bj
+        if not isinstance(other, ZSeries):
+            c = Fraction(other)
+            return ZSeries(tuple(c * a for a in self.coeffs))
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        n = len(a)
+        sa = [k for k, c in enumerate(a) if c]
+        sb = [k for k, c in enumerate(b) if c]
+        if len(sb) < len(sa):
+            a, b, sa, sb = b, a, sb, sa
+        if len(sa) <= 1:
+            out = [ZERO] * n
+            for i in sa:
+                cn, cd = a[i].numerator, a[i].denominator
+                for j in sb:
+                    if i + j >= n:
+                        break
+                    out[i + j] = Fraction(cn * b[j].numerator, cd * b[j].denominator)
             return ZSeries(tuple(out))
-        c = Fraction(other)
-        return ZSeries(tuple(c * a for a in self.coeffs))
+        (na, da), (nb, db) = _scaled(a), _scaled(b)
+        out = _cauchy([(k, na[k]) for k in sa], [(k, nb[k]) for k in sb], [0] * n)
+        return ZSeries(_fractions(out, [da * db] * n))
 
     __rmul__ = __mul__
 
@@ -126,51 +182,91 @@ class ZSeries:
         return ZSeries.of(co, nmax if nmax is not None else len(co) - 1)
 
 
+class SeriesSum:
+    """Running exact sum of series at one order: integer numerators over one
+    common denominator, so no Fraction is built before value()."""
+
+    def __init__(self, nmax: int):
+        self.nums = [0] * (nmax + 1)
+        self.den = 1
+
+    def _widen(self, den: int) -> None:
+        """Move to the common denominator den, a multiple of the current one."""
+        if den != self.den:
+            scale = den // self.den
+            self.nums = [x * scale for x in self.nums]
+            self.den = den
+
+    def add(self, s: ZSeries) -> None:
+        co = s.coeffs
+        if len(co) != len(self.nums):
+            raise PreconditionError("mismatched truncation orders")
+        self._widen(lcm(self.den, *[c.denominator for c in co]))
+        nums, den = self.nums, self.den
+        for k, c in enumerate(co):
+            if c:
+                nums[k] += c.numerator * (den // c.denominator)
+
+    def add_term(self, k: int, c) -> None:
+        """Add c z^k."""
+        self._widen(lcm(self.den, c.denominator))
+        self.nums[k] += c.numerator * (self.den // c.denominator)
+
+    def value(self) -> ZSeries:
+        return ZSeries(_fractions(self.nums, [self.den] * len(self.nums)))
+
+
 def exp_series(a: ZSeries) -> ZSeries:
-    """Truncated exp(a); a must have zero constant term (keeps coefficients rational)."""
+    """Truncated exp(a); a must have zero constant term (keeps coefficients rational).
+
+    With a_j = A_j / D: k e_k = sum_j j a_j e_{k-j}, so e_k = F_k / (k! D^k)
+    with integers F_0 = 1, F_k = sum_j j A_j D^{j-1} F_{k-j} (k-1)!/(k-j)!.
+    """
     if a.coeffs[0] != 0:
         raise PreconditionError("exp needs zero constant term")
-    n = a.nmax
-    out = ZSeries.one(n)
-    term = ZSeries.one(n)
-    # a^k/k! vanishes beyond k = nmax since a = O(z)
-    for k in range(1, n + 1):
-        term = term * a
-        if term.is_zero():
-            break
-        out = out + term * Fraction(1, factorial(k))
-    return out
+    nums, den = _scaled(a.coeffs)
+    n = len(nums)
+    fact = [factorial(k) for k in range(n)]
+    terms = [(j, j * v * den ** (j - 1)) for j, v in _support(nums)]
+    f = [1] + [0] * (n - 1)
+    for k in range(1, n):
+        f[k] = sum(t * f[k - j] * (fact[k - 1] // fact[k - j]) for j, t in terms if j <= k)
+    return ZSeries(_fractions(f, [fact[k] * den**k for k in range(n)]))
 
 
 def reciprocal(a: ZSeries) -> ZSeries:
-    """Truncated 1/a; a must have nonzero constant term."""
+    """Truncated 1/a; a must have nonzero constant term.
+
+    With a_j = A_j / D: r_k = D R_k / A_0^{k+1} with integers R_0 = 1,
+    R_k = -sum_{j>=1} A_j A_0^{j-1} R_{k-j}.
+    """
     if a.coeffs[0] == 0:
         raise PreconditionError("reciprocal needs nonzero constant term")
-    n = a.nmax
-    inv0 = 1 / a.coeffs[0]
-    out = [inv0] + [ZERO] * n
-    for k in range(1, n + 1):
-        s = ZERO
-        for j in range(1, k + 1):
-            if a.coeffs[j] != 0:
-                s += a.coeffs[j] * out[k - j]
-        out[k] = -inv0 * s
-    return ZSeries(tuple(out))
+    nums, den = _scaled(a.coeffs)
+    n = len(nums)
+    c0 = nums[0]
+    terms = [(j, v * c0 ** (j - 1)) for j, v in _support(nums) if j]
+    r = [1] + [0] * (n - 1)
+    for k in range(1, n):
+        r[k] = -sum(t * r[k - j] for j, t in terms if j <= k)
+    return ZSeries(_fractions([den * x for x in r], [c0 ** (k + 1) for k in range(n)]))
 
 
 def log1p_series(a: ZSeries) -> ZSeries:
-    """Truncated log(1+a); a must have zero constant term."""
+    """Truncated log(1+a); a must have zero constant term.
+
+    With a_j = A_j / D, (1 + a) l' = a' gives l_k = L_k / (k D^k) with
+    integers L_k = k A_k D^{k-1} - sum_{1<=j<k} A_j D^{j-1} L_{k-j}.
+    """
     if a.coeffs[0] != 0:
         raise PreconditionError("log1p needs zero constant term")
-    n = a.nmax
-    out = ZSeries.zero(n)
-    term = ZSeries.one(n)
-    for k in range(1, n + 1):
-        term = term * a
-        if term.is_zero():
-            break
-        out = out + term * Fraction((-1) ** (k + 1), k)
-    return out
+    nums, den = _scaled(a.coeffs)
+    n = len(nums)
+    terms = [(j, v * den ** (j - 1)) for j, v in _support(nums)]
+    ell = [0] * n
+    for k in range(1, n):
+        ell[k] = k * nums[k] * den ** (k - 1) - sum(t * ell[k - j] for j, t in terms if j < k)
+    return ZSeries(_fractions(ell, [max(k, 1) * den**k for k in range(n)]))
 
 
 @dataclass(frozen=True)
@@ -200,11 +296,13 @@ class SpatialSeries:
     def as_dict(self) -> dict:
         return dict(self.data)
 
+    @cached_property
+    def _index(self) -> dict:
+        return dict(self.data)
+
     def at(self, x) -> ZSeries:
-        for p, s in self.data:
-            if p == x:
-                return s
-        return ZSeries.zero(self.nmax)
+        s = self._index.get(x)
+        return ZSeries.zero(self.nmax) if s is None else s
 
     def support(self):
         return [p for p, _ in self.data]
@@ -227,10 +325,7 @@ class SpatialSeries:
         return SpatialSeries.build({x: v * Fraction(s) for x, v in self.data}, self.nmax)
 
     def sum_over_x(self) -> ZSeries:
-        acc = ZSeries.zero(self.nmax)
-        for _, s in self.data:
-            acc = acc + s
-        return acc
+        return ZSeries.sum((s for _, s in self.data), self.nmax)
 
     def to_json(self) -> list:
         return [{"x": list(x), "coeffs": s.to_json()} for x, s in self.data]
@@ -242,24 +337,38 @@ class SpatialSeries:
         )
 
 
+def _scaled_rows(a: SpatialSeries) -> tuple:
+    """([(point, sparse int row)], den): a(x)_k == row value at k / den."""
+    den = lcm(*[c.denominator for _, s in a.data for c in s.coeffs])
+    return [(x, _support([c.numerator * (den // c.denominator) for c in s.coeffs]))
+            for x, s in a.data], den
+
+
 def spatial_convolve(a: SpatialSeries, b: SpatialSeries) -> SpatialSeries:
     """(a*b)(x) = sum_y a(y) b(x-y) on the lattice (points are int tuples)."""
     if a.nmax != b.nmax:
         raise PreconditionError("mismatched truncation orders")
-    out = {}
-    for y, sa in a.data:
-        for w, sb in b.data:
-            x = tuple(p + q for p, q in zip(y, w))
-            prod = sa * sb
-            out[x] = out[x] + prod if x in out else prod
-    return SpatialSeries.build(out, a.nmax)
+    n = a.nmax + 1
+    (rows_a, da), (rows_b, db) = _scaled_rows(a), _scaled_rows(b)
+    acc = {}
+    for y, ra in rows_a:
+        for w, rb in rows_b:
+            x = tuple(map(add, y, w))
+            row = acc.get(x)
+            if row is None:
+                row = acc[x] = [0] * n
+            _cauchy(ra, rb, row)
+    dens = [da * db] * n
+    return SpatialSeries.build({x: ZSeries(_fractions(row, dens)) for x, row in acc.items()}, a.nmax)
 
 
 def spatial_inverse(a: SpatialSeries) -> SpatialSeries:
     """Convolution inverse: a * inv = delta_0, solved order by order.
 
     Requires a(0) to have nonzero constant term and all other points to
-    vanish at order zero.
+    vanish at order zero. As in `reciprocal`, with a_j(y) = A_j(y) / D and
+    c = A_0(0): inv_k(x) = D R_k(x) / c^{k+1} with integers R_0 = delta_0,
+    R_k(x) = -sum_{j>=1} sum_y A_j(y) c^{j-1} R_{k-j}(x - y).
     """
     n = a.nmax
     d = len(a.data[0][0]) if a.data else 0
@@ -270,31 +379,22 @@ def spatial_inverse(a: SpatialSeries) -> SpatialSeries:
     for x, s in a.data:
         if x != origin and s.coeffs[0] != 0:
             raise PreconditionError("off-origin constant terms must vanish")
-    inv0 = 1 / a0.coeffs[0]
-    # coefficients inv[k][x]
-    inv = [dict() for _ in range(n + 1)]
-    inv[0][origin] = inv0
-    a_co = {x: s.coeffs for x, s in a.data}
+    rows, den = _scaled_rows(a)
+    c0 = a0.coeffs[0].numerator * (den // a0.coeffs[0].denominator)
+    terms = sorted(((j, y, v * c0 ** (j - 1)) for y, row in rows for j, v in row if j),
+                   key=lambda t: t[0])
+    inv = [{origin: 1}]
     for k in range(1, n + 1):
-        rhs = {}
-        # sum_{j<k} sum_y a_{k-j}(y) inv_j(x-y) must cancel
-        for y, co in a_co.items():
-            for j in range(0, k):
-                c_a = co[k - j]
-                if c_a == 0:
-                    continue
-                if k - j == 0 and y == origin:
-                    continue
-                for xz, c_i in inv[j].items():
-                    x = tuple(p + q for p, q in zip(y, xz))
-                    rhs[x] = rhs.get(x, ZERO) + c_a * c_i
-        for x, v in rhs.items():
-            if v != 0:
-                inv[k][x] = -inv0 * v
-    support = set()
-    for row in inv:
-        support.update(row)
-    out = {}
-    for x in support:
-        out[x] = ZSeries(tuple(inv[k].get(x, ZERO) for k in range(n + 1)))
-    return SpatialSeries.build(out, n)
+        rk = {}
+        for j, y, t in terms:
+            if j > k:
+                break
+            for xz, r in inv[k - j].items():
+                x = tuple(map(add, y, xz))
+                rk[x] = rk.get(x, 0) - t * r
+        inv.append({x: r for x, r in rk.items() if r})
+    dens = [c0 ** (k + 1) for k in range(n + 1)]
+    support = set().union(*inv)
+    return SpatialSeries.build(
+        {x: ZSeries(_fractions([den * row.get(x, 0) for row in inv], dens)) for x in support}, n
+    )

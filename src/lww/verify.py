@@ -173,8 +173,7 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
     origin = ctx.origin()
     ok = True
     total = 0
-    for w in en.walks(ctx, origin, nmax_walks):
-        saw, erased = _erase(w)
+    for w, saw, erased in en._grow(ctx, (origin,), nmax_walks):
         loops = [hp.OrientedCycle.from_closed_walk(e) for e in erased]
         pair = hp.LegalPair(eta=saw, heap=hp.CycleHeap.of(loops))
         back = hp.loop_addition(pair)

@@ -1,10 +1,14 @@
 from fractions import Fraction
+from functools import reduce
+from math import factorial
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lww.core import PreconditionError
 from lww.series import (
+    SeriesSum,
     SpatialSeries,
     ZSeries,
     exp_series,
@@ -109,8 +113,13 @@ def test_json_round_trip():
 def test_spatial_at():
     a = ZSeries.of([Fraction(1, 3), Fraction(-2, 7)], 3)
     s = SpatialSeries.build({(1, 0): a, (0, 0): ZSeries.one(3)}, 3)
-    assert s.at((1, 0)) == a and s.at((0, 0)) == ZSeries.one(3)
-    assert s.at((2, 0)) == ZSeries.zero(3)
+    twin = SpatialSeries.build({(0, 0): ZSeries.one(3), (1, 0): a}, 3)
+    assert s.at((1, 0)) is s.data[1][1] and s.at((0, 0)) == ZSeries.one(3)
+    for outside in [(2, 0), (0, 1), (-1, 0), (1,), (1, 0, 0), ()]:
+        assert s.at(outside) == ZSeries.zero(3)
+    # the lookup index is not part of the value
+    assert s == twin and hash(s) == hash(twin) and s.data == twin.data
+    assert SpatialSeries.build({}, 2).at((0, 0)) == ZSeries.zero(2)
 
 
 def _delta():
@@ -182,3 +191,185 @@ def test_spatial_inverse_property(data):
     a = SpatialSeries.build(table, NMAX)
     inv = spatial_inverse(a)
     assert spatial_convolve(a, inv).data == SpatialSeries.delta((0, 0), NMAX).data
+
+
+# ---------------------------------------------------------------------------
+# slow oracles: the schoolbook Fraction kernels the integer-scaled ones replaced
+
+
+def _mul_oracle(a, b):
+    n = a.nmax
+    out = [Fraction(0)] * (n + 1)
+    for i, ai in enumerate(a.coeffs):
+        if ai == 0:
+            continue
+        for j in range(n + 1 - i):
+            if b.coeffs[j] != 0:
+                out[i + j] += ai * b.coeffs[j]
+    return ZSeries(tuple(out))
+
+
+def _add_oracle(a, b):
+    return ZSeries(tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def _exp_oracle(a):
+    n = a.nmax
+    out = term = ZSeries.one(n)
+    for k in range(1, n + 1):
+        term = _mul_oracle(term, a)
+        out = _add_oracle(out, _mul_oracle(term, ZSeries.const(Fraction(1, factorial(k)), n)))
+    return out
+
+
+def _log1p_oracle(a):
+    n = a.nmax
+    out, term = ZSeries.zero(n), ZSeries.one(n)
+    for k in range(1, n + 1):
+        term = _mul_oracle(term, a)
+        out = _add_oracle(out, _mul_oracle(term, ZSeries.const(Fraction((-1) ** (k + 1), k), n)))
+    return out
+
+
+def _reciprocal_oracle(a):
+    n = a.nmax
+    inv0 = 1 / Fraction(a.coeffs[0])
+    out = [inv0] + [Fraction(0)] * n
+    for k in range(1, n + 1):
+        s = Fraction(0)
+        for j in range(1, k + 1):
+            s += a.coeffs[j] * out[k - j]
+        out[k] = -inv0 * s
+    return ZSeries(tuple(out))
+
+
+def _convolve_oracle(a, b):
+    out = {}
+    for y, sa in a.data:
+        for w, sb in b.data:
+            x = tuple(p + q for p, q in zip(y, w))
+            prod = _mul_oracle(sa, sb)
+            out[x] = _add_oracle(out[x], prod) if x in out else prod
+    return SpatialSeries.build(out, a.nmax)
+
+
+def _inverse_oracle(a):
+    n = a.nmax
+    origin = (0,) * len(a.data[0][0])
+    inv0 = 1 / Fraction(a.at(origin).coeffs[0])
+    inv = [{origin: inv0}] + [{} for _ in range(n)]
+    for k in range(1, n + 1):
+        rhs = {}
+        for y, s in a.data:
+            for j in range(k):
+                for xz, c in inv[j].items():
+                    x = tuple(p + q for p, q in zip(y, xz))
+                    rhs[x] = rhs.get(x, Fraction(0)) + s.coeffs[k - j] * c
+        inv[k] = {x: -inv0 * v for x, v in rhs.items() if v != 0}
+    support = set().union(*inv)
+    return SpatialSeries.build(
+        {x: ZSeries(tuple(row.get(x, Fraction(0)) for row in inv)) for x in support}, n
+    )
+
+
+BIG_PRIMES = (1_000_003, 998_244_353, 2_147_483_647, 10**9 + 7, 2**61 - 1)
+coefficients = st.one_of(
+    fractions,
+    st.builds(Fraction, st.integers(-(10**15), 10**15), st.sampled_from(BIG_PRIMES)),
+    st.integers(-9, 9),  # a raw int coefficient, read as n/1
+    st.just(Fraction(0)),
+)
+
+
+@st.composite
+def series(draw, nmax, const=None):
+    """Dense, zero, monomial or sparse series; const "zero"/"nonzero" pins c_0."""
+    kind = draw(st.sampled_from(["dense", "zero", "monomial", "sparse"]))
+    co = [Fraction(0)] * (nmax + 1)
+    if kind == "dense":
+        co = draw(st.lists(coefficients, min_size=nmax + 1, max_size=nmax + 1))
+    elif kind == "monomial":
+        co[draw(st.integers(0, nmax))] = draw(coefficients)
+    elif kind == "sparse":
+        for k in draw(st.sets(st.integers(0, nmax), max_size=3)):
+            co[k] = draw(coefficients)
+    if const == "zero":
+        co[0] = Fraction(0)
+    elif const == "nonzero" and co[0] == 0:
+        co[0] = draw(st.sampled_from([Fraction(-3, 1_000_003), Fraction(1), 5]))
+    return ZSeries(tuple(co))
+
+
+def _exact(got, want):
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert got.coeffs == want.coeffs
+
+
+orders = st.integers(0, 7)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), orders)
+def test_mul_matches_schoolbook_oracle(data, n):
+    a, b = data.draw(series(n)), data.draw(series(n))
+    _exact(a * b, _mul_oracle(a, b))
+    _exact(b * a, _mul_oracle(a, b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), orders)
+def test_exp_and_log1p_match_term_by_term_oracles(data, n):
+    a = data.draw(series(n, const="zero"))
+    _exact(exp_series(a), _exp_oracle(a))
+    _exact(log1p_series(a), _log1p_oracle(a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), orders)
+def test_reciprocal_matches_recurrence_oracle(data, n):
+    a = data.draw(series(n, const="nonzero"))
+    _exact(reciprocal(a), _reciprocal_oracle(a))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), orders, st.integers(0, 5))
+def test_sum_matches_fold(data, n, count):
+    terms = [data.draw(series(n)) for _ in range(count)]
+    _exact(ZSeries.sum(terms, n), reduce(_add_oracle, terms, ZSeries.zero(n)))
+    acc = SeriesSum(n)
+    for t in terms:
+        for k, c in enumerate(t.coeffs):
+            acc.add_term(k, c)
+    _exact(acc.value(), ZSeries.sum(terms, n))
+    with pytest.raises(PreconditionError):
+        ZSeries.sum(terms + [ZSeries.zero(n + 1)], n)
+
+
+points = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+def _spatial_exact(got, want):
+    assert got.data == want.data
+    assert all(type(c) is Fraction for _, s in got.data for c in s.coeffs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), orders)
+def test_spatial_convolve_matches_oracle(data, n):
+    def table():
+        pts = data.draw(st.lists(points, max_size=4, unique=True))
+        return SpatialSeries.build({p: data.draw(series(n)) for p in pts}, n)
+
+    a, b = table(), table()
+    _spatial_exact(spatial_convolve(a, b), _convolve_oracle(a, b))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), orders)
+def test_spatial_inverse_matches_oracle(data, n):
+    table = {(0, 0): data.draw(series(n, const="nonzero"))}
+    for p in data.draw(st.lists(points, max_size=3, unique=True)):
+        if p != (0, 0):
+            table[p] = data.draw(series(n, const="zero"))
+    a = SpatialSeries.build(table, n)
+    _spatial_exact(spatial_inverse(a), _inverse_oracle(a))
