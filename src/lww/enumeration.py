@@ -9,10 +9,12 @@ depth-first generator, _grow, which carries each walk's partial loop
 erasure along, so activity weights never require re-scanning the walk;
 `walks` and `saws` are its walks alone. Loop measures on both kinds of
 graph read one catalog of closed walks (rooted at the origin of Z^d, or at
-every vertex of a finite graph): "sum over closed walks hitting A avoiding
-B" becomes a count per entry of its ranges (lattice translates, or the
-finite range itself), and the interaction factor I = 1 - exp(-mu) of every
-caller is _i_factor.
+every vertex of a finite graph). The rooted walks of an entry that meet a
+region are named by _shifts: on Z^d the shifts v whose translate range + v
+meets it (mu is translation invariant), on a finite graph the entry itself.
+So "sum over closed walks hitting A and B avoiding C" adds w(X)/|X| times
+|S_A & S_B - S_C| per entry, and the interaction factor I = 1 - exp(-mu)
+of every caller is _i_factor.
 """
 
 from __future__ import annotations
@@ -333,26 +335,27 @@ def closed_walk_catalog(ctx: GraphCtx, max_len: int):
     return tuple((rng, n, keys, cnt) for (rng, n, keys), cnt in agg.items())
 
 
-def _closed_walks_meeting(region, act, nmax, ctx):
-    """The rooted closed walks of at most nmax steps that meet `region`, by
-    catalog entry: (n, the entry's w(X)/|X| summed over its walks, ranges).
+def _shifts(region, rng, ctx) -> set:
+    """The rooted walks of a catalog entry with range `rng` that meet `region`.
 
-    On Z^d the ranges are the translates of the entry's range that meet the
-    region, one per rooted walk of the shape; on a finite graph the range
-    itself, when it meets the region. Entries of weight 0 are skipped.
+    On Z^d an entry stands for its translates, and rng + v meets the region
+    exactly when v = a - r for some a in the region and r in rng: the shift
+    v names the walk rooted at v. On a finite graph the entry is its own
+    walk, named (), and meets the region or not.
     """
+    if not ctx.is_lattice:
+        return set() if rng.isdisjoint(region) else {()}
+    return {tuple(map(sub, a, r)) for a in region for r in rng}
+
+
+def _entries(act, nmax, ctx):
+    """(n, w(X)/|X| summed over the entry's walks, range) per catalog entry of
+    at most nmax steps and nonzero weight."""
     for rng, n, keys, cnt in closed_walk_catalog(ctx, nmax - nmax % 2 if ctx.is_lattice else nmax):
-        if n > nmax:
-            continue
-        w = act.weight_of_keys(keys) * Fraction(cnt, n)
-        if w == 0:
-            continue
-        if not ctx.is_lattice:
-            if not rng.isdisjoint(region):
-                yield n, w, (rng,)
-            continue
-        shifts = {tuple(map(sub, a, r)) for a in region for r in rng}
-        yield n, w, [[tuple(map(add, r, v)) for r in rng] for v in shifts]
+        if n <= nmax:
+            w = act.weight_of_keys(keys) * Fraction(cnt, n)
+            if w:
+                yield n, w, rng
 
 
 def _mu(A, B, C, act, nmax, ctx) -> ZSeries:
@@ -367,14 +370,14 @@ def _mu(A, B, C, act, nmax, ctx) -> ZSeries:
     if not A:
         return ZSeries.zero(nmax)
     acc = SeriesSum(nmax)
-    for n, w, ranges in _closed_walks_meeting(A, act, nmax, ctx):
-        count = sum(
-            1
-            for s in ranges
-            if (not C or C.isdisjoint(s)) and (B is None or not B.isdisjoint(s))
-        )
-        if count:
-            acc.add_term(n, w * count)
+    for n, w, rng in _entries(act, nmax, ctx):
+        hits = _shifts(A, rng, ctx)
+        if B is not None:
+            hits &= _shifts(B, rng, ctx)
+        if C and hits:
+            hits -= _shifts(C, rng, ctx)
+        if hits:
+            acc.add_term(n, w * len(hits))
     return acc.value()
 
 
@@ -388,13 +391,6 @@ def generalized_loop_measure(
 ) -> ZSeries:
     """mu(A,B;C): closed walks hitting both A and B, avoiding C."""
     return _mu(A, B, C, act, nmax, ctx)
-
-
-@lru_cache(maxsize=None)
-def _mu_range_cached(range_fs: frozenset, act: LoopActivity, budget: int, ctx: GraphCtx, nmax: int) -> ZSeries:
-    """exp-ready mu(range; empty) truncated at `budget`, padded to nmax."""
-    mu = loop_measure(range_fs, frozenset(), act, budget, ctx)
-    return ZSeries.of(mu.coeffs, nmax)
 
 
 def alpha0(act: LoopActivity, nmax: int, ctx: GraphCtx, point=None) -> ZSeries:
@@ -470,8 +466,8 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
         if budget < 2:  # no loop fits: exp(mu) = 1
             contrib = ZSeries.one(nmax).shift(length)
         else:
-            mu = _mu_range_cached(frozenset(eta), act, budget, ctx, nmax)
-            contrib = exp_series(mu).shift(length)
+            mu = loop_measure(eta, (), act, budget, ctx)
+            contrib = exp_series(ZSeries.of(mu.coeffs, nmax)).shift(length)
         acc = table.get(eta[-1])
         if acc is None:
             acc = table[eta[-1]] = SeriesSum(nmax)

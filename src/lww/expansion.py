@@ -29,8 +29,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
-from .core import GraphCtx, LoopActivity, PreconditionError, l1
+from .core import GraphCtx, LoopActivity, PreconditionError, l1, walk_weight
 from .series import (
     SpatialSeries,
     ZSeries,
@@ -44,12 +45,13 @@ from .enumeration import (
     alpha_renorm,
     two_point_table,
     walks,
-    _closed_walks_meeting,
+    _entries,
     _guard,
     _i_factor,
+    _shifts,
 )
 from .laces import (
-    compatible_positions_of_lace,
+    compatible_edges,
     lace_positions_for_vector,
     valid_vectors,
 )
@@ -63,15 +65,13 @@ def _x_dressing(walk, cp_set, act, budget, ctx) -> ZSeries:
     """
     if budget < 2:
         return ZSeries.one(max(budget, 0))
-    rng_positions: dict = {}
-    for j, v in enumerate(walk):
-        rng_positions.setdefault(v, []).append(j)
     acc = [Fraction(0)] * (budget + 1)
-    for n, w, ranges in _closed_walks_meeting(rng_positions, act, budget, ctx):
-        e = 0
-        for points in ranges:
-            hit = sorted({j for p in points for j in rng_positions.get(p, ())})
-            e += len(hit) - sum((a, b) in cp_set for a, b in zip(hit, hit[1:]))
+    for n, w, rng in _entries(act, budget, ctx):
+        hits: dict = {}  # shift -> the positions j, ascending, its walk X hits
+        for j, p in enumerate(walk):
+            for v in _shifts((p,), rng, ctx):
+                hits.setdefault(v, []).append(j)
+        e = sum(len(S) - sum((a, b) in cp_set for a, b in zip(S, S[1:])) for S in hits.values())
         if e:
             acc[n] += w * e
     return exp_series(ZSeries(tuple(acc)))
@@ -91,7 +91,11 @@ def pi_n_table(N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSe
     for m in range(2, nmax + 1):
         for mvec in valid_vectors(N, m):
             positions = lace_positions_for_vector(mvec)
-            cp = compatible_positions_of_lace(positions, m)
+            # compatibility does not depend on labels (the spacelike
+            # tie-break fires only when both labels sit on a lace edge), so
+            # one unlabelled set serves both the timelike constraints and
+            # the spacelike hyperedge count
+            cp = compatible_edges(positions, 0, m)
             _accumulate_lace_term(
                 table, positions, cp, m, act, nmax, ctx, origin
             )
@@ -121,7 +125,7 @@ def _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, origin):
 
     def complete():
         w = tuple(state_walk)
-        factor = ZSeries.one(budget) if budget >= 0 else None
+        factor = ZSeries.one(budget)
         for s, t in lace_edges:
             factor = factor * _i_factor(
                 w[s], w[t], w[s + 1 : t], act, budget, ctx
@@ -270,30 +274,18 @@ def loop_universe(region, act: LoopActivity, cutoff: int, ctx: GraphCtx):
     """
     if not ctx.is_lattice:
         raise PreconditionError("lattice universes only")
-    from .core import walk_weight
-
     region = frozenset(region)
     origin = ctx.origin()
-    seen = set()
     out = []
     for w in walks(ctx, origin, cutoff):
         if len(w) == 1 or w[-1] != origin:
             continue
-        for p in region:
-            for r in set(w):
-                v = tuple(a - b for a, b in zip(p, r))
-                shifted = tuple(tuple(a + b for a, b in zip(u, v)) for u in w)
-                if shifted in seen or not (set(shifted) & region):
-                    continue
-                seen.add(shifted)
-                out.append(shifted)
-    out.sort()
-    result = []
-    for w in out:
         zp, lf = walk_weight(w, act, ctx)
-        mu = ZSeries.monomial(lf * Fraction(1, zp), zp, cutoff)
-        result.append((w, exp_series(mu) - ZSeries.one(cutoff)))
-    return result
+        alpha = exp_series(ZSeries.monomial(lf * Fraction(1, zp), zp, cutoff)) - ZSeries.one(cutoff)
+        # a shifted walk starts at its shift, so no two coincide
+        out += [(tuple(tuple(map(add, u, v)) for u in w), alpha) for v in _shifts(region, set(w), ctx)]
+    out.sort(key=lambda item: item[0])
+    return out
 
 
 def hyperedge_weight(J, X, alpha_x, w, nmax: int) -> ZSeries:

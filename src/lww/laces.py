@@ -95,6 +95,7 @@ def is_lace(graph, a: int, b: int) -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
 def compatible_edges(lace, a: int, b: int):
     """All labelled edges st with lace_of(lace + st) == lace."""
     labelled = all(len(e) == 3 for e in lace)
@@ -291,20 +292,3 @@ def valid_vectors(N: int, m: int):
 
     rec([], m, 1)
     return out
-
-
-@lru_cache(maxsize=None)
-def compatible_positions_of_lace(positions: frozenset, m: int) -> frozenset:
-    """Non-lace position pairs (s,t) whose addition leaves the lace unchanged.
-
-    Label-independent for non-lace positions (the spacelike tie-break fires
-    only when both labels sit on a chosen edge), so one set serves both the
-    timelike constraints and the spacelike hyperedge count.
-    """
-    out = set()
-    for s, t in combinations(range(0, m + 1), 2):
-        if (s, t) in positions:
-            continue
-        if lace_of(positions | {(s, t)}, 0, m) == positions:
-            out.add((s, t))
-    return frozenset(out)

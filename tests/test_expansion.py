@@ -1,17 +1,18 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lww
-from lww.core import GraphCtx, LoopActivity, l1, sap_key
+from lww.core import GraphCtx, LoopActivity, l1, sap_key, walk_weight
 from lww.series import SpatialSeries, ZSeries, exp_series, reciprocal
 from lww import enumeration as en
 from lww import expansion as ex
 from lww.laces import (
-    compatible_positions_of_lace,
+    compatible_edges,
     lace_positions_for_vector,
     valid_vectors,
 )
@@ -100,7 +101,7 @@ def test_exponent_resummation_matches_literal_products():
     m = 4
     mvec = (1, 2, 1)
     positions = lace_positions_for_vector(mvec)
-    cp = compatible_positions_of_lace(positions, m)
+    cp = compatible_edges(positions, 0, m)
     universe = ex.loop_universe({(0,)}, HALF, 4, CTX1)
     for _ in range(8):
         w = _random_walk(rng, CTX1, m)
@@ -298,7 +299,7 @@ def _pi_n_unpruned(N, act, nmax, ctx):
         budget = nmax - m
         for mvec in valid_vectors(N, m):
             positions = lace_positions_for_vector(mvec)
-            cp = compatible_positions_of_lace(positions, m)
+            cp = compatible_edges(positions, 0, m)
             walks = [(origin,)]
             for j in range(1, m + 1):
                 walks = [
@@ -366,3 +367,93 @@ def test_clear_caches_empties_every_cache():
     assert any(c.cache_info().currsize for c in caches)
     lww.clear_caches()
     assert all(c.cache_info().currsize == 0 for c in caches)
+
+
+# ---------------------------------------------------------------------------
+# the X-dressing and the loop universe against rooted closed walks
+
+
+@lru_cache(maxsize=None)
+def _closed_walks_from_origin(d, nmax):
+    ctx = GraphCtx.lattice(d)
+    o = ctx.origin()
+    return tuple(w for w in en.walks(ctx, o, nmax) if len(w) > 2 and w[-1] == o)
+
+
+def _exponent_sums(walk, cp, nmax, ctx):
+    """X -> sum of e(X + root) over the roots within nmax/2 of the walk, for
+    each closed walk X from the origin of at most nmax steps.
+
+    e is read off the hit positions S = {j : walk_j in range(X + root)},
+    i.e. walk_j - root in range(X): |S| minus the consecutive pairs of S
+    that are compatible spans."""
+    roots = {u[-1] for p in set(walk) for u in en.walks(ctx, p, nmax // 2)}
+    moved = [[tuple(a - b for a, b in zip(p, root)) for p in walk] for root in roots]
+    out = {}
+    for X in _closed_walks_from_origin(ctx.d, nmax):
+        points, e = set(X), 0
+        for rel in moved:
+            S = [j for j, p in enumerate(rel) if p in points]
+            e += len(S) - sum((a, b) in cp for a, b in zip(S, S[1:]))
+        out[X] = e
+    return out
+
+
+@lru_cache(maxsize=None)
+def _weight(X, act, ctx):
+    return walk_weight(X, act, ctx)
+
+
+def _x_exponent(sums, act, nmax, ctx):
+    """sum_X e(X) w(X)/|X| z^|X| from _exponent_sums at nmax, as a list."""
+    acc = [Fraction(0)] * (nmax + 1)
+    for X, e in sums.items():
+        if e:
+            n, lf = _weight(X, act, ctx)
+            acc[n] += e * lf / n
+    return acc
+
+
+@pytest.mark.parametrize("d,m_max", [(1, 5), (2, 4), (3, 3)])
+def test_x_dressing_matches_rooted_closed_walks(d, m_max):
+    """_x_dressing at budgets 0..6 against exp of the exponent summed over
+    the rooted closed walks; truncating that sum at b keeps exactly the
+    walks of at most b steps, rooted within b/2 of the walk."""
+    ctx, budget = GraphCtx.lattice(d), 6
+    rng = random.Random(d)
+    acts = [LoopActivity.constant(lam) for lam in (0, Fraction(1, 2), 2)] + [_table_activity(d)]
+    for m in range(2, m_max + 1):
+        for N in range(1, ex.max_lace_edges(m) + 1):
+            for mvec in valid_vectors(N, m):
+                cp = compatible_edges(lace_positions_for_vector(mvec), 0, m)
+                walk = _random_walk(rng, ctx, m)
+                sums = _exponent_sums(walk, cp, budget, ctx)
+                for act in acts:
+                    exponent = _x_exponent(sums, act, budget, ctx)
+                    for b in range(budget + 1):
+                        want = exp_series(ZSeries(tuple(exponent[: b + 1])))
+                        got = ex._x_dressing(walk, cp, act, b, ctx)
+                        assert got.coeffs == want.coeffs, (mvec, walk, b)
+
+
+@pytest.mark.parametrize("d,cutoff", [(1, 6), (2, 5), (3, 4)])
+def test_loop_universe_matches_rooted_closed_walks(d, cutoff):
+    """Every closed walk of 2..cutoff steps whose range meets the region,
+    once, sorted, with alpha_X = exp(w(X)/|X|) - 1."""
+    ctx = GraphCtx.lattice(d)
+    o = ctx.origin()
+    e = ctx.neighbors(o)[-1]
+    far = tuple(3 * c for c in ctx.neighbors(o)[0])
+    for region in (frozenset([o]), frozenset([o, e]), frozenset([e, far])):
+        roots = {u[-1] for a in region for u in en.walks(ctx, a, cutoff // 2)}
+        want = sorted(
+            X for root in roots for X in en.walks(ctx, root, cutoff)
+            if len(X) > 2 and X[-1] == root and not region.isdisjoint(X)
+        )
+        for act in (HALF, _table_activity(d)):
+            got = ex.loop_universe(region, act, cutoff, ctx)
+            assert [X for X, _ in got] == want, region
+            for X, ax in got:
+                n, lf = walk_weight(X, act, ctx)
+                one = ZSeries.one(cutoff)
+                assert ax == exp_series(ZSeries.monomial(lf / n, n, cutoff)) - one, X

@@ -12,6 +12,7 @@ merge is checked Fraction for Fraction.
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import comb
 
 import pytest
@@ -429,6 +430,37 @@ def test_closed_walk_catalog_on_a_box(dims, n):
 
 # ---------------------------------------------------------------------------
 # loop measures
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_shifts_are_the_translates_meeting_a_region(d, data):
+    """On Z^d, _shifts(region, rng) = {v : (rng + v) meets region}, brute
+    forced over the box of every v that can move rng onto the region."""
+    ctx = GraphCtx.lattice(d)
+    point = st.tuples(*[st.integers(-3, 3)] * d)
+    region = data.draw(st.frozensets(point, min_size=1, max_size=4))
+    rng = data.draw(st.frozensets(point, min_size=1, max_size=5))
+    box = [range(min(a[i] for a in region) - max(r[i] for r in rng),
+                 max(a[i] for a in region) - min(r[i] for r in rng) + 1) for i in range(d)]
+    want = {v for v in product(*box)
+            if any(tuple(c + o for c, o in zip(r, v)) in region for r in rng)}
+    assert en._shifts(region, rng, ctx) == want
+    assert en._shifts(frozenset(), rng, ctx) == set()
+
+
+@pytest.mark.parametrize("dims", BOXES)
+def test_shifts_on_a_box(dims):
+    """On a finite graph an entry is its own walk: {()} exactly when its
+    range meets the region."""
+    box = hp.box_graph(*dims)
+    verts = box.vertices()
+    rng = random.Random(BOXES.index(dims))
+    for _ in range(60):
+        region = frozenset(rng.sample(verts, rng.randint(0, 3)))
+        walk_range = frozenset(rng.sample(verts, rng.randint(1, 4)))
+        want = {()} if region & walk_range else set()
+        assert en._shifts(region, walk_range, box) == want, (region, walk_range)
 
 
 def _mu_finite_oracle(A, B, C, act, nmax, ctx):
