@@ -3,23 +3,27 @@
 Lattice two-point tables, loop-count tables and exact MSDs run forward over
 loop-erasure states (_transfer), merging walks that share their partial
 loop erasure; an activity that weighs every loop 0 counts SAWs instead
-(_saw_rows). Every other exhaustive sum (constrained walk sums, visit sums,
-bubble chains, the closed-walk catalog, finite graphs) reads one
-depth-first generator, _grow, which carries each walk's partial loop
-erasure along, so activity weights never require re-scanning the walk;
-`walks` and `saws` are its walks alone. Loop measures on both kinds of
-graph read one catalog of closed walks (rooted at the origin of Z^d, or at
-every vertex of a finite graph). The rooted walks of an entry that meet a
-region are named by _shifts: on Z^d the shifts v whose translate range + v
-meets it (mu is translation invariant), on a finite graph the entry itself.
-So "sum over closed walks hitting A and B avoiding C" adds w(X)/|X| times
-|S_A & S_B - S_C| per entry, and the interaction factor I = 1 - exp(-mu)
-of every caller is _i_factor.
+(_saw_rows). Both run on one canonical SAW per orbit of the point group,
+as the exact sampler does (_LEStates is the chain all three share), and
+spread each row over the endpoint orbits at the end. Every other
+exhaustive sum (constrained walk sums, visit sums, bubble chains, the
+closed-walk catalog, finite graphs) reads one depth-first generator,
+_grow, which carries each walk's partial loop erasure along, so activity
+weights never require re-scanning the walk; `walks` and `saws` are its
+walks alone. Loop measures on both kinds of graph read one catalog of
+closed walks (rooted at the origin of Z^d, or at every vertex of a finite
+graph), its entries weighed once per activity (_entries). The rooted walks
+of an entry that meet a region are named by _shifts: on Z^d the shifts v
+whose translate range + v meets it (mu is translation invariant), on a
+finite graph the entry itself. So "sum over closed walks hitting A and B
+avoiding C" adds w(X)/|X| times |S_A & S_B - S_C| per entry, and the
+interaction factor I = 1 - exp(-mu) of every caller is _i_factor.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -120,21 +124,24 @@ def walk_sum(start, end, act: LoopActivity, nmax: int, ctx: GraphCtx, avoid=froz
 
 
 class _LEStates:
-    """Loop-erasure states of walks of at most n steps from the origin of Z^d.
+    """Loop-erasure states of walks of at most n steps from the origin of Z^d,
+    up to the point group.
 
     The partial loop erasure of a walk is a Markov chain on SAWs (Lawler
     1991), and a walk's loop weight depends only on the loops it erases. A
     state is the SAW's steps as base-2d digits under a leading 1 (the origin
-    alone is 1); points are ints in radix 2n+1. successors() is the chain's
-    transition rule and _transfer runs it forward. sampling.sample_exact runs
-    the chain up to the point group instead, by canonical_moves() and
-    push_frame(). Both charge() the states they expand to node_budget().
+    alone is 1); points are ints in radix 2n+1. Every engine runs the chain
+    on canonical SAWs alone: _transfer and _saw_rows forward, by
+    canonical_moves() and unfold(), and sampling.sample_exact backward, by
+    canonical_moves() and push_frame(). Each charge()s the states it expands
+    to node_budget().
 
     A SAW is canonical when its axes first appear in the order 0, 1, ... and
     each axis is first taken in the + direction: one SAW per orbit of the
     point group (2^d d! isometries), and prefixes of canonical SAWs are
-    canonical. Under a constant activity every SAW of an orbit has the same
-    completion sums.
+    canonical. Every lattice activity is invariant under the group
+    (constants trivially, tables because sap_key is a point-group canonical
+    form), so every SAW of an orbit carries the same weight of walks.
     """
 
     def __init__(self, ctx: GraphCtx, n: int):
@@ -149,34 +156,19 @@ class _LEStates:
     def point(self, q) -> tuple:
         return tuple((q + self.offset) // self.radix**i % self.radix - self.n for i in range(self.d))
 
-    def points(self, code) -> list:
-        """The SAW of a state, as int points from the origin."""
+    def walk(self, code) -> tuple:
+        """(points, k): the SAW of a state as int points from the origin, and
+        the number of axes a canonical SAW uses (its axes are 0 .. k-1)."""
         steps = []
         while code > 1:
             code, s = divmod(code, self.base)
             steps.append(s)
-        pts = [0]
+        pts, k = [0], 0
         for s in reversed(steps):
             pts.append(pts[-1] + self.moves[s])
-        return pts
-
-    def successors(self, code) -> list:
-        """(endpoint, next state, erased loop) of each step out of a state, in
-        GraphCtx.neighbors order. A step onto the SAW truncates it at the hit
-        point and erases the loop of the steps after it, coded as a state
-        (the closing step is implied); any other step pushes and erases 0."""
-        pts = self.points(code)
-        pos = {q: i for i, q in enumerate(pts)}
-        out = []
-        for s, mv in enumerate(self.moves):
-            q = pts[-1] + mv
-            j = pos.get(q)
-            if j is None:
-                out.append((q, code * self.base + s, 0))
-            else:
-                cut = self.powers[len(pts) - 1 - j]
-                out.append((q, code // cut, cut + code % cut))
-        return out
+            if s == self.base - 1 - k and k < self.d:  # the first step on axis k is +e_k
+                k += 1
+        return pts, k
 
     def canonical_moves(self, k: int) -> list:
         """(step, move, multiplicity, axes used after it) of each step out of a
@@ -208,6 +200,26 @@ class _LEStates:
         f[s], f[self.base - 1 - s] = plus_k, k
         return tuple(f), k + 1
 
+    def unfold(self, row: dict, share) -> dict:
+        """A row of orbit totals keyed by canonical-frame endpoints, spread
+        over every point: each point of an orbit O gets share(total, |O|).
+
+        A row entry sums the weight of an orbit of walks, whose endpoints
+        cover the orbit of its endpoint evenly: the stabiliser of a
+        canonical SAW (the signed permutations of its unused axes) fixes
+        its endpoint. So every division is exact. share is called once per
+        orbit, and its value is shared by the orbit's points.
+        """
+        totals: dict = {}
+        for q, w in row.items():
+            key = tuple(sorted(map(abs, self.point(q))))
+            totals[key] = totals.get(key, 0) + w
+        out = {}
+        for key, w in totals.items():
+            orbit = _point_orbit(key)
+            out.update(dict.fromkeys(orbit, share(w, len(orbit))))
+        return out
+
     def charge(self, states: int):
         self.left -= states
         if self.left < 0:
@@ -215,21 +227,44 @@ class _LEStates:
                                 "states (override with LWW_BUDGET)")
 
 
+def _point_orbit(x) -> list:
+    """The distinct signed permutations of the coordinates of x, placed one
+    coordinate at a time from the multiset of |x_i|, so that the 2^d d!
+    group itself is never walked."""
+    left, out = Counter(map(abs, x)), []
+
+    def place(prefix):
+        if len(prefix) == len(x):
+            out.append(prefix)
+            return
+        for a, c in left.items():
+            if c:
+                left[a] -= 1
+                for v in (a, -a) if a else (0,):
+                    place(prefix + (v,))
+                left[a] += 1
+
+    place(())
+    return out
+
+
 def _saw_rows(n: int, ctx: GraphCtx) -> list:
     """_transfer's rows for an activity that weighs every loop 0: the SAWs of
     length m <= n from the origin of Z^d, counted by endpoint.
 
-    Depth-first over _LEStates' int points, with the SAW's points in a set
-    (a (2n+1)^d occupancy map would not fit in memory for large d) and an
-    explicit stack, so n is not bounded by the recursion limit. Each SAW
-    expanded is charge()d.
+    Depth-first over the canonical SAWs (_LEStates), each carrying the size
+    of its orbit, with the SAW's int points in a set (a (2n+1)^d occupancy
+    map would not fit in memory for large d) and an explicit stack, so n is
+    not bounded by the recursion limit. Each canonical SAW expanded is
+    charge()d; the rows are unfold()ed at the end.
     """
     states = _LEStates(ctx, n)
-    moves, rows = states.moves, [{0: 1}] + [{} for _ in range(n)]
+    moves = [states.canonical_moves(k) for k in range(states.d + 1)]
+    rows = [{0: 1}] + [{} for _ in range(n)]
     last, path, on_path = rows[n], [], set()
-    todo = [(0, 0)] if n else []  # (endpoint, length) of the SAWs to expand
+    todo = [(0, 0, 0, 1)] if n else []  # (endpoint, length, axes used, orbit size) of the SAWs to expand
     while todo:
-        q, m = todo.pop()
+        q, m, k, size = todo.pop()
         for p in path[m:]:  # back up to this SAW's parent
             on_path.remove(p)
         del path[m:]
@@ -238,40 +273,48 @@ def _saw_rows(n: int, ctx: GraphCtx) -> list:
         states.charge(1)
         m += 1
         row = rows[m]
-        for mv in moves:
+        for _, mv, mult, k2 in moves[k]:
             r = q + mv
             if r not in on_path:
-                row[r] = row.get(r, 0) + 1
+                c = size * mult
+                row[r] = row.get(r, 0) + c
                 if m < n - 1:
-                    todo.append((r, m))
+                    todo.append((r, m, k2, c))
                 elif m < n:  # expand r in place: no step out of r lands on r
                     states.charge(1)
-                    for mv2 in moves:
+                    for _, mv2, mult2, _ in moves[k2]:
                         t = r + mv2
                         if t not in on_path:
-                            last[t] = last.get(t, 0) + 1
-    return [{states.point(q): Fraction(c) for q, c in row.items()} for row in rows]
+                            last[t] = last.get(t, 0) + c * mult2
+    return [states.unfold(row, lambda c, size: Fraction(c // size)) for row in rows]
 
 
 def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list:
     """Walks of length m <= n from the origin of Z^d, summed by endpoint.
 
     Walks sharing a loop-erasure state (_LEStates) at the same time are
-    merged. Level n is recorded, never stored. Constant activities carry
-    sum_k N_k lambda^k as one int with N_k in digit k, so a charged loop is
-    a shift; table activities carry a Fraction. An activity that weighs
-    every loop 0 (lambda = 0, or a table of zeros) leaves only the SAWs,
-    which share no states: _saw_rows counts them instead.
+    merged, and the states of one point-group orbit are merged into its
+    canonical SAW, which carries the orbit's total: a push onto an unused
+    axis stands for its 2(d-k) images, and a loop-closing step truncates to
+    a canonical prefix. Level n is recorded, never stored; each row is
+    unfold()ed over the endpoint orbits at the end. Constant activities
+    carry sum_k N_k lambda^k as one int with N_k in digit k, so a charged
+    loop is a shift; table activities carry a Fraction. An activity that
+    weighs every loop 0 (lambda = 0, or a table of zeros) leaves only the
+    SAWs, which share no states: _saw_rows counts them instead.
 
-    Returns rows: rows[m] maps each endpoint to [N_0, N_1, ...] (act=None)
-    or to the weight sum of the m-step walks ending there. Raises
-    ResourceError when more than node_budget() states are expanded.
+    Returns rows: rows[m] maps each endpoint to [N_0, N_1, ...] (act=None;
+    the points of an orbit share one list) or to the weight sum of the
+    m-step walks ending there. Raises ResourceError when more than
+    node_budget() canonical states are expanded.
     """
     if act is not None and act.sup() == 0:
         return _saw_rows(n, ctx)
     states = _LEStates(ctx, n)
+    moves = [states.canonical_moves(k) for k in range(states.d + 1)]
+    base, powers = states.base, states.powers
     packed = act is None or act.is_constant
-    width = (states.base**n).bit_length()  # N_k <= (2d)^n
+    width = (base**n).bit_length()  # N_k <= (2d)^n, also for an orbit's total
     loop_weights: dict = {}  # erased loop -> activity
 
     one = 1 if packed else Fraction(1)
@@ -281,25 +324,34 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list
         states.charge(len(level))
         row, nxt = rows[m + 1], {}
         for code, w in level.items():
-            for q, child, loop in states.successors(code):
-                if not loop:
-                    cw = w
-                elif packed:
-                    cw = w << width
-                else:
-                    if loop not in loop_weights:
-                        closed = tuple(map(states.point, states.points(loop) + [0]))
-                        loop_weights[loop] = act.weight_of_key(sap_key(closed))
-                    cw = w * loop_weights[loop]
+            pts, k = states.walk(code)
+            pos = {q: i for i, q in enumerate(pts)}
+            for s, mv, mult, _ in moves[k]:
+                q = pts[-1] + mv
+                j = pos.get(q)
+                if j is None:
+                    child, cw = code * base + s, w * mult
+                else:  # truncate at the hit point, erasing the loop after it
+                    cut = powers[len(pts) - 1 - j]
+                    child = code // cut
+                    if packed:
+                        cw = w << width
+                    else:
+                        loop = cut + code % cut
+                        if loop not in loop_weights:
+                            closed = tuple(map(states.point, states.walk(loop)[0] + [0]))
+                            loop_weights[loop] = act.weight_of_key(sap_key(closed))
+                        cw = w * loop_weights[loop]
                 row[q] = row.get(q, 0) + cw
                 if m < n - 1:
                     nxt[child] = nxt.get(child, 0) + cw
         level = nxt
     mask = (1 << width) - 1
 
-    def value(w):
+    def share(w, size):
         if not packed:
-            return w
+            return w / size
+        w //= size  # exact digit by digit
         counts = []
         while w:
             counts.append(w & mask)
@@ -308,7 +360,7 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list
             return counts
         return sum((c * act.value**k for k, c in enumerate(counts)), Fraction(0))
 
-    return [{states.point(q): value(w) for q, w in row.items()} for row in rows]
+    return [states.unfold(row, share) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +400,19 @@ def _shifts(region, rng, ctx) -> set:
     return {tuple(map(sub, a, r)) for a in region for r in rng}
 
 
-def _entries(act, nmax, ctx):
+def _entries(act, nmax, ctx) -> tuple:
     """(n, w(X)/|X| summed over the entry's walks, range) per catalog entry of
     at most nmax steps and nonzero weight."""
-    for rng, n, keys, cnt in closed_walk_catalog(ctx, nmax - nmax % 2 if ctx.is_lattice else nmax):
-        if n <= nmax:
-            w = act.weight_of_keys(keys) * Fraction(cnt, n)
-            if w:
-                yield n, w, rng
+    return _entry_weights(act, ctx, nmax - nmax % 2 if ctx.is_lattice else nmax)
+
+
+@lru_cache(maxsize=None)
+def _entry_weights(act, ctx, max_len) -> tuple:
+    """_entries of closed_walk_catalog(ctx, max_len), weighed once per
+    activity."""
+    weighed = ((n, act.weight_of_keys(keys) * Fraction(cnt, n), rng)
+               for rng, n, keys, cnt in closed_walk_catalog(ctx, max_len))
+    return tuple(entry for entry in weighed if entry[1])
 
 
 def _mu(A, B, C, act, nmax, ctx) -> ZSeries:

@@ -31,15 +31,16 @@ class OrientedCycle:
         cyc = w[:-1]
         if len(set(cyc)) != len(cyc):
             raise PreconditionError("not a self-avoiding polygon")
-        k = len(cyc)
-        best = min(cyc[i:] + cyc[:i] for i in range(k))
-        return OrientedCycle(best)
+        return OrientedCycle(_least_rotation(cyc))
 
     def __len__(self) -> int:
         return len(self.seq)
 
+    def __post_init__(self):  # the vertex set, built once: concurrency tests read it
+        object.__setattr__(self, "_vertex_set", frozenset(self.seq))
+
     def vertices(self) -> frozenset:
-        return frozenset(self.seq)
+        return self._vertex_set
 
     def rooted_at(self, v) -> tuple:
         """The unique representative (c_0 .. c_k) with c_0 = v (closed)."""
@@ -48,13 +49,18 @@ class OrientedCycle:
         return rep + (v,)
 
     def reversed_cycle(self) -> "OrientedCycle":
-        rev = tuple(reversed(self.seq))
-        k = len(rev)
-        return OrientedCycle(min(rev[i:] + rev[:i] for i in range(k)))
+        return OrientedCycle(_least_rotation(self.seq[::-1]))
+
+
+def _least_rotation(cyc: tuple) -> tuple:
+    """The least rotation of a sequence of distinct vertices: the one that
+    starts at its least vertex."""
+    i = cyc.index(min(cyc))
+    return cyc[i:] + cyc[:i]
 
 
 def concurrent(c1: OrientedCycle, c2: OrientedCycle) -> bool:
-    return bool(c1.vertices() & c2.vertices())
+    return not c1.vertices().isdisjoint(c2.vertices())
 
 
 @dataclass(frozen=True)
@@ -86,17 +92,16 @@ class CycleHeap:
 
     def maximal_pieces(self) -> list:
         """Pieces with no concurrent piece above them (poppable from the top)."""
-        out = []
-        for i, p in enumerate(self.pieces):
-            if not any(concurrent(p, q) for q in self.pieces[i + 1 :]):
-                out.append((i, p))
-        return out
-
-    def remove_at(self, idx: int) -> "CycleHeap":
-        return CycleHeap.of(self.pieces[:idx] + self.pieces[idx + 1 :])
+        return _maximal(self.pieces)
 
     def labels(self) -> tuple:
         return tuple(sorted(p.seq for p in self.pieces))
+
+
+def _maximal(pieces) -> list:
+    """(index, piece) of each piece of a linear extension of a heap that no
+    later piece is concurrent with: the same set for every extension."""
+    return [(i, p) for i, p in enumerate(pieces) if not any(concurrent(p, q) for q in pieces[i + 1 :])]
 
 
 def _canonical_order(seq: tuple) -> tuple:
@@ -172,15 +177,12 @@ def loop_addition(pair: LegalPair, trace=None):
     """
     if not pair.is_legal():
         raise PreconditionError("pair is not legal")
-    w = pair.eta
-    heap = pair.heap
-    while len(heap):
-        maxima = heap.maximal_pieces()
-        labels = [p for _, p in maxima]
-        c = walk_order_max(w, labels)
-        idx = next(i for i, p in maxima if p == c)
+    w, pieces = pair.eta, list(pair.heap.pieces)  # a linear extension stays one as maxima pop
+    while pieces:
+        maxima = _maximal(pieces)
+        c = walk_order_max(w, [p for _, p in maxima])
+        del pieces[next(i for i, p in maxima if p == c)]
         w = loop_insert(w, c)
-        heap = heap.remove_at(idx)
         if trace is not None:
             trace.append(c)
     return w

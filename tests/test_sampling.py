@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from lww.core import GraphCtx, LoopActivity, PreconditionError, loop_count
 from lww.enumeration import ResourceError, _LEStates, loop_count_table
 from lww import sampling as sp
+from test_transfer import _FullStates
 
 
 def test_msd_exact_anchors():
@@ -160,9 +161,10 @@ def test_sample_exact_matches_oracle_more_sizes(d, ns, lam):
 
 def _sums_oracle(n, d, p, q):
     """sample_exact's former tables, without the quotient: every state that
-    m < n steps reach, collected forward by _LEStates.successors, mapped to
-    q^(n-m) times its completion sum, filled in backward."""
-    states = _LEStates(GraphCtx.lattice(d), n)
+    m < n steps reach, collected forward by the full-state chain of
+    test_transfer, mapped to q^(n-m) times its completion sum, filled in
+    backward."""
+    states = _FullStates(GraphCtx.lattice(d), n)
     levels = [{1}]
     for m in range(n - 1):
         levels.append({c for code in levels[m] for _, c, _ in states.successors(code)})

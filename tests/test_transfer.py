@@ -1,20 +1,24 @@
-"""The loop-erasure transfer engine against a slow walk-by-walk oracle.
+"""The loop-erasure transfer engine against slow oracles.
 
 loop_count_table, msd_exact and lattice two_point_table (hence chi_series)
-merge walks by their partial loop erasure; sample_exact runs on the same
-states and has its own oracle in test_sampling.py. The oracle below shares
-no code with that engine: it enumerates every walk on its own and erases
-loops with its own stack. Results must agree exactly, down to the
-canonical text. Activities that weigh every loop 0 take the engine's SAW
-counter, checked here also against the saws() and walks() generators, the
-pinned SAW counts and test_acceptance's independent SAW enumerator;
-the lambda = 1 closed forms are checked against simple-random-walk
-endpoint counts.
+merge walks by their partial loop erasure, up to the point group;
+sample_exact runs on the same canonical states and has its own oracle in
+test_sampling.py. Two oracles check the engine. The walk-by-walk oracle
+shares no code with it: it enumerates every walk on its own and erases
+loops with its own stack. The full-state oracles (_full_transfer,
+_full_saw_rows) are the engine as it was before the quotient: the same
+chain run on every SAW, with no orbit and no unfolding. Results must agree
+exactly, down to the canonical text. Activities that weigh every loop 0
+take the engine's SAW counter, checked here also against the saws() and
+walks() generators, the pinned SAW counts and test_acceptance's independent
+SAW enumerator; the lambda = 1 closed forms are checked against
+simple-random-walk endpoint counts.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -95,6 +99,145 @@ def _zero_table_activity(d):
 
 def _activities(d):
     return [LoopActivity.constant(lam) for lam in LAMBDAS] + [_table_activity(d), _zero_table_activity(d)]
+
+
+class _FullStates(en._LEStates):
+    """The loop-erasure chain on every SAW: _LEStates with the transition
+    rule the engine ran before it ran on canonical states."""
+
+    def points(self, code) -> list:
+        """The SAW of a state, as int points from the origin."""
+        return self.walk(code)[0]
+
+    def successors(self, code) -> list:
+        """(endpoint, next state, erased loop) of each step out of a state, in
+        GraphCtx.neighbors order. A step onto the SAW truncates it at the hit
+        point and erases the loop of the steps after it, coded as a state
+        (the closing step is implied); any other step pushes and erases 0."""
+        pts = self.points(code)
+        pos = {q: i for i, q in enumerate(pts)}
+        out = []
+        for s, mv in enumerate(self.moves):
+            q = pts[-1] + mv
+            j = pos.get(q)
+            if j is None:
+                out.append((q, code * self.base + s, 0))
+            else:
+                cut = self.powers[len(pts) - 1 - j]
+                out.append((q, code // cut, cut + code % cut))
+        return out
+
+
+def _full_saw_rows(n, ctx):
+    """Oracle for en._saw_rows: every SAW expanded, none merged by orbit."""
+    states = _FullStates(ctx, n)
+    moves, rows = states.moves, [{0: 1}] + [{} for _ in range(n)]
+    last, path, on_path = rows[n], [], set()
+    todo = [(0, 0)] if n else []  # (endpoint, length) of the SAWs to expand
+    while todo:
+        q, m = todo.pop()
+        for p in path[m:]:  # back up to this SAW's parent
+            on_path.remove(p)
+        del path[m:]
+        path.append(q)
+        on_path.add(q)
+        states.charge(1)
+        m += 1
+        row = rows[m]
+        for mv in moves:
+            r = q + mv
+            if r not in on_path:
+                row[r] = row.get(r, 0) + 1
+                if m < n - 1:
+                    todo.append((r, m))
+                elif m < n:  # expand r in place: no step out of r lands on r
+                    states.charge(1)
+                    for mv2 in moves:
+                        t = r + mv2
+                        if t not in on_path:
+                            last[t] = last.get(t, 0) + 1
+    return [{states.point(q): Fraction(c) for q, c in row.items()} for row in rows]
+
+
+def _full_transfer(n, ctx, act=None):
+    """Oracle for en._transfer: every loop-erasure state expanded, none
+    merged by orbit."""
+    if act is not None and act.sup() == 0:
+        return _full_saw_rows(n, ctx)
+    states = _FullStates(ctx, n)
+    packed = act is None or act.is_constant
+    width = (states.base**n).bit_length()  # N_k <= (2d)^n
+    loop_weights: dict = {}  # erased loop -> activity
+
+    one = 1 if packed else Fraction(1)
+    rows = [{0: one}] + [{} for _ in range(n)]
+    level = {1: one}
+    for m in range(n):
+        states.charge(len(level))
+        row, nxt = rows[m + 1], {}
+        for code, w in level.items():
+            for q, child, loop in states.successors(code):
+                if not loop:
+                    cw = w
+                elif packed:
+                    cw = w << width
+                else:
+                    if loop not in loop_weights:
+                        closed = tuple(map(states.point, states.points(loop) + [0]))
+                        loop_weights[loop] = act.weight_of_key(sap_key(closed))
+                    cw = w * loop_weights[loop]
+                row[q] = row.get(q, 0) + cw
+                if m < n - 1:
+                    nxt[child] = nxt.get(child, 0) + cw
+        level = nxt
+    mask = (1 << width) - 1
+
+    def value(w):
+        if not packed:
+            return w
+        counts = []
+        while w:
+            counts.append(w & mask)
+            w >>= width
+        if act is None:
+            return counts
+        return sum((c * act.value**k for k, c in enumerate(counts)), Fraction(0))
+
+    return [{states.point(q): value(w) for q, w in row.items()} for row in rows]
+
+
+QUOTIENT_SIZES = {1: 12, 2: 9, 3: 6, 4: 5}
+
+
+@pytest.mark.parametrize("d", sorted(QUOTIENT_SIZES))
+def test_quotient_transfer_matches_full_states(d):
+    """Every row of the canonical-state engine equals the full-state
+    oracle's, for every n up to the size, under act=None, constants
+    (0 takes the SAW counter) and a sap_key table."""
+    ctx = GraphCtx.lattice(d)
+    acts = [None] + [LoopActivity.constant(lam) for lam in (0, Fraction(1, 2), 2, 3)] + [_table_activity(d)]
+    for n in range(QUOTIENT_SIZES[d] + 1):
+        for act in acts:
+            assert en._transfer(n, ctx, act) == _full_transfer(n, ctx, act), (n, act)
+
+
+@pytest.mark.parametrize("d, n", [(8, 3), (10, 2), (10, 3)])
+def test_quotient_transfer_high_dimension(d, n):
+    """The orbit unfolding at d = 8 and 10, where the point group has
+    2^d d! > 10^7 elements and is never walked. (No table activity here:
+    sap_key itself walks the group.)"""
+    ctx = GraphCtx.lattice(d)
+    for act in (None, LoopActivity.constant(0), LoopActivity.constant(Fraction(1, 2)), LoopActivity.constant(2)):
+        assert en._transfer(n, ctx, act) == _full_transfer(n, ctx, act), act
+
+
+@pytest.mark.parametrize("x", [(0, 0, 0), (2, 0, 0), (1, -1, 0), (3, -2, 1), (0, 2, -2, 0, 1)])
+def test_point_orbit_is_the_signed_permutations(x):
+    d = len(x)
+    want = {tuple(s * x[i] for s, i in zip(signs, perm))
+            for perm in permutations(range(d)) for signs in product((1, -1), repeat=d)}
+    got = en._point_orbit(x)
+    assert len(got) == len(set(got)) and set(got) == want
 
 
 @pytest.mark.parametrize("d", sorted(SIZES))
@@ -189,8 +332,31 @@ def test_saw_counts_pinned(d):
     assert tuple(_saw_counts_brute(d, len(counts))) == (1,) + counts
 
 
+def _canonical_saws_shorter_than(d, n):
+    """Brute force over step words: the self-avoiding ones of fewer than n
+    steps whose axes first appear in the order 0, 1, ..., each first taken
+    in the + direction."""
+    count = 0
+    for m in range(n):
+        for word in product([(a, s) for a in range(d) for s in (-1, 1)], repeat=m):
+            x, seen, first = (0,) * d, {(0,) * d}, []
+            for a, s in word:
+                if a not in first:
+                    if a != len(first) or s < 0:
+                        break
+                    first.append(a)
+                x = x[:a] + (x[a] + s,) + x[a + 1 :]
+                if x in seen:
+                    break
+                seen.add(x)
+            else:
+                count += 1
+    return count
+
+
 def test_saw_counter_charges_each_expanded_saw(monkeypatch):
-    expanded = 1 + sum(SAW_COUNTS[2][:4])  # the SAWs shorter than 5 steps
+    expanded = _canonical_saws_shorter_than(2, 5)  # the canonical SAWs shorter than 5 steps
+    assert expanded == 1 + 1 + 2 + 5 + 13
     ctx, zero = GraphCtx.lattice(2), LoopActivity.constant(0)
     monkeypatch.setenv("LWW_BUDGET", str(expanded))
     assert sum(en._transfer(5, ctx, zero)[5].values()) == SAW_COUNTS[2][4]
