@@ -85,12 +85,16 @@ def amplitude_exact_at(act: LoopActivity, nmax: int, ctx: GraphCtx, zc: Fraction
     numerator the printed constant absorbs into G^{-1}; without it the
     lambda = 1 anchor misses badly at any finite order.
     """
+    zc = Fraction(zc)
+    return _amplitude(chi_series(act, nmax, ctx), alpha0(act, nmax, ctx), zc)
+
+
+def _amplitude(chi: ZSeries, a0: ZSeries, zc: Fraction) -> Fraction:
+    """amplitude_exact_at from chi and alpha_0, which the estimates compute
+    once for their three points."""
     from .series import reciprocal as _recip
 
-    zc = Fraction(zc)
-    g0 = chi_series(act, nmax, ctx)
-    r = _recip(g0)
-    a0 = alpha0(act, nmax, ctx)
+    r = _recip(chi)
     dF = a0.derivative().eval_at(zc) * r.eval_at(zc) + a0.eval_at(zc) * r.derivative().eval_at(zc)
     return a0.eval_at(zc) / (zc * (-dF))
 
@@ -119,44 +123,42 @@ def diffusion_exact_at(act: LoopActivity, nmax: int, ctx: GraphCtx, zc: Fraction
     return -a * _inverse_second_moment(act, nmax, ctx, zc)
 
 
-def _rounded_zc(act: LoopActivity, nmax: int, ctx: GraphCtx) -> Fraction:
+def _rounded_zc(chi: ZSeries) -> Fraction:
     """The ratio estimate of z_c as a fraction with denominator <= 10^6."""
-    zc = Fraction(zc_ratio_estimate(chi_series(act, nmax, ctx)).value).limit_denominator(10**6)
+    zc = Fraction(zc_ratio_estimate(chi).value).limit_denominator(10**6)
     if zc <= 0:
         raise PreconditionError(f"the z_c estimate rounds to {zc} at denominator 10^6")
     return zc
 
 
-def amplitude_A_estimate(act: LoopActivity, nmax: int, ctx: GraphCtx, zc=None) -> SeriesEstimate:
-    """A(lambda) at the ratio-estimated z_c, with a +-2% sensitivity column."""
-    if zc is None:
-        zc = _rounded_zc(act, nmax, ctx)
+def _estimate(quantity: str, at, zc) -> SeriesEstimate:
+    """at(z) at z = z_c, with a +-2% sensitivity column."""
     per_order = []
     for pert in (Fraction(98, 100), Fraction(1), Fraction(102, 100)):
         zz = Fraction(zc) * pert
-        per_order.append((float(zz), float(amplitude_exact_at(act, nmax, ctx, zz))))
+        per_order.append((float(zz), float(at(zz))))
     return SeriesEstimate(
-        quantity="A",
+        quantity=quantity,
         per_order=tuple(per_order),
         value=per_order[1][1],
         method=f"lace-equation series at z_c={zc} (sensitivity +-2%)",
     )
+
+
+def amplitude_A_estimate(act: LoopActivity, nmax: int, ctx: GraphCtx, zc=None) -> SeriesEstimate:
+    """A(lambda) at the ratio-estimated z_c, with a +-2% sensitivity column."""
+    chi, a0 = chi_series(act, nmax, ctx), alpha0(act, nmax, ctx)
+    return _estimate("A", lambda z: _amplitude(chi, a0, z), _rounded_zc(chi) if zc is None else zc)
 
 
 def diffusion_D_estimate(act: LoopActivity, nmax: int, ctx: GraphCtx, zc=None) -> SeriesEstimate:
     """D(lambda) at the ratio-estimated z_c, with a +-2% sensitivity column."""
-    if zc is None:
-        zc = _rounded_zc(act, nmax, ctx)
-    per_order = []
-    for pert in (Fraction(98, 100), Fraction(1), Fraction(102, 100)):
-        zz = Fraction(zc) * pert
-        per_order.append((float(zz), float(diffusion_exact_at(act, nmax, ctx, zz))))
-    return SeriesEstimate(
-        quantity="D",
-        per_order=tuple(per_order),
-        value=per_order[1][1],
-        method=f"lace-equation series at z_c={zc} (sensitivity +-2%)",
-    )
+    chi, a0 = chi_series(act, nmax, ctx), alpha0(act, nmax, ctx)
+
+    def at(z):
+        return -_amplitude(chi, a0, z) * _inverse_second_moment(act, nmax, ctx, z)
+
+    return _estimate("D", at, _rounded_zc(chi) if zc is None else zc)
 
 
 def chi_divergence_probe(act: LoopActivity, nmax: int, ctx: GraphCtx, zc: Fraction, frac=Fraction(95, 100)):

@@ -1,15 +1,20 @@
 """Exhaustive walk-sum engine.
 
+Every lattice sum from the origin of Z^d runs on canonical walks, one per
+orbit of the point group, each standing for its orbit (_canonical_steps is
+the one step rule: which steps, with which multiplicity), and spreads its
+totals over the endpoint orbits only where an endpoint is read (_spread).
 Lattice two-point tables, loop-count tables and exact MSDs run forward over
 loop-erasure states (_transfer), merging walks that share their partial
 loop erasure; an activity that weighs every loop 0 counts SAWs instead
-(_saw_rows). Both run on one canonical SAW per orbit of the point group,
-as the exact sampler does (_LEStates is the chain all three share), and
-spread each row over the endpoint orbits at the end. Every other
-exhaustive sum (constrained walk sums, visit sums, bubble chains, the
-closed-walk catalog, finite graphs) reads one depth-first generator,
-_grow, which carries each walk's partial loop erasure along, so activity
-weights never require re-scanning the walk; `walks` and `saws` are its
+(_saw_rows). Both run on canonical SAWs, as the exact sampler does
+(_LEStates is the chain all three share), and return orbit totals: chi and
+the MSD sum them, two_point_table spreads them. Every other exhaustive sum
+(the loop-erased two-point table, constrained walk sums, visit sums, bubble
+chains, the closed-walk catalog, finite graphs) reads one depth-first
+generator, _grow, which carries each walk's partial loop erasure along, so
+activity weights never require re-scanning the walk; on Z^d from the
+origin it can grow the canonical walks alone. `walks` and `saws` are its
 walks alone. Loop measures on both kinds of graph read one catalog of
 closed walks (rooted at the origin of Z^d, or at every vertex of a finite
 graph), its entries weighed once per activity (_entries). The rooted walks
@@ -27,7 +32,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import add, sub
+from itertools import permutations, product
+from operator import add, mul, sub
 from typing import Optional
 
 from .core import (
@@ -73,7 +79,8 @@ def saws(ctx: GraphCtx, start, max_len: int):
     return (w for w, _, _ in _grow(ctx, (start,), max_len, self_avoiding=True))
 
 
-def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_avoiding=False):
+def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_avoiding=False,
+          canonical=False):
     """(walk, LE(walk), erased loops) for prefix and for every extension of
     it of at most max_len steps in all that never steps onto `avoid` and can
     still reach `end` (when given) in the steps left, depth first.
@@ -83,10 +90,22 @@ def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_av
     `keys` is true, so act.weight_of_keys(erased) is the walk's loop weight
     under either kind of activity. Erased lists are shared between walks;
     do not mutate them. Each walk yielded is charged to node_budget().
+
+    With `canonical` (Z^d, prefix the origin alone) only the canonical walks
+    are grown (_canonical_steps), one per orbit of the point group, and each
+    node carries the size of its orbit as a fourth entry. A walk's axis
+    count and orbit size follow from its parent's, which, depth first, is
+    the last walk expanded one step shorter. The constraints must then be
+    point-group invariant (end the origin, avoid empty).
     """
     saw, erased = _erase(prefix)
     if keys:
         erased = [sap_key(loop, ctx) for loop in erased]
+    if canonical:
+        rows = _canonical_units(ctx)
+        units = [[u for u, _, _ in row] for row in rows]
+        after = [{u: (mult, k2) for u, mult, k2 in row} for row in rows]
+        axes, sizes = [0] * (max_len + 1), [1] * (max_len + 1)  # by length, along the current path
     left = node_budget()
     stack = [(prefix, saw, erased)]
     while stack:
@@ -95,12 +114,20 @@ def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_av
         if left < 0:
             raise ResourceError(f"walk generator yields more than {node_budget()} walks "
                                 "(override with LWW_BUDGET)")
-        yield node
         w, saw, erased = node
+        if canonical:
+            m = len(w) - 1
+            if m:
+                mult, axes[m] = after[axes[m - 1]][tuple(map(sub, w[-1], w[-2]))]
+                sizes[m] = sizes[m - 1] * mult
+            yield node + (sizes[m],)
+        else:
+            yield node
         room = max_len - len(w)  # steps left after the next one
         if room < 0:
             continue
-        for v in ctx.neighbors(w[-1]):
+        nxt = [tuple(map(add, w[-1], u)) for u in units[axes[m]]] if canonical else ctx.neighbors(w[-1])
+        for v in nxt:
             if v in avoid or (end is not None and ctx.distance(v, end) > room):
                 continue
             if v not in saw:
@@ -123,108 +150,60 @@ def walk_sum(start, end, act: LoopActivity, nmax: int, ctx: GraphCtx, avoid=froz
     return ZSeries(tuple(coeffs))
 
 
-class _LEStates:
-    """Loop-erasure states of walks of at most n steps from the origin of Z^d,
-    up to the point group.
+def _canonical_steps(d: int) -> list:
+    """The point-group quotient of Z^d as a step rule: rows[k] lists
+    (step, multiplicity, axes used after it) for each step out of a
+    canonical walk on the first k axes, in GraphCtx.neighbors order (step
+    s < d is -e_s, step 2d-1-s is +e_s).
 
-    The partial loop erasure of a walk is a Markov chain on SAWs (Lawler
-    1991), and a walk's loop weight depends only on the loops it erases. A
-    state is the SAW's steps as base-2d digits under a leading 1 (the origin
-    alone is 1); points are ints in radix 2n+1. Every engine runs the chain
-    on canonical SAWs alone: _transfer and _saw_rows forward, by
-    canonical_moves() and unfold(), and sampling.sample_exact backward, by
-    canonical_moves() and push_frame(). Each charge()s the states it expands
-    to node_budget().
-
-    A SAW is canonical when its axes first appear in the order 0, 1, ... and
-    each axis is first taken in the + direction: one SAW per orbit of the
-    point group (2^d d! isometries), and prefixes of canonical SAWs are
-    canonical. Every lattice activity is invariant under the group
-    (constants trivially, tables because sap_key is a point-group canonical
-    form), so every SAW of an orbit carries the same weight of walks.
+    A walk from the origin is canonical when its axes first appear in the
+    order 0, 1, ... and each axis is first taken in the + direction: one
+    walk per orbit of the point group (2^d d! isometries), and prefixes of
+    canonical walks are canonical. Each direction of a used axis is its own
+    step, of multiplicity 1; the 2(d-k) steps onto unused axes map to the
+    one canonical push +e_k. So a canonical walk on k axes stands for the
+    product of its multiplicities, 2^k d!/(d-k)! walks, and its stabiliser
+    (the signed permutations of its unused axes) fixes its endpoint. Every
+    lattice activity is invariant under the group (constants trivially,
+    tables because sap_key is a point-group canonical form), so every walk
+    of an orbit carries the same weight.
     """
+    base, rows = 2 * d, []
+    for k in range(d + 1):
+        row = [(s, 1, k) for s in range(base) if s < k or s >= base - k]
+        if k < d:
+            row.insert(k, (base - 1 - k, 2 * (d - k), k + 1))
+        rows.append(row)
+    return rows
 
-    def __init__(self, ctx: GraphCtx, n: int):
-        if n < 0:
-            raise PreconditionError("need a walk length n >= 0")
-        self.d, self.n, self.base, self.radix = ctx.d, n, 2 * ctx.d, 2 * n + 1
-        self.moves = [sum(c * self.radix**i for i, c in enumerate(v)) for v in ctx.neighbors(ctx.origin())]
-        self.offset = n * sum(self.radix**i for i in range(self.d))  # makes every digit nonnegative
-        self.powers = [self.base**i for i in range(n + 1)]
-        self.left = node_budget()
 
-    def point(self, q) -> tuple:
-        return tuple((q + self.offset) // self.radix**i % self.radix - self.n for i in range(self.d))
+def _canonical_units(ctx: GraphCtx) -> list:
+    """_canonical_steps of Z^d with each step as its unit vector:
+    rows[k] lists (unit, multiplicity, axes used after it)."""
+    units = ctx.neighbors(ctx.origin())
+    return [[(units[s], mult, k2) for s, mult, k2 in row] for row in _canonical_steps(ctx.d)]
 
-    def walk(self, code) -> tuple:
-        """(points, k): the SAW of a state as int points from the origin, and
-        the number of axes a canonical SAW uses (its axes are 0 .. k-1)."""
-        steps = []
-        while code > 1:
-            code, s = divmod(code, self.base)
-            steps.append(s)
-        pts, k = [0], 0
-        for s in reversed(steps):
-            pts.append(pts[-1] + self.moves[s])
-            if s == self.base - 1 - k and k < self.d:  # the first step on axis k is +e_k
-                k += 1
-        return pts, k
 
-    def canonical_moves(self, k: int) -> list:
-        """(step, move, multiplicity, axes used after it) of each step out of a
-        canonical SAW on the first k axes, in GraphCtx.neighbors order. Step s
-        < d is -e_s and step 2d-1-s is +e_s. Each direction of a used axis is
-        its own step; the 2(d-k) steps onto unused axes map to the one
-        canonical push +e_k, which never lands on the SAW."""
-        out = [(s, self.moves[s], 1, k) for s in range(self.base) if s < k or s >= self.base - k]
-        if k < self.d:
-            s = self.base - 1 - k
-            out.insert(k, (s, self.moves[s], 2 * (self.d - k), k + 1))
-        return out
+def _orbit_key(x) -> tuple:
+    """The point-group orbit of a point of Z^d, as its sorted |coordinates|."""
+    return tuple(sorted(map(abs, x)))
 
-    def root_frame(self) -> tuple:
-        """The frame of the SAW of no steps: every step is the canonical +e_0."""
-        return (self.base - 1,) * self.base
 
-    def push_frame(self, frame: tuple, k: int, s: int):
-        """The frame and axis count after a push s out of a SAW on k axes.
+def _spread(totals: dict, share) -> dict:
+    """Orbit totals keyed by _orbit_key, spread over every point: each point
+    of an orbit O gets share(total, |O|).
 
-        frame[s] is the canonical step of a push s: for a used axis the
-        isometry that takes the SAW to its canonical SAW, for an unused one
-        +e_k. A first step on an unused axis assigns it canonical axis k.
-        """
-        plus_k = self.base - 1 - k
-        if k == self.d or frame[s] != plus_k:  # s is on a used axis
-            return frame, k
-        f = [plus_k - 1 if c == plus_k else c for c in frame]
-        f[s], f[self.base - 1 - s] = plus_k, k
-        return tuple(f), k + 1
-
-    def unfold(self, row: dict, share) -> dict:
-        """A row of orbit totals keyed by canonical-frame endpoints, spread
-        over every point: each point of an orbit O gets share(total, |O|).
-
-        A row entry sums the weight of an orbit of walks, whose endpoints
-        cover the orbit of its endpoint evenly: the stabiliser of a
-        canonical SAW (the signed permutations of its unused axes) fixes
-        its endpoint. So every division is exact. share is called once per
-        orbit, and its value is shared by the orbit's points.
-        """
-        totals: dict = {}
-        for q, w in row.items():
-            key = tuple(sorted(map(abs, self.point(q))))
-            totals[key] = totals.get(key, 0) + w
-        out = {}
-        for key, w in totals.items():
-            orbit = _point_orbit(key)
-            out.update(dict.fromkeys(orbit, share(w, len(orbit))))
-        return out
-
-    def charge(self, states: int):
-        self.left -= states
-        if self.left < 0:
-            raise ResourceError(f"walk enumeration expands more than {node_budget()} loop-erasure "
-                                "states (override with LWW_BUDGET)")
+    A total sums the weight of orbits of walks from the origin, whose
+    endpoints cover the orbit of their endpoint evenly: the stabiliser of a
+    canonical walk fixes its endpoint (_canonical_steps). So every division
+    is exact. share is called once per orbit, and its value is shared by
+    the orbit's points.
+    """
+    out = {}
+    for key, w in totals.items():
+        orbit = _point_orbit(key)
+        out.update(dict.fromkeys(orbit, share(w, len(orbit))))
+    return out
 
 
 def _point_orbit(x) -> list:
@@ -248,18 +227,93 @@ def _point_orbit(x) -> list:
     return out
 
 
+class _LEStates:
+    """Loop-erasure states of walks of at most n steps from the origin of Z^d,
+    up to the point group.
+
+    The partial loop erasure of a walk is a Markov chain on SAWs (Lawler
+    1991), and a walk's loop weight depends only on the loops it erases. A
+    state is the SAW's steps as base-2d digits under a leading 1 (the origin
+    alone is 1); points are ints in radix 2n+1. Every engine runs the chain
+    on canonical SAWs alone, stepping by `steps` (_canonical_steps with each
+    step's int move): _transfer and _saw_rows forward, summing their rows by
+    endpoint orbit (totals()), and sampling.sample_exact backward, by
+    push_frame(). Each charge()s the states it expands to node_budget().
+    """
+
+    def __init__(self, ctx: GraphCtx, n: int):
+        if n < 0:
+            raise PreconditionError("need a walk length n >= 0")
+        self.d, self.n, self.base, self.radix = ctx.d, n, 2 * ctx.d, 2 * n + 1
+        self.moves = [sum(c * self.radix**i for i, c in enumerate(v)) for v in ctx.neighbors(ctx.origin())]
+        self.steps = [[(s, self.moves[s], mult, k2) for s, mult, k2 in row] for row in _canonical_steps(self.d)]
+        self.axes_after = [{s: k2 for s, _, _, k2 in row} for row in self.steps]
+        self.offset = n * sum(self.radix**i for i in range(self.d))  # makes every digit nonnegative
+        self.powers = [self.base**i for i in range(n + 1)]
+        self.left = node_budget()
+
+    def point(self, q) -> tuple:
+        return tuple((q + self.offset) // self.radix**i % self.radix - self.n for i in range(self.d))
+
+    def walk(self, code) -> tuple:
+        """(points, k): the SAW of a state as int points from the origin, and
+        the number of axes a canonical SAW uses (its axes are 0 .. k-1; k
+        means nothing for another SAW, such as an erased loop's)."""
+        steps = []
+        while code > 1:
+            code, s = divmod(code, self.base)
+            steps.append(s)
+        pts, k = [0], 0
+        for s in reversed(steps):
+            pts.append(pts[-1] + self.moves[s])
+            k = self.axes_after[k].get(s, k)
+        return pts, k
+
+    def root_frame(self) -> tuple:
+        """The frame of the SAW of no steps: every step is the canonical +e_0."""
+        return (self.base - 1,) * self.base
+
+    def push_frame(self, frame: tuple, k: int, s: int):
+        """The frame and axis count after a push s out of a SAW on k axes.
+
+        frame[s] is the canonical step of a push s: for a used axis the
+        isometry that takes the SAW to its canonical SAW, for an unused one
+        +e_k. A first step on an unused axis assigns it canonical axis k.
+        """
+        plus_k = self.base - 1 - k
+        if k == self.d or frame[s] != plus_k:  # s is on a used axis
+            return frame, k
+        f = [plus_k - 1 if c == plus_k else c for c in frame]
+        f[s], f[self.base - 1 - s] = plus_k, k
+        return tuple(f), k + 1
+
+    def totals(self, row: dict) -> dict:
+        """A row keyed by canonical int endpoints, summed by _orbit_key."""
+        out: dict = {}
+        for q, w in row.items():
+            key = _orbit_key(self.point(q))
+            out[key] = out.get(key, 0) + w
+        return out
+
+    def charge(self, states: int):
+        self.left -= states
+        if self.left < 0:
+            raise ResourceError(f"walk enumeration expands more than {node_budget()} loop-erasure "
+                                "states (override with LWW_BUDGET)")
+
+
 def _saw_rows(n: int, ctx: GraphCtx) -> list:
     """_transfer's rows for an activity that weighs every loop 0: the SAWs of
-    length m <= n from the origin of Z^d, counted by endpoint.
+    length m <= n from the origin of Z^d, counted by endpoint orbit.
 
     Depth-first over the canonical SAWs (_LEStates), each carrying the size
     of its orbit, with the SAW's int points in a set (a (2n+1)^d occupancy
     map would not fit in memory for large d) and an explicit stack, so n is
     not bounded by the recursion limit. Each canonical SAW expanded is
-    charge()d; the rows are unfold()ed at the end.
+    charge()d.
     """
     states = _LEStates(ctx, n)
-    moves = [states.canonical_moves(k) for k in range(states.d + 1)]
+    moves = states.steps
     rows = [{0: 1}] + [{} for _ in range(n)]
     last, path, on_path = rows[n], [], set()
     todo = [(0, 0, 0, 1)] if n else []  # (endpoint, length, axes used, orbit size) of the SAWs to expand
@@ -286,32 +340,34 @@ def _saw_rows(n: int, ctx: GraphCtx) -> list:
                         t = r + mv2
                         if t not in on_path:
                             last[t] = last.get(t, 0) + c * mult2
-    return [states.unfold(row, lambda c, size: Fraction(c // size)) for row in rows]
+    return [states.totals(row) for row in rows]
 
 
 def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list:
-    """Walks of length m <= n from the origin of Z^d, summed by endpoint.
+    """Walks of length m <= n from the origin of Z^d, summed by endpoint
+    orbit.
 
     Walks sharing a loop-erasure state (_LEStates) at the same time are
     merged, and the states of one point-group orbit are merged into its
     canonical SAW, which carries the orbit's total: a push onto an unused
     axis stands for its 2(d-k) images, and a loop-closing step truncates to
-    a canonical prefix. Level n is recorded, never stored; each row is
-    unfold()ed over the endpoint orbits at the end. Constant activities
-    carry sum_k N_k lambda^k as one int with N_k in digit k, so a charged
-    loop is a shift; table activities carry a Fraction. An activity that
-    weighs every loop 0 (lambda = 0, or a table of zeros) leaves only the
-    SAWs, which share no states: _saw_rows counts them instead.
+    a canonical prefix. Level n is recorded, never stored. Constant
+    activities carry sum_k N_k lambda^k as one int with N_k in digit k, so
+    a charged loop is a shift; table activities carry a Fraction. An
+    activity that weighs every loop 0 (lambda = 0, or a table of zeros)
+    leaves only the SAWs, which share no states: _saw_rows counts them
+    instead.
 
-    Returns rows: rows[m] maps each endpoint to [N_0, N_1, ...] (act=None;
-    the points of an orbit share one list) or to the weight sum of the
-    m-step walks ending there. Raises ResourceError when more than
-    node_budget() canonical states are expanded.
+    Returns rows: rows[m] maps each endpoint orbit (_orbit_key) to the
+    total over the m-step walks ending in it: [N_0, N_1, ...] (act=None) or
+    their weight sum. A point's own value is the total over the orbit's
+    size (_spread). Raises ResourceError when more than node_budget()
+    canonical states are expanded.
     """
     if act is not None and act.sup() == 0:
         return _saw_rows(n, ctx)
     states = _LEStates(ctx, n)
-    moves = [states.canonical_moves(k) for k in range(states.d + 1)]
+    moves = states.steps
     base, powers = states.base, states.powers
     packed = act is None or act.is_constant
     width = (base**n).bit_length()  # N_k <= (2d)^n, also for an orbit's total
@@ -348,10 +404,9 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list
         level = nxt
     mask = (1 << width) - 1
 
-    def share(w, size):
+    def value(w):
         if not packed:
-            return w / size
-        w //= size  # exact digit by digit
+            return w
         counts = []
         while w:
             counts.append(w & mask)
@@ -360,7 +415,7 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list
             return counts
         return sum((c * act.value**k for k, c in enumerate(counts)), Fraction(0))
 
-    return [states.unfold(row, share) for row in rows]
+    return [{key: value(w) for key, w in states.totals(row).items()} for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -373,18 +428,49 @@ def closed_walk_catalog(ctx: GraphCtx, max_len: int):
     or at every vertex of a finite graph.
 
     Aggregated by (range, steps, erased-loop key multiset); each entry is
-    (range frozenset, n, keys tuple, count), in the order _grow first yields
-    a walk of it (root by root on a finite graph). A lattice range is
-    relative to the origin, a finite one is the walk's own vertex set.
+    (range frozenset, n, keys tuple, count). Readers sum over the entries,
+    whose order is not part of the result. A lattice range is relative to
+    the origin, a finite one is the walk's own vertex set. On Z^d only the
+    canonical closed walks are grown (_grow with canonical), one per
+    point-group orbit. An orbit shares its keys (sap_key is a point-group
+    canonical form), and its walks are the images of the canonical one
+    under the injective signed maps of its axes, so each canonical entry is
+    counted again under every image of its range (_range_images).
     """
     _guard(ctx, max_len)
     agg: dict = {}
     for root in (ctx.origin(),) if ctx.is_lattice else ctx.vertices():
-        for w, _, keys in _grow(ctx, (root,), max_len, end=root, keys=True):
+        for node in _grow(ctx, (root,), max_len, end=root, keys=True, canonical=ctx.is_lattice):
+            w = node[0]
             if len(w) > 2 and w[-1] == root:
-                key = (frozenset(w), len(w) - 1, tuple(sorted(keys)))
+                key = (frozenset(w), len(w) - 1, tuple(sorted(node[2])))
                 agg[key] = agg.get(key, 0) + 1
+    if ctx.is_lattice:
+        canonical, agg = agg, {}
+        for (rng, n, keys), cnt in canonical.items():
+            for image in _range_images(rng, ctx.d):
+                key = (image, n, keys)
+                agg[key] = agg.get(key, 0) + cnt
     return tuple((rng, n, keys, cnt) for (rng, n, keys), cnt in agg.items())
+
+
+def _range_images(rng, d: int) -> list:
+    """The images of a canonical range on the axes 0..k-1 of Z^d under the
+    2^k d!/(d-k)! injective signed maps of those axes, one per map: these
+    are the ranges of the orbit of a canonical walk (its stabiliser moves
+    only the unused axes). A symmetric range repeats."""
+    k = sum(map(any, zip(*rng)))
+    out = []
+    for axes in permutations(range(d), k):
+        src = [k] * d  # the axis each image axis reads; an unused one reads axis k, which is 0
+        for i, a in enumerate(axes):
+            src[a] = i
+        for signs in product((1, -1), repeat=k):
+            sg = [1] * d
+            for a, sign in zip(axes, signs):
+                sg[a] = sign
+            out.append(frozenset(tuple(map(mul, sg, map(p.__getitem__, src))) for p in rng))
+    return out
 
 
 def _shifts(region, rng, ctx) -> set:
@@ -476,11 +562,12 @@ def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) ->
     """G(x) for all endpoints at once: direct weighted enumeration from 0.
 
     Lattice activities go through _transfer (its SAW counter when every
-    loop weighs 0); finite graphs enumerate every walk with _grow."""
+    loop weighs 0), whose orbit totals are _spread over the endpoints;
+    finite graphs enumerate every walk with _grow."""
     start = _default_origin(ctx) if origin is None else origin
     if ctx.is_lattice:
         terms = ((tuple(map(add, x, start)), m, w) for m, row in enumerate(_transfer(nmax, ctx, act))
-                 for x, w in row.items())
+                 for x, w in _spread(row, Fraction).items())
     else:
         _guard(ctx, nmax)
         terms = ((w[-1], len(w) - 1, act.weight_of_keys(erased))
@@ -514,22 +601,28 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
     """sum over SAWs eta: 0 -> x of z^{|eta|} exp(mu(range eta)).
 
     Theorem "LM-Rep" route to the two-point function; must agree with
-    two_point_table coefficientwise.
+    two_point_table coefficientwise. The SAWs are the canonical ones of
+    Z^d (_grow with canonical), each charged to node_budget(). mu of a
+    range is point-group invariant, so each canonical SAW's term is
+    computed once and counted for its orbit; the totals by endpoint orbit
+    are _spread at the end.
     """
-    table: dict = {}
-    for eta in saws(ctx, ctx.origin(), nmax):
+    totals: dict = {}
+    for eta, _, _, size in _grow(ctx, (ctx.origin(),), nmax, self_avoiding=True, canonical=True):
         length = len(eta) - 1
         budget = nmax - length
         if budget < 2:  # no loop fits: exp(mu) = 1
-            contrib = ZSeries.one(nmax).shift(length)
+            contrib = ZSeries.monomial(size, length, nmax)
         else:
             mu = loop_measure(eta, (), act, budget, ctx)
-            contrib = exp_series(ZSeries.of(mu.coeffs, nmax)).shift(length)
-        acc = table.get(eta[-1])
+            contrib = (exp_series(ZSeries.of(mu.coeffs, nmax)) * size).shift(length)
+        key = _orbit_key(eta[-1])
+        acc = totals.get(key)
         if acc is None:
-            acc = table[eta[-1]] = SeriesSum(nmax)
+            acc = totals[key] = SeriesSum(nmax)
         acc.add(contrib)
-    return SpatialSeries.build({x: acc.value() for x, acc in table.items()}, nmax)
+    table = _spread({key: acc.value() for key, acc in totals.items()}, lambda s, n: s * Fraction(1, n))
+    return SpatialSeries.build(table, nmax)
 
 
 @lru_cache(maxsize=None)
@@ -601,6 +694,8 @@ def loop_count_table(n_max: int, d: int, endpoint_resolved: bool = False) -> Loo
     """Exact counts N(n, k) of n-step walks with k erased loops."""
     entries: dict = {}
     for n, row in enumerate(_transfer(n_max, GraphCtx.lattice(d))):
+        if endpoint_resolved:
+            row = _spread(row, lambda counts, size: [c // size for c in counts])
         for x, counts in row.items():
             for k, cnt in enumerate(counts):
                 if cnt:
@@ -618,11 +713,14 @@ def chi_series(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """Susceptibility: endpoint-summed walk weights.
 
     lambda = 1 on the lattice is the simple random walk (every loop weighs
-    1), so chi_m = (2d)^m; everything else goes through two_point_table.
+    1), so chi_m = (2d)^m; other lattice activities sum _transfer's orbit
+    totals, which cover every endpoint; finite graphs sum two_point_table.
     """
-    if ctx.is_lattice and act.is_constant and act.value == 1:
+    if not ctx.is_lattice:
+        return two_point_table(act, nmax, ctx).sum_over_x()
+    if act.is_constant and act.value == 1:
         return ZSeries(tuple(Fraction(2 * ctx.d) ** m for m in range(nmax + 1)))
-    return two_point_table(act, nmax, ctx).sum_over_x()
+    return ZSeries(tuple(Fraction(sum(row.values())) for row in _transfer(nmax, ctx, act)))
 
 
 # ---------------------------------------------------------------------------

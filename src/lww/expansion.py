@@ -23,6 +23,14 @@ omega_s|_1 and an edge with s < j < t at least 2 (|omega_j - omega_s|_1 -
 truncation budget nmax - m has only leaves whose truncated I-product is zero,
 so it is skipped. The bound concerns which loop lengths exist, not their
 weights: it holds for every activity, and the sum is unchanged.
+
+The DFS runs on canonical walks, one per orbit of the point group
+(enumeration._canonical_steps), each counted for the walks of its orbit.
+Every factor of a walk's term is point-group invariant: the loop
+measures, the X-dressing and the constraints omega_s != omega_t. So is
+the l1 distance of the order bound, so a canonical prefix is pruned
+exactly when its images are. The rows are summed by endpoint orbit and
+spread over the endpoints at the end (enumeration._spread).
 """
 
 from __future__ import annotations
@@ -45,10 +53,13 @@ from .enumeration import (
     alpha_renorm,
     two_point_table,
     walks,
+    _canonical_units,
     _entries,
     _guard,
     _i_factor,
+    _orbit_key,
     _shifts,
+    _spread,
 )
 from .laces import (
     compatible_edges,
@@ -84,8 +95,8 @@ def pi_n_table(N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSe
     if not ctx.is_lattice:
         raise PreconditionError("expansion runs on the lattice")
     _guard(ctx, nmax)
-    origin = ctx.origin()
-    table: dict = {}
+    steps = _canonical_units(ctx)
+    table: dict = {}  # endpoint orbit -> coefficients summed over its walks
     a0_inv = reciprocal(alpha0(act, nmax, ctx))
 
     for m in range(2, nmax + 1):
@@ -96,20 +107,19 @@ def pi_n_table(N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSe
             # one unlabelled set serves both the timelike constraints and
             # the spacelike hyperedge count
             cp = compatible_edges(positions, 0, m)
-            _accumulate_lace_term(
-                table, positions, cp, m, act, nmax, ctx, origin
-            )
-    out = {}
-    for x, coeffs in table.items():
-        out[x] = ZSeries(tuple(coeffs)) * a0_inv
-    return SpatialSeries.build(out, nmax)
+            _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, steps)
+    totals = {key: ZSeries(tuple(coeffs)) * a0_inv for key, coeffs in table.items()}
+    return SpatialSeries.build(_spread(totals, lambda s, n: s * Fraction(1, n)), nmax)
 
 
-def _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, origin):
-    """Add the contribution of one lace (fixed subinterval vector) to table.
+def _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, steps):
+    """Add the contribution of one lace (fixed subinterval vector) to table,
+    by endpoint orbit.
 
-    A prefix omega_0..omega_j is extended only while the lowest z-order of
-    the I-product stays within `budget` (see the module docstring)."""
+    The walks are the canonical ones (steps = _canonical_units(ctx)), each
+    counted for the size of its orbit. A prefix omega_0..omega_j is
+    extended only while the lowest z-order of the I-product stays within
+    `budget` (see the module docstring)."""
     budget = nmax - m
     cp_by_t: dict = {}
     for s, t in cp:
@@ -121,9 +131,9 @@ def _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, origin):
         closing.setdefault(t, []).append(s)
         for j in range(s + 1, t):
             spanning[j].append((s, t - j))
-    state_walk = [origin]
+    state_walk = [ctx.origin()]
 
-    def complete():
+    def complete(size):
         w = tuple(state_walk)
         factor = ZSeries.one(budget)
         for s, t in lace_edges:
@@ -133,25 +143,27 @@ def _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, origin):
             if factor.is_zero():
                 return
         factor = factor * _x_dressing(w, cp, act, budget, ctx)
-        x = w[-1]
-        row = table.get(x)
+        key = _orbit_key(w[-1])
+        row = table.get(key)
         if row is None:
             row = [Fraction(0)] * (nmax + 1)
-            table[x] = row
+            table[key] = row
         for k, c in enumerate(factor.coeffs):
             if c:
-                row[m + k] += c
+                row[m + k] += size * c
 
-    def dfs(j, closed):
-        # closed: lowest order of the I-factors of the edges closed before j
+    def dfs(j, closed, k, size):
+        # closed: lowest order of the I-factors of the edges closed before j;
+        # k: the axes the canonical prefix uses; size: its orbit's size
         if j == m + 1:
-            complete()
+            complete(size)
             return
         cur = state_walk[-1]
         checks = cp_by_t.get(j, ())
         ends = closing.get(j, ())
         opens = spanning[j]
-        for w in ctx.neighbors(cur):
+        for u, mult, k2 in steps[k]:
+            w = tuple(map(add, cur, u))
             if any(state_walk[s] == w for s in checks):
                 continue
             now = closed
@@ -165,10 +177,10 @@ def _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, origin):
             if low > budget:
                 continue
             state_walk.append(w)
-            dfs(j + 1, now)
+            dfs(j + 1, now, k2, size * mult)
             state_walk.pop()
 
-    dfs(1, 0)
+    dfs(1, 0, 0, 1)
 
 
 def pi1(x, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:

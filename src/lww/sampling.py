@@ -61,7 +61,8 @@ def msd_exact(n: int, d: int, act: LoopActivity) -> Fraction:
 
     lambda = 1 is the simple random walk (every loop weighs 1), whose mean
     squared displacement is n; every other activity sums _transfer's last
-    row (at lambda = 0, the n-step SAWs).
+    row (at lambda = 0, the n-step SAWs) of orbit totals: |x|^2 is the same
+    on an orbit.
     """
     ctx = GraphCtx.lattice(d)  # checks d before the lambda = 1 closed form
     if n < 0:
@@ -244,7 +245,7 @@ def _completion_sums(states: _LEStates, p: int, q: int) -> list:
     is decoded. Each state filled is charge()d.
     """
     base, n = states.base, states.n
-    moves = [states.canonical_moves(k) for k in range(states.d + 1)]
+    moves = states.steps
     levels = [None] * (n + 1)
     for m in reversed(range(n)):
         sums, level = levels[m + 1], {}

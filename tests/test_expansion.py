@@ -287,12 +287,12 @@ def test_pi_repulsive_bound():
 
 
 # ---------------------------------------------------------------------------
-# the order-bound pruning of the lace DFS
+# the order-bound pruning and the point-group quotient of the lace DFS
 
 
 def _pi_n_unpruned(N, act, nmax, ctx):
     """pi^(N) by the lace sum over every walk of every lace vector (no order
-    bound); the slow oracle for pi_n_table."""
+    bound, no point-group quotient); the slow oracle for pi_n_table."""
     origin = ctx.origin()
     table = {}
     for m in range(2, nmax + 1):
@@ -324,7 +324,7 @@ def _pi_n_unpruned(N, act, nmax, ctx):
     )
 
 
-ORACLE_NMAX = {1: 7, 2: 5, 3: 4}
+ORACLE_NMAX = {1: 7, 2: 5, 3: 4, 4: 4}
 
 
 @pytest.mark.parametrize("d", sorted(ORACLE_NMAX))

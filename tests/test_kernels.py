@@ -6,13 +6,15 @@ chain, the heap sum, the closed-walk catalog and the loop measure (on Z^d and
 finite graphs alike) each have one implementation that several public
 functions call. The oracles below are independent enumerations, or the
 bodies those functions had before they shared a kernel, kept here so the
-merge is checked Fraction for Fraction.
+merge is checked Fraction for Fraction. On Z^d the catalog and the
+loop-erased two-point table grow canonical walks only, one per point-group
+orbit; their oracles walk every image.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import comb
 
 import pytest
@@ -23,10 +25,12 @@ from lww import enumeration as en
 from lww import expansion as ex
 from lww import heaps as hp
 from lww.core import GraphCtx, LoopActivity, _erase, sap_key, walk_weight
-from lww.series import ZSeries, exp_series
+from lww.cli import main
+from lww.series import SeriesSum, SpatialSeries, ZSeries, exp_series
 from lww.verify import SAW_COUNTS_D2
 from test_acceptance import _saw_counts_brute
 from test_expansion import _table_activity
+from test_transfer import _canonical_saws_shorter_than
 
 LAMBDAS = (Fraction(0), Fraction(1, 2), Fraction(2))
 BOXES = ((2, 2), (2, 3), (3, 3))
@@ -146,6 +150,37 @@ def test_grow_carries_the_loop_erasure(ctx, n):
         assert got == want, (end, avoid)
 
 
+def _is_canonical(w):
+    """Whether a lattice walk's axes first appear in the order 0, 1, ...,
+    each first taken in the + direction."""
+    first = []
+    for p, q in zip(w, w[1:]):
+        a = next(i for i in range(len(p)) if p[i] != q[i])
+        if a not in first:
+            if a != len(first) or q[a] < p[a]:
+                return False
+            first.append(a)
+    return True
+
+
+@pytest.mark.parametrize("d,n", [(1, 6), (2, 5), (3, 4), (4, 3)])
+def test_grow_canonical_walks(d, n):
+    """canonical=True grows exactly the canonical walks, carrying the same
+    erasure as every walk, each with the size of its point-group orbit;
+    the sizes add up to all (2d)^m walks of each length m."""
+    ctx = GraphCtx.lattice(d)
+    o = ctx.origin()
+    plain = {t[0]: t for t in en._grow(ctx, (o,), n, keys=True)}
+    canon = list(en._grow(ctx, (o,), n, keys=True, canonical=True))
+    assert sorted(t[0] for t in canon) == sorted(w for w in plain if _is_canonical(w))
+    sizes = Counter()
+    for w, saw, keys, size in canon:
+        assert (w, saw, keys) == plain[w]
+        assert size == len(set(_group_images(w, d, tuple)))
+        sizes[len(w) - 1] += size
+    assert sizes == {m: (2 * d) ** m for m in range(n + 1)}
+
+
 def test_generators_charge_each_walk(monkeypatch):
     ctx = GraphCtx.lattice(2)
     o = ctx.origin()
@@ -161,9 +196,13 @@ def test_loop_erased_table_and_universe_charge_walks(monkeypatch):
     ctx = GraphCtx.lattice(2)
     half = LoopActivity.constant(Fraction(1, 2))
     lww.clear_caches()
-    for m in (2, 4, 6):  # the catalogs are cached, so only the SAWs are charged
+    # Cache the catalogs first: a cold catalog's up-front guard (4^6 naive
+    # walks) would raise below either budget, and only the SAW charge is
+    # under test here.
+    for m in (2, 4, 6):
         en.closed_walk_catalog(GraphCtx.lattice(2), m)
-    n_saws = sum(_saw_counts_brute(2, 6))  # 1217
+    n_saws = _canonical_saws_shorter_than(2, 7)  # the canonical SAWs of <= 6 steps
+    assert n_saws == 1 + 1 + 2 + 5 + 13 + 36 + 98
     monkeypatch.setenv("LWW_BUDGET", str(n_saws - 1))
     with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
         en.loop_erased_two_point_table(half, 6, ctx)
@@ -175,6 +214,55 @@ def test_loop_erased_table_and_universe_charge_walks(monkeypatch):
         ex.loop_universe({(0, 0)}, half, 4, ctx)
     monkeypatch.setenv("LWW_BUDGET", str(n_walks))
     assert ex.loop_universe({(0, 0)}, half, 4, ctx)
+    lww.clear_caches()
+
+
+def _loop_erased_table_oracle(act, nmax, ctx):
+    """loop_erased_two_point_table's former body: every SAW from the origin,
+    each with its own loop measure."""
+    table: dict = {}
+    for eta in en.saws(ctx, ctx.origin(), nmax):
+        length = len(eta) - 1
+        budget = nmax - length
+        if budget < 2:  # no loop fits: exp(mu) = 1
+            contrib = ZSeries.one(nmax).shift(length)
+        else:
+            mu = en.loop_measure(eta, (), act, budget, ctx)
+            contrib = exp_series(ZSeries.of(mu.coeffs, nmax)).shift(length)
+        acc = table.get(eta[-1])
+        if acc is None:
+            acc = table[eta[-1]] = SeriesSum(nmax)
+        acc.add(contrib)
+    return SpatialSeries.build({x: acc.value() for x, acc in table.items()}, nmax)
+
+
+@pytest.mark.parametrize("d,nmax", [(1, 8), (2, 6), (3, 5), (4, 4)])
+@pytest.mark.parametrize("lam", LAMBDAS + ("table",), ids=str)
+def test_loop_erased_table_matches_every_saw(d, nmax, lam):
+    ctx = GraphCtx.lattice(d)
+    act = _table_activity(d) if lam == "table" else LoopActivity.constant(lam)
+    want = _loop_erased_table_oracle(act, nmax, ctx)
+    assert en.loop_erased_two_point_table(act, nmax, ctx).to_json() == want.to_json()
+
+
+def test_quotient_sums_budget_guard(monkeypatch, capsys):
+    """The canonical sums raise ResourceError from a cold cache, and a CLI
+    command that reaches them exits 2 with one line."""
+    ctx, half = GraphCtx.lattice(2), LoopActivity.constant(Fraction(1, 2))
+    monkeypatch.setenv("LWW_BUDGET", "1000")
+    for call in (
+        lambda: en.closed_walk_catalog(ctx, 8),
+        lambda: en.closed_walk_catalog(GraphCtx.lattice(5), 6),
+        lambda: en.loop_erased_two_point_table(half, 8, ctx),
+        lambda: ex.pi_n_table(1, half, 8, ctx),
+    ):
+        lww.clear_caches()
+        with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
+            call()
+    lww.clear_caches()
+    assert main(["analyze", "--d", "2", "--lambda", "2", "--nmax", "8"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "LWW_BUDGET" in err[0] and "Traceback" not in err[0]
     lww.clear_caches()
 
 
@@ -366,24 +454,16 @@ def test_heap_sums_match_former_bodies(dims):
 
 
 def _closed_walks(n, d):
-    """Number of closed n-step walks from the origin of Z^d."""
+    """Number of closed n-step walks from the origin of Z^d: axis 0 takes 2a
+    of the steps, a each way, and the others close up in Z^(d-1)."""
     if n % 2:
         return 0
     if d == 1:
         return comb(n, n // 2)
-    if d == 2:
-        return comb(n, n // 2) ** 2
-    # d = 3: choose a_i steps along each axis each way, sum_i a_i = n/2
-    h = n // 2
-    return sum(
-        comb(n, 2 * a) * comb(2 * a, a) * comb(n - 2 * a, 2 * b) * comb(2 * b, b)
-        * comb(n - 2 * a - 2 * b, h - a - b)
-        for a in range(h + 1)
-        for b in range(h - a + 1)
-    )
+    return sum(comb(n, 2 * a) * comb(2 * a, a) * _closed_walks(n - 2 * a, d - 1) for a in range(n // 2 + 1))
 
 
-@pytest.mark.parametrize("d,n", [(1, 10), (2, 8), (3, 6)])
+@pytest.mark.parametrize("d,n", [(1, 10), (2, 8), (3, 6), (4, 6)])
 def test_closed_walk_catalog(d, n):
     ctx = GraphCtx.lattice(d)
     o = ctx.origin()
@@ -400,6 +480,38 @@ def test_closed_walk_catalog(d, n):
     got = {(rng, m, keys): cnt for rng, m, keys, cnt in cat}
     assert len(got) == len(cat)
     assert got == want
+
+
+def _group_images(points, d, collect=frozenset):
+    """The images of a range (or, collected as a tuple, a walk) under every
+    signed permutation of the axes, with repetition."""
+    return [collect(tuple(s * p[i] for s, i in zip(signs, perm)) for p in points)
+            for perm in permutations(range(d)) for signs in product((1, -1), repeat=d)]
+
+
+@pytest.mark.parametrize("d,rng,distinct", [
+    (2, {(0, 0), (1, 0), (2, 0), (2, 1)}, 8),
+    (2, {(0, 0), (1, 0), (1, 1), (0, 1)}, 4),  # a square: each image twice
+    (3, {(0, 0, 0), (1, 0, 0), (1, 1, 0)}, 24),
+    (3, {(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)}, 12),
+    (3, {(0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)}, 48),
+    (4, {(0, 0, 0, 0), (1, 0, 0, 0)}, 8),
+    (4, {(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 0, 0), (1, 1, 1, 0), (0, 1, 1, 0)}, 192),
+])
+def test_range_images_are_the_orbit(d, rng, distinct):
+    """A canonical range on k axes has 2^k d!/(d-k)! images, one per
+    injective signed map of its axes, fewer distinct ones when the range is
+    symmetric. They are its point-group orbit, each hit equally often, so
+    the catalog's merged counts (checked against every walk in
+    test_closed_walk_catalog) give each range of the orbit the same count."""
+    rng = frozenset(rng)
+    k = sum(map(any, zip(*rng)))
+    images = en._range_images(rng, d)
+    assert len(images) == 2**k * len(list(permutations(range(d), k)))
+    hits, full = Counter(images), Counter(_group_images(rng, d))
+    assert len(hits) == distinct and set(hits) == set(full)
+    assert set(hits.values()) == {len(images) // distinct}
+    assert set(full.values()) == {sum(full.values()) // distinct}
 
 
 @pytest.mark.parametrize("dims,n", [((2, 2), 8), ((2, 3), 7), ((3, 3), 6)])

@@ -7,8 +7,9 @@ test_sampling.py. Two oracles check the engine. The walk-by-walk oracle
 shares no code with it: it enumerates every walk on its own and erases
 loops with its own stack. The full-state oracles (_full_transfer,
 _full_saw_rows) are the engine as it was before the quotient: the same
-chain run on every SAW, with no orbit and no unfolding. Results must agree
-exactly, down to the canonical text. Activities that weigh every loop 0
+chain run on every SAW, with no orbit and no spreading; the engine's rows
+of orbit totals are spread over the endpoints (_spread_rows) before they
+are compared. Results must agree exactly, down to the canonical text. Activities that weigh every loop 0
 take the engine's SAW counter, checked here also against the saws() and
 walks() generators, the pinned SAW counts and test_acceptance's independent
 SAW enumerator; the lambda = 1 closed forms are checked against
@@ -206,6 +207,19 @@ def _full_transfer(n, ctx, act=None):
     return [{states.point(q): value(w) for q, w in row.items()} for row in rows]
 
 
+def _spread_rows(rows):
+    """The engine's rows of orbit totals spread over every endpoint, as the
+    full-state oracles return them: counts divided digit by digit, weights
+    as Fractions."""
+    def share(w, size):
+        if not isinstance(w, list):
+            return Fraction(w, size)
+        assert all(c % size == 0 for c in w), (w, size)
+        return [c // size for c in w]
+
+    return [en._spread(row, share) for row in rows]
+
+
 QUOTIENT_SIZES = {1: 12, 2: 9, 3: 6, 4: 5}
 
 
@@ -218,17 +232,17 @@ def test_quotient_transfer_matches_full_states(d):
     acts = [None] + [LoopActivity.constant(lam) for lam in (0, Fraction(1, 2), 2, 3)] + [_table_activity(d)]
     for n in range(QUOTIENT_SIZES[d] + 1):
         for act in acts:
-            assert en._transfer(n, ctx, act) == _full_transfer(n, ctx, act), (n, act)
+            assert _spread_rows(en._transfer(n, ctx, act)) == _full_transfer(n, ctx, act), (n, act)
 
 
 @pytest.mark.parametrize("d, n", [(8, 3), (10, 2), (10, 3)])
 def test_quotient_transfer_high_dimension(d, n):
-    """The orbit unfolding at d = 8 and 10, where the point group has
+    """The orbit spreading at d = 8 and 10, where the point group has
     2^d d! > 10^7 elements and is never walked. (No table activity here:
     sap_key itself walks the group.)"""
     ctx = GraphCtx.lattice(d)
     for act in (None, LoopActivity.constant(0), LoopActivity.constant(Fraction(1, 2)), LoopActivity.constant(2)):
-        assert en._transfer(n, ctx, act) == _full_transfer(n, ctx, act), act
+        assert _spread_rows(en._transfer(n, ctx, act)) == _full_transfer(n, ctx, act), act
 
 
 @pytest.mark.parametrize("x", [(0, 0, 0), (2, 0, 0), (1, -1, 0), (3, -2, 1), (0, 2, -2, 0, 1)])
