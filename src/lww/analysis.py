@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import GraphCtx, LoopActivity, PreconditionError
-from .series import ZSeries
+from .series import SpatialSeries, ZSeries, spatial_inverse
 from .enumeration import alpha0, chi_series, two_point_table
 
 
@@ -99,11 +99,8 @@ def _amplitude(chi: ZSeries, a0: ZSeries, zc: Fraction) -> Fraction:
     return a0.eval_at(zc) / (zc * (-dF))
 
 
-def _inverse_second_moment(act, nmax, ctx, zc: Fraction) -> Fraction:
-    """sum_x |x|^2 G^{-1}(x) evaluated at z_c."""
-    from .series import spatial_inverse as _sinv
-
-    g_inv = _sinv(two_point_table(act, nmax, ctx))
+def _inverse_second_moment(g_inv: SpatialSeries, zc: Fraction) -> Fraction:
+    """sum_x |x|^2 G^{-1}(x) evaluated at z_c, given G^{-1}."""
     acc = Fraction(0)
     for x, s in g_inv.data:
         w = sum(c * c for c in x)
@@ -120,7 +117,7 @@ def diffusion_exact_at(act: LoopActivity, nmax: int, ctx: GraphCtx, zc: Fraction
     """
     zc = Fraction(zc)
     a = amplitude_exact_at(act, nmax, ctx, zc)
-    return -a * _inverse_second_moment(act, nmax, ctx, zc)
+    return -a * _inverse_second_moment(spatial_inverse(two_point_table(act, nmax, ctx)), zc)
 
 
 def _rounded_zc(chi: ZSeries) -> Fraction:
@@ -154,9 +151,10 @@ def amplitude_A_estimate(act: LoopActivity, nmax: int, ctx: GraphCtx, zc=None) -
 def diffusion_D_estimate(act: LoopActivity, nmax: int, ctx: GraphCtx, zc=None) -> SeriesEstimate:
     """D(lambda) at the ratio-estimated z_c, with a +-2% sensitivity column."""
     chi, a0 = chi_series(act, nmax, ctx), alpha0(act, nmax, ctx)
+    g_inv = spatial_inverse(two_point_table(act, nmax, ctx))
 
     def at(z):
-        return -_amplitude(chi, a0, z) * _inverse_second_moment(act, nmax, ctx, z)
+        return -_amplitude(chi, a0, z) * _inverse_second_moment(g_inv, z)
 
     return _estimate("D", at, _rounded_zc(chi) if zc is None else zc)
 

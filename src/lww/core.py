@@ -7,10 +7,10 @@ Everything here is immutable and value-semantic.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 from typing import Optional
 
 Point = tuple
@@ -23,9 +23,6 @@ class DomainError(ValueError):
 
 class PreconditionError(ValueError):
     pass
-
-
-_ADJ_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -63,12 +60,34 @@ class GraphCtx:
     def is_lattice(self) -> bool:
         return self.adjacency is None
 
+    @cached_property
     def _adj(self) -> dict:
-        m = _ADJ_CACHE.get(self.adjacency)
-        if m is None:
-            m = dict(self.adjacency)
-            _ADJ_CACHE[self.adjacency] = m
-        return m
+        """The adjacency as a dict, built on first use; equality and hash
+        read the fields only, so a context stays a valid cache key."""
+        return dict(self.adjacency)
+
+    @cached_property
+    def _dist(self) -> dict:
+        """All-pairs BFS distances; unreachable pairs get a big value."""
+        adj = self._adj
+        big = 10**9
+        dist = {}
+        for src in adj:
+            row = {v: big for v in adj}
+            row[src] = 0
+            frontier = [src]
+            d = 0
+            while frontier:
+                d += 1
+                nxt = []
+                for u in frontier:
+                    for v in adj[u]:
+                        if row[v] > d:
+                            row[v] = d
+                            nxt.append(v)
+                frontier = nxt
+            dist[src] = row
+        return dist
 
     def degree(self) -> int:
         if self.is_lattice:
@@ -96,13 +115,13 @@ class GraphCtx:
                     out.append(tuple(q))
             out.sort()
             return out
-        adj = self._adj()
+        adj = self._adj
         if p not in adj:
             raise DomainError(f"vertex {p!r} not in graph")
         return list(adj[p])
 
     def contains(self, p) -> bool:
-        return self.is_lattice or p in self._adj()
+        return self.is_lattice or p in self._adj
 
     def vertices(self):
         if self.is_lattice:
@@ -113,41 +132,11 @@ class GraphCtx:
         """Graph distance (L1 on the lattice, BFS on finite graphs)."""
         if self.is_lattice:
             return l1(p, q)
-        return _finite_dist(self.adjacency)[p][q]
+        return self._dist[p][q]
 
 
 def l1(p, q) -> int:
     return sum(abs(a - b) for a, b in zip(p, q))
-
-
-_FINITE_DIST_CACHE: dict = {}
-
-
-def _finite_dist(adjacency: tuple) -> dict:
-    """All-pairs BFS distances for a finite graph; unreachable pairs get a big value."""
-    dist = _FINITE_DIST_CACHE.get(adjacency)
-    if dist is not None:
-        return dist
-    adj = dict(adjacency)
-    big = 10**9
-    dist = {}
-    for src in adj:
-        row = {v: big for v in adj}
-        row[src] = 0
-        frontier = [src]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in adj[u]:
-                    if row[v] > d:
-                        row[v] = d
-                        nxt.append(v)
-            frontier = nxt
-        dist[src] = row
-    _FINITE_DIST_CACHE[adjacency] = dist
-    return dist
 
 
 def concat(w1: Walk, w2: Walk) -> Walk:
@@ -314,48 +303,16 @@ def shrinking_times(eta: Walk, omega: Walk):
     return out
 
 
-_ISOMETRY_CACHE = {}
-
-
-def _point_group(d: int):
-    """Signed permutation matrices as (perm, signs) pairs: 2^d * d! of them."""
-    if d in _ISOMETRY_CACHE:
-        return _ISOMETRY_CACHE[d]
-    out = [
-        (perm, signs)
-        for perm in itertools.permutations(range(d))
-        for signs in itertools.product((1, -1), repeat=d)
-    ]
-    _ISOMETRY_CACHE[d] = out
-    return out
-
-
-def _apply_iso(p, perm, signs):
-    return tuple(signs[i] * p[perm[i]] for i in range(len(p)))
-
-
-_STEP_CODES: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _step_code(d: int):
-    """Byte code of the unit steps of Z^d, built on first use per d.
+    """(rank of each unit step of Z^d, unit step of each rank).
 
-    Returns (rank of each unit step, unit step of each rank, one translate
-    table per point-group isometry, grouped by the rank the isometry sends
-    to 0). Ranks follow the tuple order of the unit vectors, so step words
-    compare like the origin-translated point sequences they trace.
+    Ranks follow the tuple order of the unit vectors, so step words compare
+    like the origin-translated point sequences they trace: -e_i has rank i
+    and +e_i rank 2d-1-i.
     """
-    code = _STEP_CODES.get(d)
-    if code is None:
-        units = sorted(tuple(s if i == a else 0 for i in range(d)) for a in range(d) for s in (-1, 1))
-        rank = {u: r for r, u in enumerate(units)}
-        ranks = bytes(range(2 * d))
-        to_zero = [[] for _ in units]
-        for perm, signs in _point_group(d):
-            image = bytes(rank[_apply_iso(u, perm, signs)] for u in units)
-            to_zero[image.index(0)].append(bytes.maketrans(ranks, image))
-        code = _STEP_CODES[d] = (rank, units, to_zero)
-    return code
+    units = sorted(tuple(s if i == a else 0 for i in range(d)) for a in range(d) for s in (-1, 1))
+    return {u: r for r, u in enumerate(units)}, units
 
 
 def sap_key(sap: Walk, ctx: Optional[GraphCtx] = None):
@@ -366,12 +323,16 @@ def sap_key(sap: Walk, ctx: Optional[GraphCtx] = None):
     origin. Lexicographically minimal orbit element; deterministic.
 
     On the lattice the polygon is read as its word of k unit steps, one byte
-    each. Rotating the start rotates the word, reversal reverses it and
-    negates every step, and an isometry translates every byte; negation is
-    an isometry, so the reversed word is taken without it. The key is the least word over both orientations, all rotations
-    and the point group, decoded to k points from the origin. Only words
-    starting with byte 0 can be least, so each rotation meets only the
-    isometries that send its first step to byte 0.
+    each (_step_code). Rotating the start rotates the word, reversal reverses
+    it and negates every step, and an isometry relabels the axes and flips
+    their signs; negation is an isometry, so the reversed word is taken
+    without it. The least image of a word under the point group needs no
+    group: relabel the axes in the order they first appear and send each
+    axis's first step to -e_j, byte j, with j the least unused axis. A later
+    step on that axis is then byte j with the same sign and byte 2d-1-j with
+    the opposite one. Any other image is larger at the first step where it
+    differs. The key is the least such word over both orientations and all k
+    rotations, O(k^2) for every d, decoded to k points from the origin.
     """
     if sap[0] != sap[-1] or len(sap) < 3:
         raise PreconditionError("not a closed walk of length >= 2")
@@ -382,22 +343,34 @@ def sap_key(sap: Walk, ctx: Optional[GraphCtx] = None):
         rotations = [cyc[i:] + cyc[:i] for i in range(k)]
         rotations += [tuple(reversed(r)) for r in rotations]
         return min(rotations)
-    rank, units, to_zero = _step_code(len(cyc[0]))
+    d = len(cyc[0])
+    rank, units = _step_code(d)
     try:
         word = bytes(rank[tuple(map(operator.sub, q, p))] for p, q in zip(sap, sap[1:]))
     except KeyError:
         raise PreconditionError("not a lattice polygon: a step is not a unit step") from None
-    rots = [w[i : i + k] for w in (word * 2, word[::-1] * 2) for i in range(k)]
-    best = min(r.translate(t) for r in rots for t in to_zero[r[0]])
-    p = (0,) * len(cyc[0])
+    top = 2 * d - 1
+    pairs = [bytes((b, top - b)) for b in range(2 * d)]  # both signs of an axis
+    relabelled = b"".join(pairs[: len({min(b, top - b) for b in word})])
+    best = None
+    for w in (word * 2, word[::-1] * 2):
+        for i in range(k):
+            r = w[i : i + k]
+            first = bytearray()  # the signed axes of r in order of appearance
+            for b in r:
+                if b not in first:
+                    first += pairs[b]
+                    if len(first) == len(relabelled):
+                        break
+            r = r.translate(bytes.maketrans(first, relabelled))
+            if best is None or r < best:
+                best = r
+    p = (0,) * d
     out = [p]
     for b in best[:-1]:
         p = tuple(map(operator.add, p, units[b]))
         out.append(p)
     return tuple(out)
-
-
-_TABLE_CACHE: dict = {}
 
 
 @dataclass(frozen=True)
@@ -438,23 +411,20 @@ class LoopActivity:
             raise PreconditionError("constant-activity mode required")
         return self.value
 
+    @cached_property
     def _tbl(self) -> dict:
-        m = _TABLE_CACHE.get(self.table)
-        if m is None:
-            m = dict(self.table)
-            _TABLE_CACHE[self.table] = m
-        return m
+        return dict(self.table)
 
     def weight_of_key(self, key) -> Fraction:
         if self.table is None:
             return self.value
-        return self._tbl().get(key, self.default)
+        return self._tbl.get(key, self.default)
 
     def weight_of_keys(self, keys) -> Fraction:
         if self.table is None:
             return self.value ** len(keys)
         f = Fraction(1)
-        tbl = self._tbl()
+        tbl = self._tbl
         for k in keys:
             f *= tbl.get(k, self.default)
         return f

@@ -61,3 +61,20 @@ def test_divergence_probe_lambda1():
 def test_estimates_report_methods():
     est = an.zc_ratio_estimate(chi_series(LoopActivity.constant(0), 12, CTX2))
     assert "aitken" in est.method
+
+
+def test_diffusion_estimate_inverts_once(monkeypatch):
+    act = LoopActivity.constant(2)
+    zc = an._rounded_zc(chi_series(act, 8, CTX2))
+    want = [(float(z), float(an.diffusion_exact_at(act, 8, CTX2, z)))
+            for z in (zc * Fraction(98, 100), zc, zc * Fraction(102, 100))]
+    calls, inverse = [], an.spatial_inverse
+
+    def counting(table):
+        calls.append(table)
+        return inverse(table)
+
+    monkeypatch.setattr(an, "spatial_inverse", counting)
+    est = an.diffusion_D_estimate(act, 8, CTX2)
+    assert len(calls) == 1
+    assert list(est.per_order) == want and est.value == want[1][1]

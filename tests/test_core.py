@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -252,6 +253,51 @@ def test_sap_key_examples():
         ((0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 0, 1), (1, 0, 1), (1, 0, 0), (0, 0, 0)),
     ):
         assert sap_key(closed) == _sap_key_oracle(closed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(4, 10).flatmap(lambda d: st.tuples(
+    lattice_walks(d, 14),
+    st.permutations(range(d)),
+    st.lists(st.sampled_from((1, -1)), min_size=d, max_size=d),
+    st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+    st.integers(0, 27),
+    st.booleans(),
+)))
+def test_sap_key_invariant_high_dimension(case):
+    """sap_key is unchanged when a polygon is moved by a signed permutation
+    and a translation, re-rooted and reversed: an invariance that holds
+    however the key is computed, checked where no group walk is affordable."""
+    w, perm, signs, shift, root, reverse = case
+    d = len(w[0])
+    closed = list(w)  # w closed by a straight path back to its start
+    for axis in range(d):
+        while closed[-1][axis]:
+            p = list(closed[-1])
+            p[axis] -= 1 if p[axis] > 0 else -1
+            closed.append(tuple(p))
+    loops = _erase(w)[1] + ([tuple(closed)] if len(closed) > 2 else [])
+    for loop in loops:
+        cyc = [tuple(signs[i] * v[perm[i]] + shift[i] for i in range(d)) for v in loop[:-1]]
+        r = root % len(cyc)
+        cyc = cyc[r:] + cyc[:r]
+        if reverse:
+            cyc.reverse()
+        assert sap_key(tuple(cyc + cyc[:1])) == sap_key(loop), loop
+
+
+def test_cached_views_keep_equality_and_hash():
+    edges = [(0, 1), (1, 2), (2, 3)]
+    ctx, twin = GraphCtx.finite(range(4), edges), GraphCtx.finite(range(4), edges)
+    assert ctx.neighbors(1) == [0, 2] and ctx.distance(0, 3) == 3
+    table = {sap_key(((0, 0), (1, 0), (0, 0))): Fraction(3)}
+    act, act_twin = LoopActivity.of_table(table, Fraction(1, 2)), LoopActivity.of_table(table, Fraction(1, 2))
+    assert act.weight_of_key(next(iter(table))) == 3
+    cached = functools.lru_cache(maxsize=None)(lambda x: object())
+    for built, fresh in ((ctx, twin), (act, act_twin)):
+        assert vars(built).keys() - vars(fresh).keys()  # the cached views
+        assert built == fresh and hash(built) == hash(fresh)
+        assert cached(built) is cached(fresh)
 
 
 def test_sap_key_finite_graph_unchanged():

@@ -251,6 +251,13 @@ def test_lace_recursion_residual_zero():
     assert ex.lace_recursion_residual(ZERO, NM, CTX1) == 0
 
 
+def test_lace_equation_d8():
+    # d = 8 needs loop keys without the 2^8 8! point group
+    act, ctx = LoopActivity.constant(2), GraphCtx.lattice(8)
+    assert ex.lace_recursion_residual(act, 4, ctx) == 0
+    assert ex.pi_total_table(act, 4, ctx).to_json() == ex.pi_oracle(act, 4, ctx).to_json()
+
+
 def test_pi_repulsive_bound():
     # |pi^(N)| <= the relaxed sum with constraints dropped: junction pairs
     # carry I factors, legs carry Hbar (>=1 step) or Gbar (interior odd)

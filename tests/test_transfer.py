@@ -235,13 +235,13 @@ def test_quotient_transfer_matches_full_states(d):
             assert _spread_rows(en._transfer(n, ctx, act)) == _full_transfer(n, ctx, act), (n, act)
 
 
-@pytest.mark.parametrize("d, n", [(8, 3), (10, 2), (10, 3)])
+@pytest.mark.parametrize("d, n", [(8, 3), (8, 4), (10, 2), (10, 3)])
 def test_quotient_transfer_high_dimension(d, n):
     """The orbit spreading at d = 8 and 10, where the point group has
-    2^d d! > 10^7 elements and is never walked. (No table activity here:
-    sap_key itself walks the group.)"""
+    2^d d! > 10^7 elements and is never walked, sap_key included."""
     ctx = GraphCtx.lattice(d)
-    for act in (None, LoopActivity.constant(0), LoopActivity.constant(Fraction(1, 2)), LoopActivity.constant(2)):
+    for act in (None, LoopActivity.constant(0), LoopActivity.constant(Fraction(1, 2)), LoopActivity.constant(2),
+                _table_activity(d)):
         assert _spread_rows(en._transfer(n, ctx, act)) == _full_transfer(n, ctx, act), act
 
 
