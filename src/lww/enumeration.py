@@ -536,17 +536,15 @@ def generalized_loop_measure(
     return _mu(A, B, C, act, nmax, ctx)
 
 
-def alpha0(act: LoopActivity, nmax: int, ctx: GraphCtx, point=None) -> ZSeries:
-    """alpha_0 = exp(mu({0})): renormalization by loops through a point."""
-    p = ctx.origin() if point is None else point
-    return exp_series(loop_measure(frozenset([p]), frozenset(), act, nmax, ctx))
+def alpha0(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
+    """alpha_0 = exp(mu({0})): renormalization by loops through the origin."""
+    return exp_series(loop_measure(frozenset([ctx.origin()]), frozenset(), act, nmax, ctx))
 
 
-def alpha_renorm(act: LoopActivity, nmax: int, ctx: GraphCtx, point=None) -> ZSeries:
+def alpha_renorm(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """alpha = exp(mu({0}; {y})) with y the first lexicographic neighbor."""
-    p = ctx.origin() if point is None else point
-    y = ctx.neighbors(p)[0]
-    return exp_series(loop_measure(frozenset([p]), frozenset([y]), act, nmax, ctx))
+    o = ctx.origin()
+    return exp_series(loop_measure(frozenset([o]), frozenset([ctx.neighbors(o)[0]]), act, nmax, ctx))
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,36 @@ def all_oriented_cycles(ctx: GraphCtx, max_len: int):
     return tuple(sorted(out, key=lambda c: c.seq))
 
 
+def all_heaps(cycles, max_size: int):
+    """Every heap of pieces from `cycles` of total size <= max_size, once.
+
+    Each heap is grown as its lexicographically least linear extension,
+    pieces ordered as listed (Viennot, "Heaps of pieces I", 1986): a piece
+    may follow a sequence unless it commutes back past a larger piece, that
+    is, past a later-listed piece before reaching one it is concurrent with.
+    """
+    cycles = tuple(cycles)
+    seq = []  # indices into cycles
+
+    def commutes_past_larger(j):
+        for i in reversed(seq):
+            if concurrent(cycles[i], cycles[j]):
+                return False
+            if i > j:
+                return True
+        return False
+
+    def grow(budget):
+        yield CycleHeap.of(cycles[i] for i in seq)
+        for j, c in enumerate(cycles):
+            if len(c) <= budget and not commutes_past_larger(j):
+                seq.append(j)
+                yield from grow(budget - len(c))
+                seq.pop()
+
+    yield from grow(max_size)
+
+
 def cycle_weight(c: OrientedCycle, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """z^{|C|} times the activity of the polygon class of C."""
     if act.is_constant:

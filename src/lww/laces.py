@@ -9,8 +9,7 @@ Graphs are frozensets of edges.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from .core import PreconditionError
 
@@ -95,54 +94,46 @@ def is_lace(graph, a: int, b: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def compatible_edges(lace, a: int, b: int):
-    """All labelled edges st with lace_of(lace + st) == lace."""
+    """All edges st not in `lace` with lace_of(lace + st) == lace.
+
+    Closed form of the lace algorithm (Madras & Slade 1993, section 5.2).
+    Let s_1t_1, .., s_Nt_N be the lace edges in scan order, and put
+    t_0 = a + 1 and t_{N+1} = b + 1. A position st first competes in the
+    scan step out of t_i, i the first index with s < t_i (i = 0 is the
+    step out of a), and is compatible when that step still picks
+    s_{i+1}t_{i+1}: t < t_{i+1}, or t = t_{i+1} and s > s_{i+1} (the min-s
+    tie-break). Later steps pick larger t, and past t_N the scan has
+    stopped. Both labels of such a position are compatible; on a lace
+    position only the timelike label can be added, to a spacelike lace edge.
+    """
+    if lace_of(lace, a, b) != lace:
+        raise PreconditionError("graph is not a lace")
     labelled = all(len(e) == 3 for e in lace)
+    ends = [(a + 1, 0), *sorted((t, -s) for s, t in _positions(lace)), (b + 1, 0)]  # (t_i, -s_i)
     out = set()
     for s, t in combinations(range(a, b + 1), 2):
-        labels = (SPACELIKE, TIMELIKE) if labelled else (None,)
-        for lab in labels:
-            e = (s, t, lab) if labelled else (s, t)
-            if e in lace:
-                continue
-            if lace_of(lace | {e}, a, b) == lace:
-                out.add(e)
+        i = next(i for i, (ti, _) in enumerate(ends) if s < ti)
+        if (t, -s) < ends[i + 1]:
+            out |= {(s, t, SPACELIKE), (s, t, TIMELIKE)} if labelled else {(s, t)}
+    if labelled:
+        out |= {(s, t, TIMELIKE) for s, t, lab in lace if lab == SPACELIKE}
     return frozenset(out)
 
 
 def all_laces(a: int, b: int, labelled: bool = False):
-    """Enumerate laces on [a, b] constructively via valid length vectors.
-
-    A lace with N edges corresponds to a valid subinterval vector; labelled
-    laces decorate each edge with either label.
-    """
-    m = b - a
+    """Every lace on [a, b], one per valid subinterval vector (an N-edge
+    lace exists on [0, m] only for N < m); labelled laces decorate each
+    edge with either label."""
     out = []
-    N = 1
-    while True:
-        vecs = valid_vectors(N, m)
-        if not vecs and N > (m + 1) // 2 + 1:
-            break
-        found = False
-        for mvec in vecs:
-            pos = frozenset((s + a, t + a) for s, t in lace_positions_for_vector(mvec))
-            if not is_lace(pos, a, b):
+    for N in range(1, b - a):
+        for mvec in valid_vectors(N, b - a):
+            pos = sorted((s + a, t + a) for s, t in lace_positions_for_vector(mvec))
+            if not labelled:
+                out.append(frozenset(pos))
                 continue
-            found = True
-            if labelled:
-                pos_list = sorted(pos)
-                from itertools import product as iproduct
-
-                for labs in iproduct((SPACELIKE, TIMELIKE), repeat=len(pos_list)):
-                    out.append(
-                        frozenset((s, t, lab) for (s, t), lab in zip(pos_list, labs))
-                    )
-            else:
-                out.append(pos)
-        if not vecs:
-            break
-        N += 1
+            for labs in product((SPACELIKE, TIMELIKE), repeat=N):
+                out.append(frozenset((s, t, lab) for (s, t), lab in zip(pos, labs)))
     return out
 
 

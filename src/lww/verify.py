@@ -142,10 +142,7 @@ def suite_lm_rep(d: int, lam, nmax: int, max_l1: int = 3) -> list:
     a0 = en.alpha0(act, nmax, ctx)
     closed = en.walk_sum(ctx.origin(), ctx.origin(), act, nmax, ctx)  # the 0-step walk is the 1
     _series_eq("lm-rep", f"alpha0 = 1 + closed walk sum (d={d}, lambda={lam})", a0, closed, out)
-    h = en.reduced_table(act, nmax, ctx)
-    dh0 = ZSeries.zero(nmax)
-    for y in ctx.neighbors(ctx.origin()):
-        dh0 = dh0 + h.at(tuple(-c for c in y))
+    dh0 = ex.neighbor_sum(en.reduced_table(act, nmax, ctx), ctx).at(ctx.origin())
     rhs = ZSeries.one(nmax) + (dh0 * Fraction(lam)).shift(1)
     _series_eq("lm-rep", f"alpha0 = 1 + z lam |Omega| (D*H)(0) (d={d}, lambda={lam})", a0, rhs, out)
     # SAP form of alpha0 - 1: sum over polygons of lam z^k exp(mu(range))
@@ -201,29 +198,16 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
 
     # legal pairs on a 3x3 box of total size <= box_cap
     box = hp.box_graph(3, 3)
-    cycles = [c for c in hp.all_oriented_cycles(box, box_cap)]
+    heaps = [(h.size(), h) for h in hp.all_heaps(hp.all_oriented_cycles(box, box_cap), box_cap)]
     ok = True
     count = 0
-
-    def heaps_below(budget, seq):
-        yield tuple(seq)
-        for c in cycles:
-            if len(c) > budget:
-                continue
-            seq.append(c)
-            yield from heaps_below(budget - len(c), seq)
-            seq.pop()
-
     for eta in en.saws(box, (0, 0), box_cap):
         budget = box_cap - (len(eta) - 1)
-        if budget < 2:
+        if budget < 2:  # only the empty heap fits; such pairs are not counted
             continue
-        seen = set()
-        for seq in heaps_below(budget, []):
-            heap = hp.CycleHeap.of(seq)
-            if heap.pieces in seen:
+        for size, heap in heaps:
+            if size > budget:
                 continue
-            seen.add(heap.pieces)
             pair = hp.LegalPair(eta=eta, heap=heap)
             if not pair.is_legal():
                 continue
@@ -421,15 +405,8 @@ def suite_inequalities(nmax: int = 8) -> list:
         # one-step submultiplicativity
         g = en.two_point_table(act, nmax, ctx)
         al = en.alpha_renorm(act, nmax, ctx)
-        ok = True
-        for y in ((1, 0), (1, 1), (2, 1)):
-            lhs = g.at(y)
-            rhs = ZSeries.zero(nmax)
-            for u in ctx.neighbors(origin):
-                rhs = rhs + g.at(tuple(a - b for a, b in zip(y, u)))
-            rhs = (rhs * al).shift(1)
-            if not lhs.leq(rhs):
-                ok = False
+        dg = ex.neighbor_sum(g, ctx)
+        ok = all(g.at(y).leq((dg.at(y) * al).shift(1)) for y in ((1, 0), (1, 1), (2, 1)))
         out.append(CheckResult("ineq", f"G(y) <= z alpha |Omega| (D*G)(y) (lambda={lam})", ok))
 
         # loop measure monotonicity + isometry, alpha0 >= alpha >= 1
@@ -524,27 +501,6 @@ def suite_mc(samples: int = 10**6, coverage_seeds: int = 100) -> list:
     return out
 
 
-def suite_all(fast: bool = True) -> list:
-    out = []
-    out += suite_anchors()
-    out += suite_core(6)
-    for d in (1, 2):
-        for lam in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2)):
-            out += suite_lm_rep(d, lam, 8 if not fast or d == 1 else 6)
-    out += suite_heaps(6 if fast else 8, 6 if fast else 8)
-    out += suite_heap_theorem(8)
-    out += suite_laces(assignments=20)
-    for d in (1, 2):
-        for lam in (Fraction(0), Fraction(1, 2), Fraction(2)):
-            out += suite_lace_eq(d, lam, 6)
-    for d in (1, 2):
-        for lam in (Fraction(1, 2), Fraction(2)):
-            out += suite_visits(d, lam, 8 if d == 1 else 6)
-    out += suite_inequalities(8 if not fast else 6)
-    out += suite_mc(samples=10**6 if not fast else 10**5, coverage_seeds=100)
-    return out
-
-
 SUITES = {
     "core": lambda: suite_core(),
     "heaps": lambda: suite_heaps(),
@@ -565,11 +521,15 @@ SUITES = {
         r
         for d in (1, 2)
         for lam in (Fraction(1, 2), Fraction(2))
-        for r in suite_visits(d, lam, 6)
+        for r in suite_visits(d, lam, 8 if d == 1 else 6)
     ],
     "cycle-gas": lambda: suite_heap_theorem(),
     "ineq": lambda: suite_inequalities(),
     "anchors": lambda: suite_anchors(),
     "mc": lambda: suite_mc(),
-    "all": lambda: suite_all(fast=False),
+    "all": lambda: [
+        r
+        for name in ("anchors", "core", "lm-rep", "heaps", "cycle-gas", "laces", "lace-eq", "visits", "ineq", "mc")
+        for r in SUITES[name]()
+    ],
 }

@@ -79,6 +79,15 @@ def test_verify_core_passes(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def test_verify_laces_passes(capsys):
+    # the structural check compares compatible_edges with lace_of end to end
+    code, out = run(capsys, "verify", "laces")
+    assert code == 0
+    checks = [l for l in out.splitlines() if l.startswith("[")]
+    assert len(checks) == 4
+    assert all(l.startswith("[PASS]") for l in checks)
+
+
 def test_alpha_and_loop_measure(capsys):
     code, out = run(capsys, "alpha", "--d", "1", "--lambda", "1", "--nmax", "2")
     assert code == 0

@@ -170,6 +170,23 @@ def test_erasure_heap_equals_composed_heap(steps):
     assert hp.loop_erasure_to_pair(tuple(w)).heap == heap
 
 
+def test_all_heaps_are_the_distinct_heaps():
+    # every ordered sequence of cycles of total size <= 7 on the 3x3 box,
+    # deduplicated by its canonical heap
+    cycles = hp.all_oriented_cycles(hp.box_graph(3, 3), 7)
+
+    def sequences(budget, seq):
+        yield seq
+        for c in cycles:
+            if len(c) <= budget:
+                yield from sequences(budget - len(c), seq + (c,))
+
+    expect = {hp.CycleHeap.of(seq).pieces for seq in sequences(7, ())}
+    got = [h.pieces for h in hp.all_heaps(cycles, 7)]
+    assert len(got) == len(set(got))
+    assert set(got) == expect
+
+
 def test_trivial_heap_sum_examples():
     edge = GraphCtx.finite(["u", "v"], [("u", "v")])
     s = hp.trivial_heap_sum(frozenset(), edge, HALF, 4)

@@ -69,6 +69,60 @@ def test_compatible_edges_examples():
     assert all(t <= 3 for _, t, _ in comp2)
 
 
+def _compatible_brute(lace, a, b):
+    """The definition: every edge st off the lace with lace_of(lace + st) == lace."""
+    labels = (lc.SPACELIKE, lc.TIMELIKE) if all(len(e) == 3 for e in lace) else (None,)
+    out = set()
+    for s, t in combinations(range(a, b + 1), 2):
+        for lab in labels:
+            e = (s, t) if lab is None else (s, t, lab)
+            if e not in lace and lc.lace_of(lace | {e}, a, b) == lace:
+                out.add(e)
+    return frozenset(out)
+
+
+def test_compatible_edges_match_brute_force():
+    laces = [(L, m) for m in range(10) for L in lc.all_laces(0, m)]
+    assert len(laces) == 987
+    for L, m in laces:
+        assert lc.compatible_edges(L, 0, m) == _compatible_brute(L, 0, m)
+
+
+def test_compatible_edges_labelled_match_brute_force():
+    laces = [(L, m) for m in range(7) for L in lc.all_laces(0, m, labelled=True)]
+    assert len(laces) == 418
+    for L, m in laces:
+        assert lc.compatible_edges(L, 0, m) == _compatible_brute(L, 0, m)
+
+
+def test_compatible_edges_offset_interval():
+    laces = lc.all_laces(3, 10)
+    assert laces
+    for L in laces:
+        assert lc.compatible_edges(L, 3, 10) == _compatible_brute(L, 3, 10)
+
+
+def test_compatible_edges_rejects_non_laces():
+    S, T = lc.SPACELIKE, lc.TIMELIKE
+    for graph, b in (
+        (frozenset({(0, 2), (1, 3), (0, 3)}), 3),  # connected, not minimal
+        (frozenset({(0, 2)}), 3),  # not connected on [0, 3]
+        (frozenset({(0, 2, S), (0, 2, T)}), 2),  # two labels on one position
+    ):
+        with pytest.raises(PreconditionError):
+            lc.compatible_edges(graph, 0, b)
+
+
+def test_all_laces_distinct_and_laces():
+    total = 0
+    for m in range(13):
+        laces = lc.all_laces(0, m)
+        assert len(set(laces)) == len(laces)
+        assert all(lc.is_lace(L, 0, m) for L in laces)
+        total += len(laces)
+    assert total == 17711
+
+
 def test_minimality():
     for L in lc.all_laces(0, 5):
         assert lc.is_lace(L, 0, 5)
