@@ -435,7 +435,8 @@ def closed_walk_catalog(ctx: GraphCtx, max_len: int):
     point-group orbit. An orbit shares its keys (sap_key is a point-group
     canonical form), and its walks are the images of the canonical one
     under the injective signed maps of its axes, so each canonical entry is
-    counted again under every image of its range (_range_images).
+    counted again under every image of its range (_range_images), each
+    range expanded once for all the entries that share it.
     """
     _guard(ctx, max_len)
     agg: dict = {}
@@ -446,11 +447,15 @@ def closed_walk_catalog(ctx: GraphCtx, max_len: int):
                 key = (frozenset(w), len(w) - 1, tuple(sorted(node[2])))
                 agg[key] = agg.get(key, 0) + 1
     if ctx.is_lattice:
-        canonical, agg = agg, {}
-        for (rng, n, keys), cnt in canonical.items():
+        by_range: dict = {}
+        for (rng, n, keys), cnt in agg.items():
+            by_range.setdefault(rng, []).append((n, keys, cnt))
+        agg = {}
+        for rng, rows in by_range.items():
             for image in _range_images(rng, ctx.d):
-                key = (image, n, keys)
-                agg[key] = agg.get(key, 0) + cnt
+                for n, keys, cnt in rows:
+                    key = (image, n, keys)
+                    agg[key] = agg.get(key, 0) + cnt
     return tuple((rng, n, keys, cnt) for (rng, n, keys), cnt in agg.items())
 
 
@@ -561,15 +566,20 @@ def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) ->
 
     Lattice activities go through _transfer (its SAW counter when every
     loop weighs 0), whose orbit totals are _spread over the endpoints;
-    finite graphs enumerate every walk with _grow."""
+    finite graphs enumerate every walk with _grow, counted as ints by
+    (endpoint, length, loop count), or by the sorted erased-loop keys for a
+    table activity, and each group is weighed once."""
     start = _default_origin(ctx) if origin is None else origin
     if ctx.is_lattice:
         terms = ((tuple(map(add, x, start)), m, w) for m, row in enumerate(_transfer(nmax, ctx, act))
                  for x, w in _spread(row, Fraction).items())
     else:
         _guard(ctx, nmax)
-        terms = ((w[-1], len(w) - 1, act.weight_of_keys(erased))
-                 for w, _, erased in _grow(ctx, (start,), nmax, keys=not act.is_constant))
+        keys = not act.is_constant
+        groups = Counter((w[-1], len(w) - 1, tuple(sorted(erased)) if keys else len(erased))
+                         for w, _, erased in _grow(ctx, (start,), nmax, keys=keys))
+        terms = ((x, m, cnt * (act.weight_of_keys(loops) if keys else act.value**loops))
+                 for (x, m, loops), cnt in groups.items())
     table: dict = {}
     for x, m, w in terms:
         table.setdefault(x, [Fraction(0)] * (nmax + 1))[m] += w

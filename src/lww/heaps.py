@@ -100,20 +100,30 @@ class CycleHeap:
 
 def _maximal(pieces) -> list:
     """(index, piece) of each piece of a linear extension of a heap that no
-    later piece is concurrent with: the same set for every extension."""
-    return [(i, p) for i, p in enumerate(pieces) if not any(concurrent(p, q) for q in pieces[i + 1 :])]
+    later piece is concurrent with: the same set for every extension. One
+    backward pass: a piece is maximal when it misses the union of the
+    vertex sets after it."""
+    out, above = [], set()
+    for i in reversed(range(len(pieces))):
+        if above.isdisjoint(pieces[i].vertices()):
+            out.append((i, pieces[i]))
+        above |= pieces[i].vertices()
+    return out[::-1]
 
 
 def _canonical_order(seq: tuple) -> tuple:
     """Greedy Cartier-Foata linearization: repeatedly emit all minimal pieces
-    (no earlier remaining piece concurrent with them), sorted by cycle key."""
+    (no earlier remaining piece concurrent with them), sorted by cycle key.
+    One pass per level: a piece is minimal when it misses the union of the
+    vertex sets of the remaining pieces before it."""
     items = list(seq)
     out = []
     while items:
-        minimal, rest = [], []
-        for pos, p in enumerate(items):
-            blocked = any(concurrent(p, items[k]) for k in range(pos))
-            (rest if blocked else minimal).append(p)
+        minimal, rest, below = [], [], set()
+        for p in items:
+            verts = p.vertices()
+            (minimal if below.isdisjoint(verts) else rest).append(p)
+            below |= verts
         minimal.sort(key=lambda c: c.seq)
         out.extend(minimal)
         items = rest
@@ -129,7 +139,7 @@ class LegalPair:
 
     def is_legal(self) -> bool:
         rng = set(self.eta)
-        return all(p.vertices() & rng for _, p in self.heap.maximal_pieces())
+        return not any(rng.isdisjoint(p.vertices()) for _, p in self.heap.maximal_pieces())
 
 
 def loop_insert(w, c: OrientedCycle):
@@ -243,17 +253,21 @@ def all_heaps(cycles, max_size: int):
     yield from grow(max_size)
 
 
+def _activity(c: OrientedCycle, act: LoopActivity, ctx: GraphCtx) -> Fraction:
+    """The activity of the polygon class of C."""
+    if act.is_constant:
+        return act.value
+    return act.weight_of_key(sap_key(c.rooted_at(c.seq[0]), ctx))
+
+
 def cycle_weight(c: OrientedCycle, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """z^{|C|} times the activity of the polygon class of C."""
-    if act.is_constant:
-        lam = act.value
-    else:
-        lam = act.weight_of_key(sap_key(c.rooted_at(c.seq[0]), ctx))
-    return ZSeries.monomial(lam, len(c), nmax)
+    return ZSeries.monomial(_activity(c, act, ctx), len(c), nmax)
 
 
 def _heap_pieces(ctx: GraphCtx, act: LoopActivity, nmax: int, unoriented: bool) -> list:
-    """(vertex set, signed weight) of each piece of a trivial-heap sum.
+    """(vertex set, degree k, coefficient c) of each piece of a trivial-heap
+    sum whose signed weight c z^k is nonzero at order nmax.
 
     Oriented cycles weigh -w(C). With unoriented=True one orientation of
     each cycle stands for both: -2 w(C) for length > 2, -w(C) for trivial
@@ -269,28 +283,28 @@ def _heap_pieces(ctx: GraphCtx, act: LoopActivity, nmax: int, unoriented: bool) 
                 continue
             seen.add(base)
             mult = 1 if len(c) == 2 else 2
-        out.append((c.vertices(), cycle_weight(c, act, nmax, ctx) * Fraction(-mult)))
+        coeff = -mult * _activity(c, act, ctx)
+        if coeff:
+            out.append((c.vertices(), len(c), coeff))
     return out
 
 
 def _heap_sum(pieces: list, forbidden: frozenset, nmax: int) -> ZSeries:
     """Sum over sets of pairwise disjoint pieces avoiding `forbidden` of the
     product of their weights (the empty set gives 1): a DFS over the
-    independent sets of the concurrency graph."""
+    independent sets of the concurrency graph. Every weight is a monomial,
+    so a set carries its (degree, coefficient) and stops growing past nmax."""
     pieces = [p for p in pieces if not p[0] & forbidden]
     total = SeriesSum(nmax)
 
-    def dfs(start, chosen_verts, weight: ZSeries):
-        total.add(weight)
+    def dfs(start, chosen_verts, degree, coeff):
+        total.add_term(degree, coeff)
         for i in range(start, len(pieces)):
-            verts, w = pieces[i]
-            if chosen_verts & verts:
-                continue
-            w2 = weight * w
-            if not w2.is_zero():
-                dfs(i + 1, chosen_verts | verts, w2)
+            verts, k, c = pieces[i]
+            if degree + k <= nmax and chosen_verts.isdisjoint(verts):
+                dfs(i + 1, chosen_verts | verts, degree + k, coeff * c)
 
-    dfs(0, frozenset(), ZSeries.one(nmax))
+    dfs(0, frozenset(), 0, Fraction(1))
     return total.value()
 
 

@@ -3,15 +3,19 @@ verification of the lace prescription and the K/J recursion.
 
 Edges are pairs (s, t) with s < t on a discrete interval [a, b]; labelled
 edges are triples (s, t, label) with label in {"spacelike", "timelike"}.
-Graphs are frozensets of edges.
+Graphs are frozensets of edges. Weight dicts map edges, all unlabelled or
+all labelled, to ints or Fractions; the sums run on integer numerators over
+one common denominator and return exact Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import comb
 
 from .core import PreconditionError
+from .series import _scaled
 
 SPACELIKE = "spacelike"
 TIMELIKE = "timelike"
@@ -143,24 +147,38 @@ def _cap(a, b, labelled):
         raise CapExceeded(f"interval length {b - a} exceeds brute-force cap {limit}")
 
 
-def _position_weights(a: int, b: int, weights: dict) -> dict:
+def _labelled(weights: dict) -> bool:
+    """Whether a weight dict is labelled, after checking it: the keys are
+    all (s, t) or all (s, t, label) with a known label, and every weight is
+    an int or a Fraction. Keys outside the interval are allowed (K_J ignores
+    them)."""
+    sizes = {len(k) for k in weights}
+    if not sizes <= {2, 3} or len(sizes) > 1:
+        raise PreconditionError("weight keys must be all (s, t) or all (s, t, label)")
+    if any(len(k) == 3 and k[2] not in (SPACELIKE, TIMELIKE) for k in weights):
+        raise PreconditionError(f"edge labels must be {SPACELIKE!r} or {TIMELIKE!r}")
+    if not all(isinstance(w, (int, Fraction)) for w in weights.values()):
+        raise PreconditionError("weights must be ints or Fractions")
+    return sizes == {3}
+
+
+def _position_weights(a: int, b: int, weights: dict, labelled: bool) -> dict:
     """Collapse labelled weights onto positions.
 
     A position present in a labelled graph may carry one or both labels, so
     its effective weight is w_sp + w_tl + w_sp*w_tl; connectivity only sees
     positions.
     """
-    labelled = any(len(k) == 3 for k in weights)
     out = {}
     for s, t in combinations(range(a, b + 1), 2):
         if labelled:
-            wsp = weights.get((s, t, SPACELIKE), Fraction(0))
-            wtl = weights.get((s, t, TIMELIKE), Fraction(0))
+            wsp = weights.get((s, t, SPACELIKE), 0)
+            wtl = weights.get((s, t, TIMELIKE), 0)
             w = wsp + wtl + wsp * wtl
         else:
-            w = weights.get((s, t), Fraction(0))
+            w = weights.get((s, t), 0)
         if w != 0:
-            out[(s, t)] = Fraction(w)
+            out[(s, t)] = w
     return out
 
 
@@ -169,70 +187,75 @@ def _graph_sums(a: int, b: int, pos_weights: dict):
 
     Dynamic programming over positions with the state (straddle coverage
     bitmask, touches-a, touches-b); exponentially many graphs collapse onto
-    at most 2^{b-a+1} states.
+    at most 2^{b-a+1} states. The weights are scaled once to integer
+    numerators n_e over D = lcm(denominators): a state that skips a
+    position is multiplied by D and one that takes it by n_e, so after all
+    E positions every state holds its sum times D^E.
     """
     if b <= a:
         return (Fraction(1), Fraction(0)) if b == a else (Fraction(0), Fraction(0))
     interior = b - a - 1
     full = (1 << interior) - 1
-    states = {(0, False, False): Fraction(1)}
-    for (s, t), w in pos_weights.items():
+    nums, den = _scaled(pos_weights.values())
+    states = {(0, False, False): 1}
+    for (s, t), n in zip(pos_weights, nums):
         mask = 0
         for j in range(max(s + 1, a + 1), min(t, b)):
             mask |= 1 << (j - a - 1)
         xa, xb = s == a, t == b
-        nxt = dict(states)
+        nxt = {key: wt * den for key, wt in states.items()}
         for (cover, ta, tb), wt in states.items():
             key = (cover | mask, ta or xa, tb or xb)
-            add = wt * w
-            if key in nxt:
-                nxt[key] += add
-            else:
-                nxt[key] = add
+            nxt[key] = nxt.get(key, 0) + wt * n
         states = nxt
-    K = sum(states.values(), Fraction(0))
-    J = states.get((full, True, True), Fraction(0)) if b > a + 1 else Fraction(0)
+    scale = den ** len(nums)
+    K = Fraction(sum(states.values()), scale)
+    J = Fraction(states.get((full, True, True), 0), scale) if b > a + 1 else Fraction(0)
     return K, J
 
 
 def connected_graph_sum(a: int, b: int, weights: dict) -> Fraction:
     """Sum over labelled connected graphs of the product of edge weights."""
-    labelled = any(len(k) == 3 for k in weights)
+    labelled = _labelled(weights)
     _cap(a, b, labelled)
-    _, J = _graph_sums(a, b, _position_weights(a, b, weights))
+    _, J = _graph_sums(a, b, _position_weights(a, b, weights, labelled))
     return J
 
 
 def lace_prescription_sum(a: int, b: int, weights: dict) -> Fraction:
-    """Sum over laces of prod(lace weights) * prod over compatible (1+w)."""
-    labelled = any(len(k) == 3 for k in weights)
+    """Sum over laces of prod(lace weights) * prod over compatible (1+w).
+
+    With every weight n_e / D over one D, a lace term is prod n_e * prod
+    (D + n_e) over D^(edges it reads); each term is scaled to D^E, E the
+    number of edges on [a, b], and one Fraction is built for the sum.
+    """
+    labelled = _labelled(weights)
     _cap(a, b, labelled)
-    acc = Fraction(0)
+    nums, den = _scaled(weights.values())
+    num = dict(zip(weights, nums))
+    total = comb(b - a + 1, 2) * (2 if labelled else 1)
+    acc = 0
     for lace in all_laces(a, b, labelled=labelled):
-        p = Fraction(1)
+        p = 1
         for e in lace:
-            p *= weights.get(e, Fraction(0))
+            p *= num.get(e, 0)
         if p == 0:
             continue
-        for e in compatible_edges(lace, a, b):
-            p *= 1 + weights.get(e, Fraction(0))
-        acc += p
-    return acc
+        comp = compatible_edges(lace, a, b)
+        for e in comp:
+            p *= den + num.get(e, 0)
+        acc += p * den ** (total - len(lace) - len(comp))
+    return Fraction(acc, den**total)
 
 
 def K_J(a: int, b: int, weights: dict):
     """K[a,b] (all graphs) and J[a,b] (connected graphs), with K=J=0 for a>b
     and the empty graph carrying weight 1."""
+    labelled = _labelled(weights)
     if a > b:
         return Fraction(0), Fraction(0)
-    labelled = any(len(k) == 3 for k in weights)
     _cap(a, b, labelled)
-    pos = {
-        e: w
-        for e, w in _position_weights(a, b, weights).items()
-        if a <= e[0] and e[1] <= b
-    }
-    return _graph_sums(a, b, pos)
+    return _graph_sums(a, b, _position_weights(a, b, weights, labelled))
 
 
 def kj_recursion_residual(a: int, b: int, weights: dict) -> Fraction:

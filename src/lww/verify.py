@@ -177,15 +177,11 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
         if back != w:
             ok = False
             break
-        edges = sorted(
-            tuple(sorted((w[i], w[i + 1]))) for i in range(len(w) - 1)
-        )
-        eta_edges = [
-            tuple(sorted((pair.eta[i], pair.eta[i + 1]))) for i in range(len(pair.eta) - 1)
-        ]
+        edges = sorted((u, v) if u <= v else (v, u) for u, v in zip(w, w[1:]))
+        eta_edges = [(u, v) if u <= v else (v, u) for u, v in zip(pair.eta, pair.eta[1:])]
         for p in pair.heap.pieces:
             rep = p.rooted_at(p.seq[0])
-            eta_edges += [tuple(sorted((rep[i], rep[i + 1]))) for i in range(len(rep) - 1)]
+            eta_edges += [(u, v) if u <= v else (v, u) for u, v in zip(rep, rep[1:])]
         if sorted(eta_edges) != edges:
             ok = False
             break

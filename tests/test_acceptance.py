@@ -121,6 +121,33 @@ def test_criterion_06_lace_machinery():
     report(6, "lace prescription (single label <= 6, dual label <= 4) and K/J recursion, 20 random weight draws each")
 
 
+def test_heap_and_lace_workloads_keep_their_size():
+    """A speed-up may not shrink an acceptance workload: the heap suite at
+    the benchmark's sizes still replays every walk and legal pair, and the
+    cycle-gas and lace suites still run every check they ran."""
+    assert [r.name for r in vf.suite_heaps(7, 7)] == [
+        "Viennot round-trip + multiset conservation on 21845 walks (len <= 7, d=2)",
+        "loop_addition/erasure inverse on 1581 legal pairs (3x3 box, size <= 7)",
+    ]
+    gas = [
+        name
+        for lam in ("1/2", "1", "2")
+        for name in (
+            *(f"heap theorem {dims} lambda={lam}" for dims in ("2x2", "3x2", "3x3")),
+            *(f"cycle gas = G on 3x3, x={x}, lambda={lam}" for x in ("(0, 0)", "(1, 1)", "(2, 2)")),
+            f"unoriented weight -2 lambda bookkeeping, lambda={lam}",
+        )
+    ]
+    results = vf.suite_heap_theorem(8)
+    assert [r.name for r in results] == gas and {r.suite for r in results} == {"cycle-gas"}
+    assert [r.name for r in vf.suite_laces()] == [
+        "lace prescription, single label, intervals <= 6, 20 weight draws",
+        "lace prescription, dual label, intervals <= 4, 20 weight draws",
+        "K/J recursion on intervals <= 6, 20 weight draws",
+        "lace_of idempotent; compatibility consistent",
+    ]
+
+
 def test_criterion_07_lace_equation():
     t0 = time.time()
     results = []

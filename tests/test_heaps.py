@@ -1,11 +1,12 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lww.core import GraphCtx, LoopActivity, PreconditionError, loop_erase
-from lww.series import ZSeries, exp_series
+from lww.core import GraphCtx, LoopActivity, PreconditionError, loop_erase, sap_key, walk_weight
+from lww.series import SeriesSum, ZSeries, exp_series
 from lww import heaps as hp
 from lww import enumeration as en
 
@@ -232,3 +233,103 @@ def test_box_graph_json_round_trip(tmp_path):
         verts2, [(verts2[i], verts2[j]) for i, j in data["edges"]]
     )
     assert rebuilt == box
+
+
+# ---------------------------------------------------------------------------
+# the linear scans and the monomial heap sum against their former bodies
+
+
+def _maximal_oracle(pieces):
+    """_maximal's former body: each piece tested against every later one."""
+    return [(i, p) for i, p in enumerate(pieces) if not any(hp.concurrent(p, q) for q in pieces[i + 1:])]
+
+
+def _canonical_order_oracle(seq):
+    """_canonical_order's former body: pairwise tests against earlier pieces."""
+    items = list(seq)
+    out = []
+    while items:
+        minimal, rest = [], []
+        for pos, p in enumerate(items):
+            blocked = any(hp.concurrent(p, items[k]) for k in range(pos))
+            (rest if blocked else minimal).append(p)
+        minimal.sort(key=lambda c: c.seq)
+        out.extend(minimal)
+        items = rest
+    return tuple(out)
+
+
+def test_linear_scans_match_pairwise_oracles():
+    cycles = hp.all_oriented_cycles(hp.box_graph(3, 3), 8)
+    rng = random.Random(18)
+    heaps = 0
+    for heap in hp.all_heaps(cycles, 8):
+        heaps += 1
+        shuffled = list(heap.pieces)
+        rng.shuffle(shuffled)
+        for seq in (heap.pieces, heap.pieces[::-1], tuple(shuffled)):
+            assert hp._maximal(seq) == _maximal_oracle(seq)
+            assert hp._canonical_order(seq) == _canonical_order_oracle(seq)
+        assert heap.maximal_pieces() == _maximal_oracle(heap.pieces)
+    assert heaps == 8265
+
+
+def _heap_sum_oracle(forbidden, ctx, act, nmax, unoriented):
+    """_heap_pieces and _heap_sum's former bodies: ZSeries weights, one
+    series product per node of the independent-set DFS."""
+    seen = set()
+    pieces = []
+    for c in hp.all_oriented_cycles(ctx, nmax):
+        mult = 1
+        if unoriented:
+            base = min(c.seq, c.reversed_cycle().seq)
+            if base in seen:
+                continue
+            seen.add(base)
+            mult = 1 if len(c) == 2 else 2
+        if not c.vertices() & forbidden:
+            pieces.append((c.vertices(), hp.cycle_weight(c, act, nmax, ctx) * Fraction(-mult)))
+    total = SeriesSum(nmax)
+
+    def dfs(start, chosen_verts, weight):
+        total.add(weight)
+        for i in range(start, len(pieces)):
+            verts, w = pieces[i]
+            if chosen_verts & verts:
+                continue
+            w2 = weight * w
+            if not w2.is_zero():
+                dfs(i + 1, chosen_verts | verts, w2)
+
+    dfs(0, frozenset(), ZSeries.one(nmax))
+    return total.value()
+
+
+def _activities(box):
+    square = ((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))
+    acts = [LoopActivity.constant(lam) for lam in (Fraction(0), Fraction(1, 2), Fraction(2))]
+    acts.append(LoopActivity.of_table({sap_key(square, box): Fraction(3)}, Fraction(1, 2)))
+    return acts
+
+
+@pytest.mark.parametrize("dims,nmax", [((2, 2), 8), ((3, 2), 8), ((3, 3), 8)])
+def test_heap_sum_matches_series_dfs(dims, nmax):
+    box = hp.box_graph(*dims)
+    for act in _activities(box):
+        for unoriented in (False, True):
+            pieces = hp._heap_pieces(box, act, nmax, unoriented)
+            for forbidden in (frozenset(), frozenset([(0, 0)]), frozenset([(1, 0), (1, 1)])):
+                got = hp._heap_sum(pieces, forbidden, nmax)
+                assert got.coeffs == _heap_sum_oracle(forbidden, box, act, nmax, unoriented).coeffs
+
+
+@pytest.mark.parametrize("dims,nmax", [((2, 2), 8), ((3, 2), 8), ((3, 3), 8)])
+def test_finite_two_point_table_matches_walk_fold(dims, nmax):
+    box = hp.box_graph(*dims)
+    for act in _activities(box):
+        table = {}
+        for w in en.walks(box, (0, 0), nmax):
+            m, weight = walk_weight(w, act, box)
+            table.setdefault(w[-1], [Fraction(0)] * (nmax + 1))[m] += weight
+        got = en.two_point_table(act, nmax, box)
+        assert {x: s.coeffs for x, s in got.data} == {x: tuple(c) for x, c in table.items()}

@@ -3,6 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lww.core import PreconditionError
 from lww import laces as lc
@@ -221,3 +222,130 @@ def test_cap():
     ws = {(0, 1): Fraction(1)}
     with pytest.raises(lc.CapExceeded):
         lc.connected_graph_sum(0, 9, {(s, s + 1): Fraction(1) for s in range(9)})
+
+
+def test_mixed_weight_keys_rejected():
+    # unlabelled weights beside labelled ones were silently ignored (sum 0)
+    ws = {(0, 2): 1, (0, 1, lc.SPACELIKE): 1, (1, 2, lc.TIMELIKE): 1}
+    for f in (lc.connected_graph_sum, lc.lace_prescription_sum, lc.K_J, lc.kj_recursion_residual):
+        with pytest.raises(PreconditionError, match="all"):
+            f(0, 2, ws)
+
+
+def test_unknown_label_rejected():
+    ws = {(0, 2, lc.SPACELIKE): 1, (0, 1, "spacelke"): 1}
+    for f in (lc.connected_graph_sum, lc.lace_prescription_sum, lc.K_J, lc.kj_recursion_residual):
+        with pytest.raises(PreconditionError, match="label"):
+            f(0, 2, ws)
+
+
+def test_float_weight_rejected():
+    # a float made lace_prescription_sum return a float beside a Fraction J
+    ws = {(0, 2): 0.5, (0, 1): Fraction(1, 3), (1, 2): 2}
+    for f in (lc.connected_graph_sum, lc.lace_prescription_sum, lc.K_J, lc.kj_recursion_residual):
+        with pytest.raises(PreconditionError, match="Fraction"):
+            f(0, 2, ws)
+
+
+def test_weights_outside_the_interval_allowed():
+    ws = {(0, 1): Fraction(2), (1, 2): Fraction(1, 3), (0, 2): -1, (5, 9): Fraction(7, 5)}
+    assert lc.K_J(0, 1, ws) == (Fraction(3), Fraction(0))
+    assert lc.kj_recursion_residual(0, 2, ws) == 0
+    assert lc.connected_graph_sum(0, 2, ws) == lc.lace_prescription_sum(0, 2, ws) == -4  # -1 (1 + 2) (1 + 1/3)
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels against their former Fraction bodies
+
+
+def _position_weights_oracle(a, b, weights):
+    labelled = any(len(k) == 3 for k in weights)
+    out = {}
+    for s, t in combinations(range(a, b + 1), 2):
+        if labelled:
+            wsp = weights.get((s, t, lc.SPACELIKE), Fraction(0))
+            wtl = weights.get((s, t, lc.TIMELIKE), Fraction(0))
+            w = wsp + wtl + wsp * wtl
+        else:
+            w = weights.get((s, t), Fraction(0))
+        if w != 0:
+            out[(s, t)] = Fraction(w)
+    return out
+
+
+def _graph_sums_oracle(a, b, pos_weights):
+    """_graph_sums's former body: the coverage-state DP folding Fractions."""
+    if b <= a:
+        return (Fraction(1), Fraction(0)) if b == a else (Fraction(0), Fraction(0))
+    full = (1 << (b - a - 1)) - 1
+    states = {(0, False, False): Fraction(1)}
+    for (s, t), w in pos_weights.items():
+        mask = 0
+        for j in range(max(s + 1, a + 1), min(t, b)):
+            mask |= 1 << (j - a - 1)
+        nxt = dict(states)
+        for (cover, ta, tb), wt in states.items():
+            key = (cover | mask, ta or s == a, tb or t == b)
+            nxt[key] = nxt.get(key, Fraction(0)) + wt * w
+        states = nxt
+    K = sum(states.values(), Fraction(0))
+    J = states.get((full, True, True), Fraction(0)) if b > a + 1 else Fraction(0)
+    return K, J
+
+
+def _lace_prescription_oracle(a, b, weights):
+    """lace_prescription_sum's former body: one Fraction product per lace."""
+    labelled = any(len(k) == 3 for k in weights)
+    acc = Fraction(0)
+    for lace in lc.all_laces(a, b, labelled=labelled):
+        p = Fraction(1)
+        for e in lace:
+            p *= weights.get(e, Fraction(0))
+        if p == 0:
+            continue
+        for e in lc.compatible_edges(lace, a, b):
+            p *= 1 + weights.get(e, Fraction(0))
+        acc += p
+    return acc
+
+
+_WEIGHT = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9),
+)
+
+
+@st.composite
+def _interval_weights(draw, max_unlabelled=6, max_labelled=4):
+    """(a, b, weights): an offset interval, all-int or all-Fraction or mixed
+    weights with zeros and negatives, unlabelled (L <= 6) or labelled (L <= 4)."""
+    labelled = draw(st.booleans())
+    L = draw(st.integers(1, max_labelled if labelled else max_unlabelled))
+    a = draw(st.integers(-3, 5))
+    labels = (lc.SPACELIKE, lc.TIMELIKE) if labelled else (None,)
+    keys = [(s, t) if lab is None else (s, t, lab)
+            for s, t in combinations(range(a, a + L + 1), 2) for lab in labels]
+    present = draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)))
+    ws = {k: draw(_WEIGHT) for k, keep in zip(keys, present) if keep}
+    return a, a + L, ws
+
+
+@settings(max_examples=150, deadline=None)
+@given(_interval_weights())
+def test_graph_sums_match_fraction_oracle(case):
+    a, b, ws = case
+    got = lc.K_J(a, b, ws)
+    want = _graph_sums_oracle(a, b, _position_weights_oracle(a, b, ws))
+    assert got == want and all(type(x) is Fraction for x in got)
+    _, J = want
+    assert lc.connected_graph_sum(a, b, ws) == J
+
+
+@settings(max_examples=150, deadline=None)
+@given(_interval_weights())
+def test_lace_prescription_matches_fraction_oracle(case):
+    a, b, ws = case
+    got = lc.lace_prescription_sum(a, b, ws)
+    assert got == _lace_prescription_oracle(a, b, ws)
+    assert type(got) is Fraction
+    assert got == lc.connected_graph_sum(a, b, ws)
