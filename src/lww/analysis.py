@@ -22,7 +22,6 @@ class SeriesEstimate:
     per_order: tuple  # (order, value) pairs, raw
     value: float
     method: str
-    flags: tuple = ()
 
 
 def _aitken(seq):

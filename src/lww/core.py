@@ -89,11 +89,6 @@ class GraphCtx:
             dist[src] = row
         return dist
 
-    def degree(self) -> int:
-        if self.is_lattice:
-            return 2 * self.d
-        raise DomainError("finite graphs have no uniform degree")
-
     def max_degree(self) -> int:
         if self.is_lattice:
             return 2 * self.d
@@ -339,10 +334,9 @@ def sap_key(sap: Walk, ctx: Optional[GraphCtx] = None):
     cyc = sap[:-1]
     k = len(cyc)
     lattice = ctx is None or ctx.is_lattice
-    if not lattice:
-        rotations = [cyc[i:] + cyc[:i] for i in range(k)]
-        rotations += [tuple(reversed(r)) for r in rotations]
-        return min(rotations)
+    if not lattice:  # a least rotation starts at the least vertex
+        low = min(cyc)
+        return min(r[i:] + r[:i] for r in (cyc, cyc[::-1]) for i, v in enumerate(r) if v == low)
     d = len(cyc[0])
     rank, units = _step_code(d)
     try:

@@ -15,7 +15,9 @@ chains, the closed-walk catalog, finite graphs) reads one depth-first
 generator, _grow, which carries each walk's partial loop erasure along, so
 activity weights never require re-scanning the walk; on Z^d from the
 origin it can grow the canonical walks alone. `walks` and `saws` are its
-walks alone. Loop measures on both kinds of graph read one catalog of
+walks alone. The sums over whole walks (walk sums, visit sums, finite-graph
+two-point tables, the closed tail of a bubble chain) read one class tally,
+_tally, which weighs each (endpoint, length, loops) class once. Loop measures on both kinds of graph read one catalog of
 closed walks (rooted at the origin of Z^d, or at every vertex of a finite
 graph), its entries weighed once per activity (_entries). The rooted walks
 of an entry that meet a region are named by _shifts: on Z^d the shifts v
@@ -142,12 +144,31 @@ def walk_sum(start, end, act: LoopActivity, nmax: int, ctx: GraphCtx, avoid=froz
     """Sum of z^{|w|} * loop weight over the walks start -> end (any end when
     end is None) of at most nmax steps, the 0-step walk included, that never
     step onto `avoid` (start in avoid: no return to start)."""
-    _guard(ctx, nmax)
-    coeffs = [Fraction(0)] * (nmax + 1)
-    for w, _, erased in _grow(ctx, (start,), nmax, end, avoid, not act.is_constant):
-        if end is None or w[-1] == end:
-            coeffs[len(w) - 1] += act.weight_of_keys(erased)
-    return ZSeries(tuple(coeffs))
+    return ZSeries.sum(_tally(ctx, (start,), act, nmax, end, avoid).values(), nmax)
+
+
+def _tally(ctx, prefix, act, max_len, end=None, avoid=frozenset(), mark=None) -> dict:
+    """{endpoint: sum of z^{|w|} * loop weight} over the walks w of
+    _grow(ctx, prefix, max_len, end, avoid) that end at `end` (when given),
+    each counted once per visit to `mark` at a time j >= 1 when a mark is
+    given.
+
+    A walk's loop weight depends only on its erased loops: their number
+    under a constant activity, their sorted keys under a table. So the walks
+    are counted as ints by (endpoint, length, loops, visits), and each class
+    is weighed once. Refuses a job up front by _guard."""
+    _guard(ctx, max_len)
+    keys = not act.is_constant
+    classes = Counter((w[-1], len(w) - 1, tuple(sorted(erased)) if keys else len(erased),
+                       1 if mark is None else w[1:].count(mark))
+                      for w, _, erased in _grow(ctx, prefix, max_len, end, avoid, keys)
+                      if end is None or w[-1] == end)
+    sums: dict = {}
+    for (x, m, loops, visits), cnt in classes.items():
+        if x not in sums:
+            sums[x] = SeriesSum(max_len)
+        sums[x].add_term(m, cnt * visits * (act.weight_of_keys(loops) if keys else act.value**loops))
+    return {x: acc.value() for x, acc in sums.items()}
 
 
 def _canonical_steps(d: int) -> list:
@@ -566,23 +587,14 @@ def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) ->
 
     Lattice activities go through _transfer (its SAW counter when every
     loop weighs 0), whose orbit totals are _spread over the endpoints;
-    finite graphs enumerate every walk with _grow, counted as ints by
-    (endpoint, length, loop count), or by the sorted erased-loop keys for a
-    table activity, and each group is weighed once."""
+    finite graphs read the class tally of every walk (_tally)."""
     start = _default_origin(ctx) if origin is None else origin
-    if ctx.is_lattice:
-        terms = ((tuple(map(add, x, start)), m, w) for m, row in enumerate(_transfer(nmax, ctx, act))
-                 for x, w in _spread(row, Fraction).items())
-    else:
-        _guard(ctx, nmax)
-        keys = not act.is_constant
-        groups = Counter((w[-1], len(w) - 1, tuple(sorted(erased)) if keys else len(erased))
-                         for w, _, erased in _grow(ctx, (start,), nmax, keys=keys))
-        terms = ((x, m, cnt * (act.weight_of_keys(loops) if keys else act.value**loops))
-                 for (x, m, loops), cnt in groups.items())
+    if not ctx.is_lattice:
+        return SpatialSeries.build(_tally(ctx, (start,), act, nmax), nmax)
     table: dict = {}
-    for x, m, w in terms:
-        table.setdefault(x, [Fraction(0)] * (nmax + 1))[m] += w
+    for m, row in enumerate(_transfer(nmax, ctx, act)):
+        for x, w in _spread(row, Fraction).items():
+            table.setdefault(tuple(map(add, x, start)), [Fraction(0)] * (nmax + 1))[m] += w
     return SpatialSeries.build({x: ZSeries(tuple(c)) for x, c in table.items()}, nmax)
 
 
@@ -604,7 +616,6 @@ def reduced_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSeries:
     )
 
 
-@lru_cache(maxsize=None)
 def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSeries:
     """sum over SAWs eta: 0 -> x of z^{|eta|} exp(mu(range eta)).
 
@@ -737,18 +748,7 @@ def chi_series(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
 
 def visit_weighted_closed_sum(x, y, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """sum over closed walks at x of |{j>=1: w_j = y}| * weight."""
-    return _visit_sum(x, x, y, frozenset(), act, nmax, ctx)
-
-
-def _visit_sum(x, end, b, avoid, act, nmax, ctx) -> ZSeries:
-    """sum over walks x -> end of >= 1 step that never step onto `avoid`, of
-    |{j>=1: w_j = b}| * weight."""
-    _guard(ctx, nmax)
-    coeffs = [Fraction(0)] * (nmax + 1)
-    for w, _, erased in _grow(ctx, (x,), nmax, end, avoid, not act.is_constant):
-        if w[-1] == end:
-            coeffs[len(w) - 1] += act.weight_of_keys(erased) * w[1:].count(b)
-    return ZSeries(tuple(coeffs))
+    return _tally(ctx, (x,), act, nmax, x, mark=y)[x]  # the 0-step walk ends at x
 
 
 def restricted_alpha0(x, forbidden: frozenset, act, nmax, ctx) -> ZSeries:
@@ -826,9 +826,9 @@ def bubble_chain_pinch_part(
             if i < k:
                 returning(i + 1, used + len(piece), factor * lam ** len(erased))
                 continue
-            for w, _, loops in _grow(ctx, piece + (x,), nmax - used, x, forbidden):
-                if w[-1] == x:
-                    coeffs[used + len(w) - 1] += factor * lam ** (len(loops) + k)
+            tail = _tally(ctx, piece + (x,), act, nmax - used, x, forbidden)[x]
+            for m, c in enumerate(tail.coeffs):
+                coeffs[used + m] += factor * lam**k * c
 
     forward(0, Fraction(1))
     return ZSeries(tuple(coeffs))
@@ -865,7 +865,7 @@ def split_visit_sum(x, y, b, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSe
     weighted by the number of visits to b (j >= 1)."""
     if x == y or b == x:
         raise PreconditionError("need x != y and b != x")
-    return _visit_sum(x, y, b, frozenset([x]), act, nmax, ctx)
+    return _tally(ctx, (x,), act, nmax, y, frozenset([x]), b).get(y, ZSeries.zero(nmax))
 
 
 def split_visit_sum_rhs(x, y, b, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from operator import add
 
 from .core import GraphCtx, LoopActivity, PreconditionError, l1, walk_weight
@@ -196,11 +197,9 @@ def piN(x, N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
 
 
 def max_lace_edges(nmax: int) -> int:
-    """Largest N with a valid vector of total length <= nmax."""
-    N = 1
-    while valid_vectors(N + 1, nmax):
-        N += 1
-    return N
+    """Largest N with a valid vector of total length <= nmax (at least 1):
+    an N-edge lace needs N + 1 steps."""
+    return max(1, nmax - 1)
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +229,6 @@ def neighbor_sum(table: SpatialSeries, ctx: GraphCtx) -> SpatialSeries:
     return SpatialSeries.build(out, table.nmax)
 
 
-@lru_cache(maxsize=None)
 def pi_oracle(act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSeries:
     """The unique Pi solving the lace equation for the enumerated G:
 
@@ -244,11 +242,9 @@ def pi_oracle(act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSeries:
     a0 = alpha0(act, nmax, ctx)
     al = alpha_renorm(act, nmax, ctx)
     out = dict(g_inv.scale(-a0).as_dict())
-    z_al = al.shift(1)  # z * alpha
-    inv_deg = Fraction(1, 2 * ctx.d)
+    z_al = al.shift(1)  # z alpha |Omega| D(y), as |Omega| D(y) = 1 for each neighbor y
     for y in ctx.neighbors(origin):
-        contrib = z_al * (2 * ctx.d) * inv_deg  # z alpha |Omega| D(y)
-        out[y] = out[y] - contrib if y in out else -contrib
+        out[y] = out[y] - z_al if y in out else -z_al
     one = ZSeries.one(nmax)
     out[origin] = out[origin] + one if origin in out else one
     return SpatialSeries.build(out, nmax)
@@ -323,18 +319,10 @@ def hyperedge_weight(J, X, alpha_x, w, nmax: int) -> ZSeries:
 
 
 def product_identity_check(w, X, alpha_x, nmax: int) -> bool:
-    """Lemma: prod over nonempty J of (1+F_{J,X}) = (1+alpha_X)^{1{hit}}."""
-    n = len(w) - 1
-    prod = ZSeries.one(nmax)
-    from itertools import combinations
-
-    idx = list(range(n + 1))
-    for r in range(1, n + 2):
-        for J in combinations(idx, r):
-            prod = prod * (ZSeries.one(nmax) + hyperedge_weight(J, X, alpha_x, w, nmax))
-    hit = any(v in set(X) for v in w)
-    target = ZSeries.one(nmax) + alpha_x if hit else ZSeries.one(nmax)
-    return prod.coeffs == target.coeffs
+    """Lemma: prod over nonempty J of (1+F_{J,X}) = (1+alpha_X)^{1{hit}}:
+    the corollary at k = 0, where every nonempty J meets [0, n] and the
+    empty head misses X."""
+    return remainder_identity_check(w, 0, X, alpha_x, nmax)
 
 
 def remainder_identity_check(w, k: int, X, alpha_x, nmax: int) -> bool:
@@ -343,8 +331,6 @@ def remainder_identity_check(w, k: int, X, alpha_x, nmax: int) -> bool:
     n = len(w) - 1
     if not 0 <= k <= n:
         raise PreconditionError("k out of range")
-    from itertools import combinations
-
     prod = ZSeries.one(nmax)
     for r in range(1, n + 2):
         for J in combinations(range(n + 1), r):
@@ -369,8 +355,6 @@ def span_resummation_check(w, s: int, t: int, act, nmax: int, ctx: GraphCtx) -> 
         spacelike = ZSeries.zero(nmax)
     else:
         prod = one
-        from itertools import combinations
-
         interior = list(range(s + 1, t))
         for X, ax in universe:
             lx = set(X)

@@ -94,9 +94,6 @@ class CycleHeap:
         """Pieces with no concurrent piece above them (poppable from the top)."""
         return _maximal(self.pieces)
 
-    def labels(self) -> tuple:
-        return tuple(sorted(p.seq for p in self.pieces))
-
 
 def _maximal(pieces) -> list:
     """(index, piece) of each piece of a linear extension of a heap that no

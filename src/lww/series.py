@@ -13,9 +13,8 @@ is built only for each output coefficient (the shared ZERO when it
 vanishes). Coefficients in and out are normalised Fractions (an int
 coefficient is read as n/1), and every result is the same exact rational
 the schoolbook Fraction recurrence gives, so serialised outputs cannot
-change; there is no knob choosing between the two. A product with a factor
-that has at most one nonzero coefficient (the monomials of the heap sums)
-skips the scaling and multiplies that coefficient into the other factor.
+change; there is no knob choosing between the two. Every product of two
+series runs this one kernel, whatever the sparsity of its factors.
 """
 
 from __future__ import annotations
@@ -121,23 +120,9 @@ class ZSeries:
             c = Fraction(other)
             return ZSeries(tuple(c * a for a in self.coeffs))
         self._check(other)
-        a, b = self.coeffs, other.coeffs
-        n = len(a)
-        sa = [k for k, c in enumerate(a) if c]
-        sb = [k for k, c in enumerate(b) if c]
-        if len(sb) < len(sa):
-            a, b, sa, sb = b, a, sb, sa
-        if len(sa) <= 1:
-            out = [ZERO] * n
-            for i in sa:
-                cn, cd = a[i].numerator, a[i].denominator
-                for j in sb:
-                    if i + j >= n:
-                        break
-                    out[i + j] = Fraction(cn * b[j].numerator, cd * b[j].denominator)
-            return ZSeries(tuple(out))
-        (na, da), (nb, db) = _scaled(a), _scaled(b)
-        out = _cauchy([(k, na[k]) for k in sa], [(k, nb[k]) for k in sb], [0] * n)
+        n = len(self.coeffs)
+        (na, da), (nb, db) = _scaled(self.coeffs), _scaled(other.coeffs)
+        out = _cauchy(_support(na), _support(nb), [0] * n)
         return ZSeries(_fractions(out, [da * db] * n))
 
     __rmul__ = __mul__

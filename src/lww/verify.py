@@ -446,6 +446,12 @@ def suite_anchors() -> list:
         ok = ok and all(chi.coeffs[n] == (2 * d) ** n for n in range(13))
         ok = ok and sp.msd_exact(12, d, LoopActivity.constant(1)) == 12
     out.append(CheckResult("anchors", "lambda=1: c_n = (2d)^n and msd = n, d in {1,2,3}, n <= 12", ok))
+    # the same measure as a table activity: not constant, so chi and the MSD
+    # run the transfer engine instead of their lambda = 1 closed forms
+    ones = LoopActivity.of_table({}, 1)
+    ok = all(en.chi_series(ones, n, GraphCtx.lattice(d)).coeffs == tuple((2 * d) ** m for m in range(n + 1))
+             and sp.msd_exact(n, d, ones) == n for d, n in ((1, 12), (2, 10), (3, 8)))
+    out.append(CheckResult("anchors", "every loop weighing 1 in a table: c_n = (2d)^n and msd = n through the transfer engine, (d, n) in {(1,12),(2,10),(3,8)}", ok))
     chi0 = en.chi_series(LoopActivity.constant(0), 12, GraphCtx.lattice(2))
     ok = chi0.coeffs[1:] == SAW_COUNTS_D2
     out.append(CheckResult("anchors", "lambda=0, d=2: SAW counts 4,12,36,...,324932 (n <= 12)", ok))

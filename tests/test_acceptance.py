@@ -45,9 +45,16 @@ def test_criterion_01_srw_anchor():
     for d in (1, 2, 3):
         for n in (1, 5, 12):
             assert sp.msd_exact(n, d, LoopActivity.constant(1)) == n, (d, n)
+    # the closed forms above answer lambda = 1 without enumerating; a table
+    # in which every loop weighs 1 is the same measure through the transfer engine
+    ones = LoopActivity.of_table({}, 1)
+    for d, n in ((1, 12), (2, 10), (3, 8)):
+        chi = en.chi_series(ones, n, GraphCtx.lattice(d))
+        assert chi.coeffs == tuple((2 * d) ** m for m in range(n + 1)), d
+        assert sp.msd_exact(n, d, ones) == n, d
     elapsed = time.time() - t0
     assert elapsed < 60
-    report(1, f"c_n = (2d)^n and msd = n at lambda=1, d in {{1,2,3}}, n <= 12 ({elapsed:.1f}s < 60s)")
+    report(1, f"c_n = (2d)^n and msd = n at lambda=1, d in {{1,2,3}}, n <= 12, closed forms and transfer engine ({elapsed:.1f}s < 60s)")
 
 
 def _saw_counts_brute(d, nmax):
@@ -121,10 +128,16 @@ def test_criterion_06_lace_machinery():
     report(6, "lace prescription (single label <= 6, dual label <= 4) and K/J recursion, 20 random weight draws each")
 
 
+def _names(results, suite):
+    assert {r.suite for r in results} == {suite}
+    return [r.name for r in results]
+
+
 def test_heap_and_lace_workloads_keep_their_size():
-    """A speed-up may not shrink an acceptance workload: the heap suite at
-    the benchmark's sizes still replays every walk and legal pair, and the
-    cycle-gas and lace suites still run every check they ran."""
+    """A speed-up or a refactor may not shrink an acceptance workload: the
+    heap suite at the benchmark's sizes still replays every walk and legal
+    pair, and the cycle-gas, lace, visit, inequality and LM-rep suites, at
+    the sizes of their criteria, still run every check they ran."""
     assert [r.name for r in vf.suite_heaps(7, 7)] == [
         "Viennot round-trip + multiset conservation on 21845 walks (len <= 7, d=2)",
         "loop_addition/erasure inverse on 1581 legal pairs (3x3 box, size <= 7)",
@@ -138,14 +151,56 @@ def test_heap_and_lace_workloads_keep_their_size():
             f"unoriented weight -2 lambda bookkeeping, lambda={lam}",
         )
     ]
-    results = vf.suite_heap_theorem(8)
-    assert [r.name for r in results] == gas and {r.suite for r in results} == {"cycle-gas"}
+    assert _names(vf.suite_heap_theorem(8), "cycle-gas") == gas
     assert [r.name for r in vf.suite_laces()] == [
         "lace prescription, single label, intervals <= 6, 20 weight draws",
         "lace prescription, dual label, intervals <= 4, 20 weight draws",
         "K/J recursion on intervals <= 6, 20 weight draws",
         "lace_of idempotent; compatibility consistent",
     ]
+    visits = [
+        name
+        for d, ys, split in ((1, ("(1,)",), "x=(0,) y=(2,) b=(1,)"),
+                             (2, ("(1, 0)", "(1, 1)"), "x=(0, 0) y=(1, 0) b=(0, 1)"))
+        for lam in ("1/2", "2")
+        for name in (
+            f"visit sum at x = alpha0(alpha0-1) (d={d}, lambda={lam})",
+            *(f"bubble chain identity y={y} (d={d}, lambda={lam})" for y in ys),
+            f"split identity {split} (d={d}, lambda={lam})",
+        )
+    ]
+    results = [r for d in (1, 2) for lam in (Fraction(1, 2), Fraction(2))
+               for r in vf.suite_visits(d, lam, 8 if d == 1 else 6)]
+    assert _names(results, "visits") == visits
+    ineq = [f"c_n <= lam^(n/2) (2d)^n for lam={lam} (lam > 1 hypothesis)" for lam in ("3/2", "2")]
+    ineq += [
+        name
+        for lam in ("1/2", "2")
+        for name in (
+            f"I^w <= I coefficientwise (lambda={lam})",
+            f"restricted BC <= BC (lambda={lam})",
+            f"BC <= alpha0 * upper BC (lambda={lam}; without the alpha0 factor the bound fails at order 4)",
+            f"G(y) <= z alpha |Omega| (D*G)(y) (lambda={lam})",
+            f"loop measure monotone in A, antitone in B, isometry invariant (lambda={lam})",
+            f"alpha0 >= alpha >= 1 coefficientwise (lambda={lam})",
+            f"d/dz monotone under subset inclusion (lambda={lam})",
+        )
+    ]
+    assert _names(vf.suite_inequalities(8), "ineq") == ineq
+    lm_rep = [
+        name
+        for d in (1, 2)
+        for lam in ("0", "1/2", "1", "2")
+        for name in (
+            f"LM representation d={d} lambda={lam} nmax=8 |x|<= 3",
+            f"alpha0 = 1 + closed walk sum (d={d}, lambda={lam})",
+            f"alpha0 = 1 + z lam |Omega| (D*H)(0) (d={d}, lambda={lam})",
+            f"alpha0 - 1 = sum over SAPs of lam z^k exp(mu(range)) (d={d}, lambda={lam})",
+        )
+    ]
+    results = [r for d in (1, 2) for lam in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))
+               for r in vf.suite_lm_rep(d, lam, 8)]
+    assert _names(results, "lm-rep") == lm_rep
 
 
 def test_criterion_07_lace_equation():

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -300,6 +301,14 @@ def test_cached_views_keep_equality_and_hash():
         assert cached(built) is cached(fresh)
 
 
+def _least_rotation(cyc):
+    """The finite-graph key by its definition: the least of all rotations of
+    both orientations."""
+    rotations = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
+    rotations += [tuple(reversed(r)) for r in rotations]
+    return min(rotations)
+
+
 def test_sap_key_finite_graph_unchanged():
     tri = GraphCtx.finite([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
     assert sap_key((2, 1, 0, 2), tri) == (0, 1, 2)
@@ -308,10 +317,18 @@ def test_sap_key_finite_graph_unchanged():
     # starting vertex and orientation only: no translation, no isometry
     assert sap_key(square, box) == ((1, 1), (1, 2), (2, 2), (2, 1))
     for c in hp.all_oriented_cycles(box, 8):
-        cyc = c.seq
-        rotations = [cyc[i:] + cyc[:i] for i in range(len(cyc))]
-        rotations += [tuple(reversed(r)) for r in rotations]
-        assert sap_key(cyc + cyc[:1], box) == min(rotations)
+        assert sap_key(c.seq + c.seq[:1], box) == _least_rotation(c.seq)
+    # closed walks that are not polygons, whose least vertex may repeat
+    rng = random.Random(5)
+    for _ in range(2000):
+        w = [rng.choice(box.vertices())]
+        for _ in range(rng.randint(1, 9)):
+            w.append(rng.choice(box.neighbors(w[-1])))
+        while w[-1] != w[0]:  # close up along the first axis, then the second
+            (a, b), (a0, b0) = w[-1], w[0]
+            w.append((a + (a0 > a) - (a0 < a), b) if a != a0 else (a, b + (b0 > b) - (b0 < b)))
+        if len(w) >= 3:
+            assert sap_key(tuple(w), box) == _least_rotation(tuple(w[:-1])), w
 
 
 def test_sap_key_rejects_non_unit_steps():
