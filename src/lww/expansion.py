@@ -63,7 +63,7 @@ from .enumeration import (
     _spread,
 )
 from .laces import (
-    compatible_edges,
+    _compatible_edges,
     lace_positions_for_vector,
     valid_vectors,
 )
@@ -106,8 +106,9 @@ def pi_n_table(N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSe
             # compatibility does not depend on labels (the spacelike
             # tie-break fires only when both labels sit on a lace edge), so
             # one unlabelled set serves both the timelike constraints and
-            # the spacelike hyperedge count
-            cp = compatible_edges(positions, 0, m)
+            # the spacelike hyperedge count; the lace is built by rule, so
+            # the closed form needs no lace_of re-derivation
+            cp = _compatible_edges(positions, 0, m)
             _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, steps)
     totals = {key: ZSeries(tuple(coeffs)) * a0_inv for key, coeffs in table.items()}
     return SpatialSeries.build(_spread(totals, lambda s, n: s * Fraction(1, n)), nmax)
@@ -136,11 +137,10 @@ def _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, steps):
 
     def complete(size):
         w = tuple(state_walk)
-        factor = ZSeries.one(budget)
+        factor = None  # a lace has at least one edge
         for s, t in lace_edges:
-            factor = factor * _i_factor(
-                w[s], w[t], w[s + 1 : t], act, budget, ctx
-            )
+            i_st = _i_factor(w[s], w[t], w[s + 1 : t], act, budget, ctx)
+            factor = i_st if factor is None else factor * i_st
             if factor.is_zero():
                 return
         factor = factor * _x_dressing(w, cp, act, budget, ctx)
@@ -205,63 +205,44 @@ def max_lace_edges(nmax: int) -> int:
 @lru_cache(maxsize=None)
 def pi_total_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSeries:
     """Pi(x) = sum_N (-1)^N pi^(N)(x)."""
-    acc: dict = {}
+    total = SpatialSeries.build({}, nmax)
     for N in range(1, max_lace_edges(nmax) + 1):
-        sign = -1 if N % 2 else 1
         tbl = pi_n_table(N, act, nmax, ctx)
-        for x, s in tbl.data:
-            term = s * sign
-            acc[x] = acc[x] + term if x in acc else term
-    return SpatialSeries.build(acc, nmax)
+        total = total - tbl if N % 2 else total + tbl
+    return total
 
 
 def pi_total(x, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     return pi_total_table(act, nmax, ctx).at(x)
 
 
-def neighbor_sum(table: SpatialSeries, ctx: GraphCtx) -> SpatialSeries:
-    """x -> sum_{y ~ 0} table(x - y)  (= |Omega| (D * table)(x))."""
-    out: dict = {}
-    for y in ctx.neighbors(ctx.origin()):
-        for x, s in table.data:
-            xx = tuple(a + b for a, b in zip(x, y))
-            out[xx] = out[xx] + s if xx in out else s
-    return SpatialSeries.build(out, table.nmax)
+def step_kernel(c: ZSeries, ctx: GraphCtx) -> SpatialSeries:
+    """The series c at each of the 2d neighbours of the origin, so that
+    spatial_convolve(step_kernel(c, ctx), T) = c |Omega| (D * T)."""
+    return SpatialSeries.build({y: c for y in ctx.neighbors(ctx.origin())}, c.nmax)
 
 
 def pi_oracle(act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSeries:
     """The unique Pi solving the lace equation for the enumerated G:
 
-    Pi(x) = delta_0(x) - alpha z |Omega| D(x) - alpha_0 G^{-1}(x).
+    Pi(x) = delta_0(x) - z alpha |Omega| D(x) - alpha_0 G^{-1}(x).
     """
     if not ctx.is_lattice:
         raise PreconditionError("expansion runs on the lattice")
-    origin = ctx.origin()
-    g = two_point_table(act, nmax, ctx)
-    g_inv = spatial_inverse(g)
-    a0 = alpha0(act, nmax, ctx)
-    al = alpha_renorm(act, nmax, ctx)
-    out = dict(g_inv.scale(-a0).as_dict())
-    z_al = al.shift(1)  # z alpha |Omega| D(y), as |Omega| D(y) = 1 for each neighbor y
-    for y in ctx.neighbors(origin):
-        out[y] = out[y] - z_al if y in out else -z_al
-    one = ZSeries.one(nmax)
-    out[origin] = out[origin] + one if origin in out else one
-    return SpatialSeries.build(out, nmax)
+    g_inv = spatial_inverse(two_point_table(act, nmax, ctx))
+    z_al = alpha_renorm(act, nmax, ctx).shift(1)
+    return (SpatialSeries.delta(ctx.origin(), nmax) - step_kernel(z_al, ctx)
+            - g_inv.scale(alpha0(act, nmax, ctx)))
 
 
 def lace_recursion_residual(act: LoopActivity, nmax: int, ctx: GraphCtx) -> Fraction:
-    """Max |coefficient| residual of G = alpha0 delta + z alpha |Omega| (D*G)
-    + Pi*G with Pi from the direct lace sum. Exactly 0 when the expansion is
-    right."""
+    """Max |coefficient| residual of G = alpha0 delta + (z alpha |Omega| D
+    + Pi) * G with Pi from the direct lace sum. Exactly 0 when the expansion
+    is right."""
     g = two_point_table(act, nmax, ctx)
-    a0 = alpha0(act, nmax, ctx)
-    al = alpha_renorm(act, nmax, ctx)
-    pi = pi_total_table(act, nmax, ctx)
-    origin = ctx.origin()
-    rhs = neighbor_sum(g, ctx).scale(al.shift(1)) + spatial_convolve(pi, g)
-    rhs = rhs + SpatialSeries.build({origin: a0}, nmax)
-    diff = g - rhs
+    kernel = pi_total_table(act, nmax, ctx) + step_kernel(alpha_renorm(act, nmax, ctx).shift(1), ctx)
+    a0_delta = SpatialSeries.build({ctx.origin(): alpha0(act, nmax, ctx)}, nmax)
+    diff = g - spatial_convolve(kernel, g) - a0_delta
     worst = Fraction(0)
     for _, s in diff.data:
         for c in s.coeffs:

@@ -181,9 +181,11 @@ def loop_addition(pair: LegalPair, trace=None):
 
     When `trace` is a list the inserted cycles are appended in insertion
     order (the last entry is the first loop a subsequent erasure removes).
+    An illegal pair raises PreconditionError at the first pop, before any
+    insertion: walk_order_max rejects a maximal piece that misses eta. A
+    piece that becomes maximal later lay under the cycle just inserted, so
+    it meets the walk.
     """
-    if not pair.is_legal():
-        raise PreconditionError("pair is not legal")
     w, pieces = pair.eta, list(pair.heap.pieces)  # a linear extension stays one as maxima pop
     while pieces:
         maxima = _maximal(pieces)

@@ -99,7 +99,15 @@ def is_lace(graph, a: int, b: int) -> bool:
 
 
 def compatible_edges(lace, a: int, b: int):
-    """All edges st not in `lace` with lace_of(lace + st) == lace.
+    """All edges st not in `lace` with lace_of(lace + st) == lace; a graph
+    that is not a lace raises PreconditionError."""
+    if lace_of(lace, a, b) != lace:
+        raise PreconditionError("graph is not a lace")
+    return _compatible_edges(lace, a, b)
+
+
+def _compatible_edges(lace, a: int, b: int):
+    """compatible_edges for a graph known to be a lace on [a, b].
 
     Closed form of the lace algorithm (Madras & Slade 1993, section 5.2).
     Let s_1t_1, .., s_Nt_N be the lace edges in scan order, and put
@@ -111,8 +119,6 @@ def compatible_edges(lace, a: int, b: int):
     stopped. Both labels of such a position are compatible; on a lace
     position only the timelike label can be added, to a spacelike lace edge.
     """
-    if lace_of(lace, a, b) != lace:
-        raise PreconditionError("graph is not a lace")
     labelled = all(len(e) == 3 for e in lace)
     ends = [(a + 1, 0), *sorted((t, -s) for s, t in _positions(lace)), (b + 1, 0)]  # (t_i, -s_i)
     out = set()
@@ -241,7 +247,7 @@ def lace_prescription_sum(a: int, b: int, weights: dict) -> Fraction:
             p *= num.get(e, 0)
         if p == 0:
             continue
-        comp = compatible_edges(lace, a, b)
+        comp = _compatible_edges(lace, a, b)  # all_laces builds laces by rule
         for e in comp:
             p *= den + num.get(e, 0)
         acc += p * den ** (total - len(lace) - len(comp))

@@ -24,7 +24,7 @@ from .core import (
     loop_erase_last_exit,
     sap_key,
 )
-from .series import ZSeries, exp_series
+from .series import ZSeries, exp_series, spatial_convolve
 from . import enumeration as en
 from . import heaps as hp
 from . import laces as lc
@@ -142,8 +142,8 @@ def suite_lm_rep(d: int, lam, nmax: int, max_l1: int = 3) -> list:
     a0 = en.alpha0(act, nmax, ctx)
     closed = en.walk_sum(ctx.origin(), ctx.origin(), act, nmax, ctx)  # the 0-step walk is the 1
     _series_eq("lm-rep", f"alpha0 = 1 + closed walk sum (d={d}, lambda={lam})", a0, closed, out)
-    dh0 = ex.neighbor_sum(en.reduced_table(act, nmax, ctx), ctx).at(ctx.origin())
-    rhs = ZSeries.one(nmax) + (dh0 * Fraction(lam)).shift(1)
+    z_lam = ex.step_kernel(ZSeries.monomial(lam, 1, nmax), ctx)
+    rhs = ZSeries.one(nmax) + spatial_convolve(z_lam, en.reduced_table(act, nmax, ctx)).at(ctx.origin())
     _series_eq("lm-rep", f"alpha0 = 1 + z lam |Omega| (D*H)(0) (d={d}, lambda={lam})", a0, rhs, out)
     # SAP form of alpha0 - 1: sum over polygons of lam z^k exp(mu(range))
     sap_sum = ZSeries.zero(nmax)
@@ -401,8 +401,8 @@ def suite_inequalities(nmax: int = 8) -> list:
         # one-step submultiplicativity
         g = en.two_point_table(act, nmax, ctx)
         al = en.alpha_renorm(act, nmax, ctx)
-        dg = ex.neighbor_sum(g, ctx)
-        ok = all(g.at(y).leq((dg.at(y) * al).shift(1)) for y in ((1, 0), (1, 1), (2, 1)))
+        zdg = spatial_convolve(ex.step_kernel(al.shift(1), ctx), g)
+        ok = all(g.at(y).leq(zdg.at(y)) for y in ((1, 0), (1, 1), (2, 1)))
         out.append(CheckResult("ineq", f"G(y) <= z alpha |Omega| (D*G)(y) (lambda={lam})", ok))
 
         # loop measure monotonicity + isometry, alpha0 >= alpha >= 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import lww
 from lww.core import GraphCtx, LoopActivity, l1, sap_key, walk_weight
-from lww.series import SpatialSeries, ZSeries, exp_series, reciprocal
+from lww.series import SpatialSeries, ZSeries, exp_series, reciprocal, spatial_convolve
 from lww import enumeration as en
 from lww import expansion as ex
 from lww.laces import (
@@ -249,6 +249,55 @@ def test_oracle_srw_consistency():
 def test_lace_recursion_residual_zero():
     assert ex.lace_recursion_residual(HALF, NM, CTX1) == 0
     assert ex.lace_recursion_residual(ZERO, NM, CTX1) == 0
+
+
+def test_lace_recursion_residual_detects_a_wrong_pi(monkeypatch):
+    # adding z^2 at the origin to Pi leaves the residual -z^2 G, whose
+    # largest |coefficient| is the largest of G's below order NM - 1: here
+    # G_4(+-2) = 2 (the residual's z^6 coefficient at x = +-2)
+    right = ex.pi_total_table
+    bump = SpatialSeries.build({(0,): ZSeries.monomial(1, 2, NM)}, NM)
+    monkeypatch.setattr(ex, "pi_total_table", lambda *args: right(*args) + bump)
+    g = en.two_point_table(HALF, NM, CTX1)
+    want = max(abs(c) for _, s in g.data for c in s.coeffs[: NM - 1])
+    assert want == 2
+    assert ex.lace_recursion_residual(HALF, NM, CTX1) == want
+
+
+def _neighbor_sum_oracle(table, ctx):
+    """x -> sum_{y ~ 0} table(x - y), one Fraction series add per point and
+    neighbour: the former expansion.neighbor_sum."""
+    out: dict = {}
+    for y in ctx.neighbors(ctx.origin()):
+        for x, s in table.data:
+            xx = tuple(a + b for a, b in zip(x, y))
+            out[xx] = out[xx] + s if xx in out else s
+    return SpatialSeries.build(out, table.nmax)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_step_kernel_matches_neighbor_sum_oracle(d):
+    ctx = GraphCtx.lattice(d)
+    g = en.two_point_table(HALF, 5, ctx)
+    got = spatial_convolve(ex.step_kernel(ZSeries.one(5), ctx), g)
+    assert got.data == _neighbor_sum_oracle(g, ctx).data
+
+
+_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 4), st.data())
+def test_step_kernel_scaled_matches_oracle(d, n, data):
+    def series():
+        return ZSeries.of(data.draw(st.lists(_fracs, min_size=n + 1, max_size=n + 1)), n)
+
+    pts = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), max_size=5, unique=True))
+    table = SpatialSeries.build({p: series() for p in pts}, n)
+    c = series()
+    ctx = GraphCtx.lattice(d)
+    got = spatial_convolve(ex.step_kernel(c, ctx), table)
+    assert got.data == _neighbor_sum_oracle(table, ctx).scale(c).data
 
 
 def test_lace_equation_d8():

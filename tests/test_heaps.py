@@ -111,6 +111,13 @@ def test_loop_addition_examples():
     bad = hp.LegalPair(eta=w1(5, 6), heap=heap)
     with pytest.raises(PreconditionError):
         hp.loop_addition(bad)
+    # one maximal piece meets eta and one misses it: nothing is inserted
+    mixed = hp.LegalPair(eta=eta, heap=heap.compose(oc((5,), (6,))))
+    assert not mixed.is_legal()
+    trace = []
+    with pytest.raises(PreconditionError):
+        hp.loop_addition(mixed, trace=trace)
+    assert trace == []
 
 
 def test_loop_erasure_to_pair_examples():
