@@ -6,10 +6,12 @@ of a run with seed s reads its own stream, keyed by the exact 64-bit pair
 (s, i), so a sample depends only on (s, i). Results are reproducible and do
 not depend on how samples are batched. Seeds are integers in [0, 2^64).
 Importance samples are generated and loop-erased a batch at a time by array
-kernels. The exact sampler runs on the transfer engine's loop-erasure states
-under its node_budget(). It stores completion sums for one state per orbit
-of the point group, about 8x fewer than all states in d = 2 and 48x in
-d = 3, but its memory is still not capped.
+kernels: Philox by 32-bit limbs, points as narrow integer codes, and one
+first-match scan of the loop-erasure stacks per step. The exact sampler
+runs on the transfer engine's loop-erasure states under its node_budget().
+It stores completion sums for one state per orbit of the point group, about
+8x fewer than all states in d = 2 and 48x in d = 3, but its memory is still
+not capped.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .core import GraphCtx, LoopActivity, PreconditionError
 from .enumeration import _LEStates, _transfer
 
-MAX_STEPS = 64  # importance walks; bounds the (BATCH, n+1) stack and the O(n^2) sweep
+MAX_STEPS = 64  # importance walks; bounds the (n+1, BATCH) stack and its O(n^2) scan
 BATCH = 8192  # samples per kernel call; bounds memory, outputs do not depend on it
 
 # Philox4x64 multipliers and Weyl key increments (Random123, as in NumPy)
@@ -79,10 +81,17 @@ def _mulhilo(m: int, x: np.ndarray):
     lo32, s32 = np.uint64(0xFFFFFFFF), np.uint64(32)
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     x_lo, x_hi = x & lo32, x >> s32
-    ll, lh, hl = x_lo * m_lo, x_lo * m_hi, x_hi * m_lo
-    mid = (ll >> s32) + (lh & lo32) + (hl & lo32)
-    hi = x_hi * m_hi + (lh >> s32) + (hl >> s32) + (mid >> s32)
-    return hi, x * np.uint64(m)
+    t = x_lo * m_lo
+    t >>= s32
+    x_lo *= m_hi
+    t += x_lo  # x_lo m_hi + (x_lo m_lo >> 32) < 2^64
+    u = x_hi * m_lo
+    u += t & lo32  # x_hi m_lo + (t mod 2^32) < 2^64
+    x_hi *= m_hi
+    x_hi += t >> s32
+    u >>= s32
+    x_hi += u
+    return x_hi, x * np.uint64(m)
 
 
 def _philox_raw(seed: int, start: int, count: int, n: int) -> np.ndarray:
@@ -105,7 +114,9 @@ def _philox_raw(seed: int, start: int, count: int, n: int) -> np.ndarray:
             k1 = k1 + np.uint64(_PHILOX_W[1])
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+        hi1 ^= c1 ^ k0
+        hi0 ^= c3 ^ k1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
     return np.stack((c0, c1, c2, c3), axis=2).reshape(count, 4 * blocks)[:, :n]
 
 
@@ -121,62 +132,65 @@ def _sample_steps(seed: int, start_index: int, count: int, n: int, two_d: int) -
     return _philox_raw(seed, start_index, count, n).view(np.int64) % two_d
 
 
-def _walk_keys(steps: np.ndarray, d: int) -> np.ndarray:
-    """(count, n+1, m) integer keys of the points of walks from the origin with
-    the given step codes; two points are equal iff their keys are.
+def _narrow_int(bound: int):
+    """The narrowest signed integer dtype that holds [-bound, bound]."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
 
-    Coordinates lie in [-n, n], so while (2n+1)^d < 2^63 a point packs into
-    one balanced base-(2n+1) code (m = 1); otherwise the key is the d
-    coordinates themselves, as int8 while n < 128 to keep the batch small.
+
+def _walk_keys(steps: np.ndarray, d: int) -> np.ndarray:
+    """Point-major integer keys of walks from the origin with the given
+    (count, n) step codes: row t keys the t-th points, the origin's key is
+    0, and two points are equal iff their keys are.
+
+    While (2n+1)^d < 2^63 a point is one balanced base-(2n+1) code (keys of
+    shape (n+1, count)), otherwise its d coordinates ((n+1, count, d)). Step
+    code s adds entry s of a table, +-(2n+1)^axis or +-e_axis, in the
+    narrowest signed dtype that holds every code or coordinate.
     """
     count, n = steps.shape
-    axis, sign = np.divmod(steps, 2)
-    delta = 2 * sign - 1
     radix = 2 * n + 1
-    if radix**d < 2**63:
-        moves = (delta * radix**axis)[..., None]
-    else:
-        moves = np.zeros((count, n, d), dtype=np.int8 if n < 128 else np.int64)
-        np.put_along_axis(moves, axis[..., None], delta[..., None], axis=2)
-    keys = np.zeros((count, n + 1, moves.shape[2]), dtype=moves.dtype)
-    np.cumsum(moves, axis=1, out=keys[:, 1:])
+    packed = radix**d < 2**63
+    unit = radix ** np.arange(d, dtype=np.int64) if packed else np.eye(d, dtype=np.int64)
+    dtype = _narrow_int((radix**d - 1) // 2 if packed else n)
+    table = np.stack((-unit, unit), axis=1).reshape(2 * d, *unit.shape[1:]).astype(dtype)
+    keys = np.zeros((n + 1, count) + table.shape[1:], dtype=dtype)
+    np.cumsum(table.take(steps.T, axis=0), axis=0, dtype=dtype, out=keys[1:])
     return keys
 
 
 def _endpoints(keys: np.ndarray, d: int) -> np.ndarray:
     """(count, d) end coordinates of the walks keyed by _walk_keys."""
-    if keys.shape[2] == d:
-        return keys[:, -1].astype(np.int64)
-    n = keys.shape[1] - 1
-    code = keys[:, -1, 0]
-    ends = np.empty((len(keys), d), dtype=np.int64)
-    for j in range(d):
-        ends[:, j] = (code + n) % (2 * n + 1) - n
-        code = (code - ends[:, j]) // (2 * n + 1)
-    return ends
+    if keys.ndim == 3:
+        return keys[-1].astype(np.int64)
+    radix = 2 * len(keys) - 1  # shifted by (radix^d - 1) / 2, every digit is coordinate + n
+    code = keys[-1].astype(np.int64) + (radix**d - 1) // 2
+    return np.stack([code // radix**j % radix for j in range(d)], axis=1) - (radix - 1) // 2
 
 
 def _loop_counts(keys: np.ndarray) -> np.ndarray:
     """Loops erased by chronological loop erasure from each walk keyed by
-    _walk_keys: core.loop_count, row by row, for the whole batch.
+    _walk_keys: core.loop_count, walk by walk, for the whole batch.
 
-    Each row keeps its partial loop erasure as a stack of point keys and a
-    length. A step onto the stack truncates it just past the hit point and
-    counts one loop; any other step pushes.
+    Each walk keeps its partial loop erasure as a stack of distinct point
+    keys, stale from its length on. A step whose first match j in the stack
+    is below the length truncates it just past j and counts one loop; any
+    other step pushes.
     """
-    count, n1 = keys.shape[:2]
-    stack = np.empty_like(keys)
-    stack[:, 0] = keys[:, 0]
+    n1, count = keys.shape[:2]
+    stack = np.zeros_like(keys)
     length = np.ones(count, dtype=np.int64)
     loops = np.zeros(count, dtype=np.int64)
-    rows = np.arange(count)
+    walks = np.arange(count)
+    pos = np.arange(n1, dtype=_narrow_int(n1))[:, None]
     for t in range(1, n1):
-        cur = keys[:, t]
-        on = (stack[:, :t] == cur[:, None]).all(axis=2) & (np.arange(t) < length[:, None])
-        hit = on.any(axis=1)
-        loops += hit
-        length = np.where(hit, on.argmax(axis=1) + 1, length + 1)
-        stack[rows, length - 1] = cur  # on a hit this rewrites the same key
+        on = stack[:t] == keys[t]
+        if on.ndim == 3:
+            on = on.all(axis=2)
+        j = np.where(on, pos[:t], n1).min(axis=0)  # n1 where nothing matches
+        loops += j < length
+        np.minimum(j, length, out=length)  # where keys[t] goes
+        stack[length, walks] = keys[t]  # on a hit this rewrites the same key
+        length += 1
     return loops
 
 

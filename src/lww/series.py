@@ -278,9 +278,6 @@ class SpatialSeries:
     def delta(origin, nmax: int) -> "SpatialSeries":
         return SpatialSeries.build({origin: ZSeries.one(nmax)}, nmax)
 
-    def as_dict(self) -> dict:
-        return dict(self.data)
-
     @cached_property
     def _index(self) -> dict:
         return dict(self.data)

@@ -235,26 +235,16 @@ def test_criterion_09_inequalities():
 
 def test_criterion_10_monte_carlo():
     t0 = time.time()
-    lam_cases = (Fraction(1, 2), Fraction(2))
-    for lam in lam_cases:
-        exact = float(sp.msd_exact(10, 2, LoopActivity.constant(lam)))
-        cfg = sp.SamplerConfig(d=2, n=10, lam=lam, num_samples=10**6, seed=2026)
-        est, se = sp.msd_importance(cfg)
-        assert abs(est - exact) <= 3 * se, (lam, est, exact, se)
-    # coverage over 100 seeds (10^4 samples each keeps this inside budget)
-    lam = Fraction(1, 2)
-    exact = float(sp.msd_exact(10, 2, LoopActivity.constant(lam)))
-    hits = 0
-    for s in range(100):
-        est, se = sp.msd_importance(
-            sp.SamplerConfig(d=2, n=10, lam=lam, num_samples=10**4, seed=5000 + s)
-        )
-        if abs(est - exact) <= 3 * se:
-            hits += 1
-    assert hits >= 95, hits
+    results = vf.suite_mc(samples=10**6, coverage_seeds=100)
+    assert [r.name for r in results] == [
+        "importance MSD within 3 stderr (lambda=1/2, 1000000 samples)",
+        "importance MSD within 3 stderr (lambda=2, 1000000 samples)",
+        "3-sigma coverage >= 95% over 100 seeds",
+    ]
+    _assert_all(results)
     elapsed = time.time() - t0
     assert elapsed < 600
-    report(10, f"importance sampling within 3 stderr at 10^6 samples (lambda 1/2 and 2); 3-sigma coverage {hits}/100 ({elapsed:.0f}s < 600s)")
+    report(10, f"importance sampling within 3 stderr at 10^6 samples (lambda 1/2 and 2); 3-sigma coverage {results[-1].detail} ({elapsed:.0f}s < 600s)")
 
 
 def test_criterion_11_analysis_sanity():

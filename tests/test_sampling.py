@@ -287,6 +287,19 @@ def test_philox_raw_matches_numpy(n):
                 assert np.array_equal(raw[r], np.random.Philox(key=key).random_raw(n)), (seed, start + r)
 
 
+def test_mulhilo_matches_python_ints():
+    """Both Philox multipliers against Python ints, on words whose 32-bit
+    limbs are 0, 1 or all ones (where a lost carry shows) and random words."""
+    edge = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63 - 1, 2**63, 2**64 - 1, 0xFFFFFFFF00000000, 0xFFFFFFFF00000001]
+    words = edge + np.random.default_rng(21).integers(0, 2**64, size=200, dtype=np.uint64).tolist()
+    x = np.array(words, dtype=np.uint64)
+    for m in sp._PHILOX_M:
+        hi, lo = sp._mulhilo(m, x)
+        assert hi.tolist() == [(m * w) >> 64 for w in words], hex(m)
+        assert lo.tolist() == [(m * w) % 2**64 for w in words], hex(m)
+    assert x.tolist() == words  # the input is left as it was
+
+
 def test_seed_keying_is_exact():
     a = sp._philox_raw(2**63, 0, 4, 8)
     b = sp._philox_raw(2**63 + 1, 0, 4, 8)
@@ -339,6 +352,34 @@ def test_batch_loop_counts_match_loop_count(d):
             w = _walk_brute(steps[r], d)
             assert loops[r] == loop_count(w)
             assert tuple(ends[r]) == w[-1]
+
+
+@pytest.mark.parametrize(
+    "d, n, dtype",
+    [
+        # packed codes, largest ((2n+1)^d - 1) / 2, on each side of every dtype cut
+        (1, 127, np.int8), (1, 128, np.int16),
+        (2, 7, np.int8), (2, 8, np.int16),
+        (2, 127, np.int16), (2, 128, np.int32),
+        (3, 19, np.int16), (3, 20, np.int32),
+        (7, 11, np.int32), (7, 12, np.int64),
+        (8, 116, np.int64),
+        # (2n+1)^d >= 2^63: coordinates in [-n, n]
+        (8, 117, np.int8), (8, 127, np.int8), (8, 128, np.int16),
+    ],
+)
+def test_walk_keys_dtype_boundaries(d, n, dtype):
+    up, down = 2 * d - 1, 2 * d - 2  # +e_{d-1} and -e_{d-1}: codes +-n (2n+1)^(d-1)
+    fixed = [[up] * n, [down] * n, [0] * n, [1] * n, ([up, down] * n)[:n], ([0, up, 1, down] * n)[:n]]
+    steps = np.array(fixed + np.random.default_rng(n).integers(0, 2 * d, size=(30, n)).tolist(), dtype=np.int64)
+    keys = sp._walk_keys(steps, d)
+    assert keys.dtype == dtype and keys.shape[:2] == (n + 1, len(steps))
+    assert keys.ndim == (2 if (2 * n + 1) ** d < 2**63 else 3)
+    loops, ends = sp._loop_counts(keys), sp._endpoints(keys, d)
+    for r in range(len(steps)):
+        w = _walk_brute(steps[r], d)
+        assert loops[r] == loop_count(w), (r, steps[r])
+        assert tuple(ends[r]) == w[-1], r
 
 
 @settings(max_examples=200, deadline=None)
