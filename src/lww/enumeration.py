@@ -19,7 +19,7 @@ walks alone. The sums over whole walks (walk sums, visit sums, finite-graph
 two-point tables, the closed tail of a bubble chain) read one class tally,
 _tally, which weighs each (endpoint, length, loops) class once. Loop measures on both kinds of graph read one catalog of
 closed walks (rooted at the origin of Z^d, or at every vertex of a finite
-graph), its entries weighed once per activity (_entries). The rooted walks
+graph), its entries weighed once per activity (_entry_weights). The rooted walks
 of an entry that meet a region are named by _shifts: on Z^d the shifts v
 whose translate range + v meets it (mu is translation invariant), on a
 finite graph the entry itself. So "sum over closed walks hitting A and B
@@ -512,16 +512,10 @@ def _shifts(region, rng, ctx) -> set:
     return {tuple(map(sub, a, r)) for a in region for r in rng}
 
 
-def _entries(act, nmax, ctx) -> tuple:
-    """(n, w(X)/|X| summed over the entry's walks, range) per catalog entry of
-    at most nmax steps and nonzero weight."""
-    return _entry_weights(act, ctx, nmax - nmax % 2 if ctx.is_lattice else nmax)
-
-
 @lru_cache(maxsize=None)
 def _entry_weights(act, ctx, max_len) -> tuple:
-    """_entries of closed_walk_catalog(ctx, max_len), weighed once per
-    activity."""
+    """(n, w(X)/|X| summed over the entry's walks, range) per entry of
+    closed_walk_catalog(ctx, max_len) of nonzero weight, once per activity."""
     weighed = ((n, act.weight_of_keys(keys) * Fraction(cnt, n), rng)
                for rng, n, keys, cnt in closed_walk_catalog(ctx, max_len))
     return tuple(entry for entry in weighed if entry[1])
@@ -536,10 +530,12 @@ def _mu(A, B, C, act, nmax, ctx) -> ZSeries:
         B = frozenset(B) - C
         if not B:
             return ZSeries.zero(nmax)
+        if B == A:  # hitting B is hitting A: count each shift set once
+            B = None
     if not A:
         return ZSeries.zero(nmax)
     acc = SeriesSum(nmax)
-    for n, w, rng in _entries(act, nmax, ctx):
+    for n, w, rng in _entry_weights(act, ctx, nmax - nmax % 2 if ctx.is_lattice else nmax):
         hits = _shifts(A, rng, ctx)
         if B is not None:
             hits &= _shifts(B, rng, ctx)
@@ -563,14 +559,15 @@ def generalized_loop_measure(
 
 
 def alpha0(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
-    """alpha_0 = exp(mu({0})): renormalization by loops through the origin."""
-    return exp_series(loop_measure(frozenset([ctx.origin()]), frozenset(), act, nmax, ctx))
+    """alpha_0 = exp(mu({0})), with mu({0}) = mu(0, 0; {}) from _mu_pair."""
+    return exp_series(_mu_pair(ctx.origin(), frozenset(), act, nmax, ctx))
 
 
 def alpha_renorm(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
-    """alpha = exp(mu({0}; {y})) with y the first lexicographic neighbor."""
-    o = ctx.origin()
-    return exp_series(loop_measure(frozenset([o]), frozenset([ctx.neighbors(o)[0]]), act, nmax, ctx))
+    """alpha = exp(mu({0}; {y})) with y the first lexicographic neighbor,
+    as mu({0}) - mu({0}, {y}) from _mu_pair."""
+    o, none = ctx.origin(), frozenset()
+    return exp_series(_mu_pair(o, none, act, nmax, ctx) - _mu_pair(ctx.neighbors(o)[0], none, act, nmax, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -646,11 +643,24 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
 
 @lru_cache(maxsize=None)
 def _mu_pair(delta, interior: frozenset, act: LoopActivity, budget: int, ctx: GraphCtx) -> ZSeries:
-    """mu(0, delta; interior) truncated at budget (translation-normalized)."""
+    """mu(0, delta; interior) truncated at budget (translation-normalized): the
+    one cache of alpha_0, alpha, the I-factors and the X-dressing (_pair_mu)."""
     if budget < 2:
         return ZSeries.zero(budget if budget >= 0 else 0)
     return generalized_loop_measure(
         frozenset([ctx.origin()]), frozenset([delta]), interior, act, budget, ctx
+    )
+
+
+def _pair_mu(wa, wb, interior, act, budget, ctx) -> ZSeries:
+    """mu(wa, wb; interior) truncated at `budget`: on Z^d translated to
+    wa = 0 and read from _mu_pair."""
+    if ctx.is_lattice:
+        delta = tuple(map(sub, wb, wa))
+        inter = frozenset(tuple(map(sub, v, wa)) for v in interior)
+        return _mu_pair(delta, inter, act, budget, ctx)
+    return generalized_loop_measure(
+        frozenset([wa]), frozenset([wb]), frozenset(interior), act, budget, ctx
     )
 
 
@@ -659,15 +669,7 @@ def _i_factor(wa, wb, interior, act, budget, ctx) -> ZSeries:
     truncated at `budget`; 1 when wa = wb."""
     if wa == wb:
         return ZSeries.one(budget)
-    if ctx.is_lattice:
-        delta = tuple(b - a for a, b in zip(wa, wb))
-        inter = frozenset(tuple(c - a for a, c in zip(wa, v)) for v in interior)
-        mu = _mu_pair(delta, inter, act, budget, ctx)
-    else:
-        mu = generalized_loop_measure(
-            frozenset([wa]), frozenset([wb]), frozenset(interior), act, budget, ctx
-        )
-    return ZSeries.one(budget) - exp_series(-mu)
+    return ZSeries.one(budget) - exp_series(-_pair_mu(wa, wb, interior, act, budget, ctx))
 
 
 def interaction_two_point(x, y, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
@@ -837,12 +839,12 @@ def bubble_chain_pinch_part(
 def upper_bubble_chain(x, y, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """BC upper bound: alpha0 sum_k lambda^k (Hbar^2)^{*k}(y-x); x=y gives
     alpha0(alpha0-1)."""
+    if not ctx.is_lattice:
+        raise PreconditionError("upper bubble chain is lattice-only")
     lam = act.constant_value()
     a0 = alpha0(act, nmax, ctx)
     if x == y:
         return a0 * (a0 - ZSeries.one(nmax))
-    if not ctx.is_lattice:
-        raise PreconditionError("upper bubble chain is lattice-only")
     a0_inv = reciprocal(a0)
     h = reduced_table(act, nmax, ctx)
     hbar = h.scale(a0_inv)

@@ -12,6 +12,16 @@ collapses exactly to (1 + alpha_X)^{e(X)} with
 This resummation (derived from the span pushforward and checked against
 literal hyperedge products in the tests) sidesteps the prose description of
 the subwalk weights entirely; the oracle identity certifies it end to end.
+Summed over X position by position, the exponent is
+
+    sum_X e(X) w(X)/|X| = (m+1) mu({0}) - sum_{(a, b) compatible} mu(omega_a, omega_b; {omega_j : a < j < b}):
+
+each position j contributes mu({omega_j}) = mu({0}) by translation
+invariance, and a compatible (a, b) is consecutive in S exactly when X hits
+omega_a and omega_b and avoids the points strictly between them. So the
+dressing is alpha_0^{m+1} prod_cp (1 - I^omega_ab), the textbook
+compatible-edge product, and every loop measure the lace sum reads comes
+from the pair-measure cache enumeration._mu_pair.
 
 The lace DFS is pruned by an exact order bound. Every loop in
 mu(omega_s, omega_t; interior) passes through both endpoints, so a lace
@@ -55,10 +65,11 @@ from .enumeration import (
     two_point_table,
     walks,
     _canonical_units,
-    _entries,
     _guard,
     _i_factor,
+    _mu_pair,
     _orbit_key,
+    _pair_mu,
     _shifts,
     _spread,
 )
@@ -70,23 +81,18 @@ from .laces import (
 
 
 def _x_dressing(walk, cp_set, act, budget, ctx) -> ZSeries:
-    """exp( sum_X e(X) w(X)/|X| ) truncated at `budget`.
+    """exp( sum_X e(X) w(X)/|X| ) truncated at `budget`, on Z^d.
 
     X runs over rooted closed walks touching the walk's range; e(X) counts
-    hit positions minus compatible consecutive spans.
+    hit positions minus compatible consecutive spans. The exponent is read
+    position by position off pair measures (see the module docstring).
     """
     if budget < 2:
         return ZSeries.one(max(budget, 0))
-    acc = [Fraction(0)] * (budget + 1)
-    for n, w, rng in _entries(act, budget, ctx):
-        hits: dict = {}  # shift -> the positions j, ascending, its walk X hits
-        for j, p in enumerate(walk):
-            for v in _shifts((p,), rng, ctx):
-                hits.setdefault(v, []).append(j)
-        e = sum(len(S) - sum((a, b) in cp_set for a, b in zip(S, S[1:])) for S in hits.values())
-        if e:
-            acc[n] += w * e
-    return exp_series(ZSeries(tuple(acc)))
+    exponent = _mu_pair(ctx.origin(), frozenset(), act, budget, ctx) * len(walk)
+    for a, b in cp_set:
+        exponent = exponent - _pair_mu(walk[a], walk[b], walk[a + 1 : b], act, budget, ctx)
+    return exp_series(exponent)
 
 
 @lru_cache(maxsize=None)

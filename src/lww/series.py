@@ -302,9 +302,8 @@ class SpatialSeries:
         return SpatialSeries.build(out, self.nmax)
 
     def scale(self, s) -> "SpatialSeries":
-        if isinstance(s, ZSeries):
-            return SpatialSeries.build({x: v * s for x, v in self.data}, self.nmax)
-        return SpatialSeries.build({x: v * Fraction(s) for x, v in self.data}, self.nmax)
+        """Each point's series times s, a ZSeries or a scalar."""
+        return SpatialSeries.build({x: v * s for x, v in self.data}, self.nmax)
 
     def sum_over_x(self) -> ZSeries:
         return ZSeries.sum((s for _, s in self.data), self.nmax)

@@ -57,6 +57,14 @@ def _series_eq(suite, name, a: ZSeries, b: ZSeries, out):
     return ok
 
 
+def _tables_eq(suite, name, a, b, keys, out):
+    """One check that the SpatialSeries a and b agree at every point of keys;
+    the detail names the first point, in sorted order, where they differ."""
+    x = next((x for x in sorted(keys) if a.at(x).coeffs != b.at(x).coeffs), None)
+    detail = "" if x is None else f"x={x}; " + _first_divergence(a.at(x), b.at(x))
+    out.append(CheckResult(suite, name, x is None, detail))
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -128,16 +136,7 @@ def suite_lm_rep(d: int, lam, nmax: int, max_l1: int = 3) -> list:
     g = en.two_point_table(act, nmax, ctx)
     gb = en.loop_erased_two_point_table(act, nmax, ctx)
     keys = {x for x in set(g.support()) | set(gb.support()) if l1(x, ctx.origin()) <= max_l1}
-    ok = True
-    detail = ""
-    for x in sorted(keys):
-        if g.at(x).coeffs != gb.at(x).coeffs:
-            ok = False
-            detail = f"x={x}; " + _first_divergence(gb.at(x), g.at(x))
-            break
-    out.append(
-        CheckResult("lm-rep", f"LM representation d={d} lambda={lam} nmax={nmax} |x|<= {max_l1}", ok, detail)
-    )
+    _tables_eq("lm-rep", f"LM representation d={d} lambda={lam} nmax={nmax} |x|<= {max_l1}", gb, g, keys, out)
     # alpha0 cross-check: alpha0 = 1 + closed-walk sum = 1 + z lam |Omega| D*H(0)
     a0 = en.alpha0(act, nmax, ctx)
     closed = en.walk_sum(ctx.origin(), ctx.origin(), act, nmax, ctx)  # the 0-step walk is the 1
@@ -311,14 +310,7 @@ def suite_lace_eq(d: int, lam, nmax: int = 6) -> list:
     direct = ex.pi_total_table(act, nmax, ctx)
     oracle = ex.pi_oracle(act, nmax, ctx)
     keys = set(direct.support()) | set(oracle.support())
-    ok = True
-    detail = ""
-    for x in sorted(keys):
-        if direct.at(x).coeffs != oracle.at(x).coeffs:
-            ok = False
-            detail = f"x={x}; " + _first_divergence(direct.at(x), oracle.at(x))
-            break
-    out.append(CheckResult("lace-eq", f"pi_total = pi_oracle (d={d}, lambda={lam}, nmax={nmax})", ok, detail))
+    _tables_eq("lace-eq", f"pi_total = pi_oracle (d={d}, lambda={lam}, nmax={nmax})", direct, oracle, keys, out)
     return out
 
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from lww.core import GraphCtx, LoopActivity, walk_weight
+from lww.core import GraphCtx, LoopActivity, PreconditionError, sap_key, walk_weight
+from lww.heaps import box_graph
 from lww.series import ZSeries, exp_series
 from lww import enumeration as en
 
@@ -135,6 +136,36 @@ def test_alpha_examples():
     assert al.leq(a0d2) and ZSeries.one(6).leq(al)
 
 
+def _square_table(d):
+    """A sap_key table: the unit square at 3, every other loop at 1/2."""
+    if d == 1:
+        return LoopActivity.of_table({sap_key(((0,), (1,), (0,))): 3}, Fraction(1, 2))
+    o, e0, e1 = (0,) * d, *[tuple(int(j == i) for j in range(d)) for i in (0, 1)]
+    square = (o, e0, tuple(map(sum, zip(e0, e1))), e1, o)
+    return LoopActivity.of_table({sap_key(square): 3}, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_alpha0_and_alpha_match_loop_measure(d):
+    """alpha0 = exp(mu({0})) and alpha = exp(mu({0}; {y})) against the loop
+    measures summed directly, at every nmax up to 7; a repeated alpha0 call
+    is one _mu_pair hit and no miss."""
+    ctx = GraphCtx.lattice(d)
+    o = ctx.origin()
+    y = ctx.neighbors(o)[0]
+    acts = [ZERO, HALF, LoopActivity.constant(2), _square_table(d)]
+    for act in acts:
+        for nmax in range(8):
+            mu0 = en.loop_measure(frozenset([o]), frozenset(), act, nmax, ctx)
+            mu0y = en.loop_measure(frozenset([o]), frozenset([y]), act, nmax, ctx)
+            assert en.alpha0(act, nmax, ctx).coeffs == exp_series(mu0).coeffs, (act, nmax)
+            assert en.alpha_renorm(act, nmax, ctx).coeffs == exp_series(mu0y).coeffs, (act, nmax)
+            before = en._mu_pair.cache_info()
+            en.alpha0(act, nmax, ctx)
+            after = en._mu_pair.cache_info()
+            assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+
+
 def test_interaction_two_point():
     assert en.interaction_two_point((0, 0), (0, 0), HALF, 4, CTX2).coeffs == ZSeries.one(4).coeffs
     assert en.interaction_two_point((0,), (1,), ZERO, 4, CTX1).is_zero()
@@ -175,6 +206,12 @@ def test_bubble_chain_zero_and_diag():
     u = en.upper_bubble_chain((0, 0), (0, 0), HALF, 6, CTX2)
     expect = a0 * (a0 - ZSeries.one(6))
     assert t.coeffs == expect.coeffs and u.coeffs == expect.coeffs
+
+
+@pytest.mark.parametrize("y", [(0, 0), (1, 0)])
+def test_upper_bubble_chain_is_lattice_only(y):
+    with pytest.raises(PreconditionError, match="upper bubble chain is lattice-only"):
+        en.upper_bubble_chain((0, 0), y, HALF, 4, box_graph(2, 2))
 
 
 def test_diagrams():

@@ -307,6 +307,15 @@ def test_lace_equation_d8():
     assert ex.pi_total_table(act, 4, ctx).to_json() == ex.pi_oracle(act, 4, ctx).to_json()
 
 
+@pytest.mark.parametrize("d,lam,nmax", [(2, 2, 10), (3, Fraction(1, 2), 8)])
+def test_lace_equation_where_compatible_spans_carry_loops(d, lam, nmax):
+    # budgets up to nmax - 2 >= 6: the X-dressing's compatible-span
+    # measures reach loops of 4 and more steps
+    act, ctx = LoopActivity.constant(lam), GraphCtx.lattice(d)
+    assert ex.lace_recursion_residual(act, nmax, ctx) == 0
+    assert ex.pi_total_table(act, nmax, ctx).to_json() == ex.pi_oracle(act, nmax, ctx).to_json()
+
+
 def test_pi_repulsive_bound():
     # |pi^(N)| <= the relaxed sum with constraints dropped: junction pairs
     # carry I factors, legs carry Hbar (>=1 step) or Gbar (interior odd)
