@@ -566,8 +566,9 @@ def alpha0(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
 def alpha_renorm(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """alpha = exp(mu({0}; {y})) with y the first lexicographic neighbor,
     as mu({0}) - mu({0}, {y}) from _mu_pair."""
-    o, none = ctx.origin(), frozenset()
-    return exp_series(_mu_pair(o, none, act, nmax, ctx) - _mu_pair(ctx.neighbors(o)[0], none, act, nmax, ctx))
+    o = ctx.origin()
+    mu = _mu_pair(o, frozenset(), act, nmax, ctx) - _mu_pair(ctx.neighbors(o)[0], frozenset(), act, nmax, ctx)
+    return exp_series(mu)
 
 
 # ---------------------------------------------------------------------------
