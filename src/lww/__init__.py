@@ -6,8 +6,11 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every lru_cache in the loaded modules of the package.
 
-    The caches are unbounded and live as long as the process; a module that
-    was never imported has none filled, so only loaded modules are walked.
+    The caches live as long as the process. Most are unbounded; the
+    importance sample set (sampling._importance_samples, the last one drawn)
+    and the transfer engine's loop-count rows (enumeration._packed_rows, 16
+    (n, d) entries) are bounded. A module that was never imported has none
+    filled, so only loaded modules are walked.
     """
     import sys
 

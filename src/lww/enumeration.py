@@ -271,7 +271,8 @@ class _LEStates:
         self.axes_after = [{s: k2 for s, _, _, k2 in row} for row in self.steps]
         self.offset = n * sum(self.radix**i for i in range(self.d))  # makes every digit nonnegative
         self.powers = [self.base**i for i in range(n + 1)]
-        self.left = node_budget()
+        self.width = self.powers[n].bit_length()  # packed N_k <= (2d)^n, also for an orbit's total
+        self.budget, self.expanded = node_budget(), 0
 
     def point(self, q) -> tuple:
         return tuple((q + self.offset) // self.radix**i % self.radix - self.n for i in range(self.d))
@@ -317,10 +318,14 @@ class _LEStates:
         return out
 
     def charge(self, states: int):
-        self.left -= states
-        if self.left < 0:
-            raise ResourceError(f"walk enumeration expands more than {node_budget()} loop-erasure "
-                                "states (override with LWW_BUDGET)")
+        self.expanded += states
+        if self.expanded > self.budget:
+            raise _states_over_budget()
+
+
+def _states_over_budget() -> ResourceError:
+    return ResourceError(f"walk enumeration expands more than {node_budget()} loop-erasure "
+                         "states (override with LWW_BUDGET)")
 
 
 def _saw_rows(n: int, ctx: GraphCtx) -> list:
@@ -370,31 +375,64 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list
 
     Walks sharing a loop-erasure state (_LEStates) at the same time are
     merged, and the states of one point-group orbit are merged into its
-    canonical SAW, which carries the orbit's total: a push onto an unused
-    axis stands for its 2(d-k) images, and a loop-closing step truncates to
-    a canonical prefix. Level n is recorded, never stored. Constant
-    activities carry sum_k N_k lambda^k as one int with N_k in digit k, so
-    a charged loop is a shift; table activities carry a Fraction. An
-    activity that weighs every loop 0 (lambda = 0, or a table of zeros)
-    leaves only the SAWs, which share no states: _saw_rows counts them
-    instead.
+    canonical SAW, which carries the orbit's total (_forward). Constant
+    activities (and act=None) read the loop-count rows of _packed_rows,
+    built once per (n, ctx) and decoded on each call, so a lambda sweep at
+    a fixed (n, d) pays for one transfer. Table activities run _forward
+    with a Fraction per state. An activity that weighs every loop 0 (lambda
+    = 0, or a table of zeros) leaves only the SAWs, which share no states:
+    _saw_rows counts them instead.
 
     Returns rows: rows[m] maps each endpoint orbit (_orbit_key) to the
     total over the m-step walks ending in it: [N_0, N_1, ...] (act=None) or
     their weight sum. A point's own value is the total over the orbit's
     size (_spread). Raises ResourceError when more than node_budget()
-    canonical states are expanded.
+    canonical states are expanded, or were expanded to build cached rows.
     """
     if act is not None and act.sup() == 0:
         return _saw_rows(n, ctx)
+    if act is not None and not act.is_constant:
+        return _forward(_LEStates(ctx, n), act)
+    rows, width, expanded = _packed_rows(n, ctx)
+    if expanded > node_budget():
+        raise _states_over_budget()
+    mask = (1 << width) - 1
+
+    def value(w):
+        counts = []
+        while w:
+            counts.append(w & mask)
+            w >>= width
+        if act is None:
+            return counts
+        return sum((c * act.value**k for k, c in enumerate(counts)), Fraction(0))
+
+    return [{key: value(w) for key, w in row.items()} for row in rows]
+
+
+@lru_cache(maxsize=16)
+def _packed_rows(n: int, ctx: GraphCtx) -> tuple:
+    """(rows, width, expanded): _forward's rows under act=None, whose
+    values pack sum_k N_k lambda^k as one int with N_k in digit k of width
+    bits, and the number of states charged to build them. They do not
+    depend on lambda; _transfer decodes them for each activity and checks
+    expanded against the budget of the day."""
     states = _LEStates(ctx, n)
-    moves = states.steps
-    base, powers = states.base, states.powers
-    packed = act is None or act.is_constant
-    width = (base**n).bit_length()  # N_k <= (2d)^n, also for an orbit's total
+    return tuple(_forward(states, None)), states.width, states.expanded
+
+
+def _forward(states: _LEStates, act: Optional[LoopActivity]) -> list:
+    """_transfer's rows by orbit, run forward over the canonical SAWs of
+    states: packed loop-count ints when act is None (a charged loop is a
+    shift by states.width), else a Fraction weight per state. A push
+    onto an unused axis stands for its 2(d-k) images, and a loop-closing
+    step truncates to a canonical prefix. Level n is recorded, never
+    stored."""
+    n, moves = states.n, states.steps
+    base, powers, width = states.base, states.powers, states.width
     loop_weights: dict = {}  # erased loop -> activity
 
-    one = 1 if packed else Fraction(1)
+    one = 1 if act is None else Fraction(1)
     rows = [{0: one}] + [{} for _ in range(n)]
     level = {1: one}
     for m in range(n):
@@ -411,7 +449,7 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list
                 else:  # truncate at the hit point, erasing the loop after it
                     cut = powers[len(pts) - 1 - j]
                     child = code // cut
-                    if packed:
+                    if act is None:
                         cw = w << width
                     else:
                         loop = cut + code % cut
@@ -423,20 +461,7 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list
                 if m < n - 1:
                     nxt[child] = nxt.get(child, 0) + cw
         level = nxt
-    mask = (1 << width) - 1
-
-    def value(w):
-        if not packed:
-            return w
-        counts = []
-        while w:
-            counts.append(w & mask)
-            w >>= width
-        if act is None:
-            return counts
-        return sum((c * act.value**k for k, c in enumerate(counts)), Fraction(0))
-
-    return [{key: value(w) for key, w in states.totals(row).items()} for row in rows]
+    return [states.totals(row) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,11 @@ of a run with seed s reads its own stream, keyed by the exact 64-bit pair
 not depend on how samples are batched. Seeds are integers in [0, 2^64).
 Importance samples are generated and loop-erased a batch at a time by array
 kernels: Philox by 32-bit limbs, points as narrow integer codes, and one
-first-match scan of the loop-erasure stacks per step. The exact sampler
+first-match scan of the loop-erasure stacks per step. Only the weight
+lambda^k of a sample depends on lambda, so one sample set per (seed, d, n,
+samples), its loop counts and |end|^2 at 3 bytes a sample, serves every
+lambda of a sweep; the last set drawn is kept. Importance sampling charges
+(n+1) per sample against node_budget() before drawing. The exact sampler
 runs on the transfer engine's loop-erasure states under its node_budget().
 It stores completion sums for one state per orbit of the point group, about
 8x fewer than all states in d = 2 and 48x in d = 3, but its memory is still
@@ -19,11 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
 from .core import GraphCtx, LoopActivity, PreconditionError
-from .enumeration import _LEStates, _transfer
+from .enumeration import ResourceError, _LEStates, _transfer, node_budget
 
 MAX_STEPS = 64  # importance walks; bounds the (n+1, BATCH) stack and its O(n^2) scan
 BATCH = 8192  # samples per kernel call; bounds memory, outputs do not depend on it
@@ -219,30 +224,50 @@ def walk_rows(walks, n: int, d: int) -> list:
     return _rows(0, _loop_counts(_walk_keys(steps, d)), points[:, -1])
 
 
+@lru_cache(maxsize=1)
+def _importance_samples(seed: int, d: int, n: int, num_samples: int) -> tuple:
+    """(loops, end_sq): the loop counts (int8, <= n/2) and |end|^2 (int16,
+    <= n^2) of the SRW walks of a run, one entry per sample, read-only.
+
+    lambda is not read, so one sample set serves every lambda at the same
+    (seed, d, n, num_samples).
+    """
+    cfg = SamplerConfig(d=d, n=n, lam=Fraction(1), num_samples=num_samples, seed=seed)
+    loops = np.empty(num_samples, dtype=np.int8)
+    end_sq = np.empty(num_samples, dtype=np.int16)
+    for start, k, ends in _importance_batches(cfg):
+        loops[start : start + len(k)] = k
+        end_sq[start : start + len(k)] = (ends * ends).sum(axis=1)
+    loops.flags.writeable = end_sq.flags.writeable = False
+    return loops, end_sq
+
+
 def msd_importance(cfg: SamplerConfig):
     """Self-normalized importance sampling from SRW with weight lambda^{n_L}.
 
     Returns (estimate, stderr); stderr by the delta method for a ratio.
+    Charges (n+1) per sample against node_budget() before any sample is
+    drawn or looked up in the cache of _importance_samples.
     """
     if cfg.lam <= 0:
         raise UnsupportedMethod("importance sampling needs lambda > 0")
+    if (cfg.n + 1) * cfg.num_samples > node_budget():
+        raise ResourceError(f"importance sampling of {cfg.num_samples} walks of {cfg.n} steps "
+                            f"exceeds budget {node_budget()} (override with LWW_BUDGET)")
     try:
         lam = float(cfg.lam)
         # lambda^k by float.__pow__; an n-step walk erases at most n/2 loops
         weight = np.array([lam**k for k in range(cfg.n // 2 + 1)])
     except OverflowError:
         raise PreconditionError(f"lambda^k overflows a float for some k <= {cfg.n // 2}") from None
-    rows_w = np.empty(cfg.num_samples)
-    rows_y = np.empty(cfg.num_samples)
-    for start, loops, ends in _importance_batches(cfg):
-        rows_w[start : start + len(loops)] = weight[loops]
-        rows_y[start : start + len(loops)] = (ends * ends).sum(axis=1)
+    loops, end_sq = _importance_samples(cfg.seed, cfg.d, cfg.n, cfg.num_samples)
+    rows_w = weight[loops]
     sw = float(rows_w.sum())
-    swy = float((rows_w * rows_y).sum())
+    swy = float((rows_w * end_sq).sum())  # end_sq is exact as a float64
     if not (0 < sw < math.inf and math.isfinite(swy)):
         raise PreconditionError(f"lambda is out of float range: the weights lambda^k sum to {sw}")
     est = swy / sw
-    resid = rows_w * (rows_y - est)
+    resid = rows_w * (end_sq - est)
     var = float((resid**2).sum()) / (sw * sw)
     return est, math.sqrt(var)
 

@@ -121,6 +121,13 @@ def test_sample_cli(capsys):
     assert len(rows) == 6
 
 
+# importance runs refused by the node budget; a leading NAME=value sets the environment
+OVER_BUDGET = (
+    ["msd", "--method", "importance", "--n", "10", "--samples", str(10**12)],
+    ["LWW_BUDGET=1000", "msd", "--method", "importance", "--n", "10", "--samples", "1000"],
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -134,13 +141,19 @@ def test_sample_cli(capsys):
         ["msd", "--method", "importance", "--n", "4", "--samples", "10", "--lambda", str(10**400)],
         ["sample", "--n", "-1", "--samples", "2"],
         ["sample", "--n", "2", "--samples", "-1"],
+        *OVER_BUDGET,
     ],
 )
-def test_bad_sampler_input_exit_code(capsys, argv):
+def test_bad_sampler_input_exit_code(capsys, monkeypatch, argv):
+    over_budget = argv in OVER_BUDGET
+    if "=" in argv[0]:
+        monkeypatch.setenv(*argv[0].split("="))
+        argv = argv[1:]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+    assert not over_budget or "LWW_BUDGET" in captured.err
 
 
 def test_graph_file_mode(capsys, tmp_path):

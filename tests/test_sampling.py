@@ -46,6 +46,7 @@ def test_importance_lambda1_matches_n():
 def test_importance_deterministic_and_partition_independent():
     cfg = sp.SamplerConfig(d=2, n=8, lam=Fraction(1, 2), num_samples=20000, seed=11)
     a = sp.msd_importance(cfg)
+    sp._importance_samples.cache_clear()  # draw the samples again
     b = sp.msd_importance(cfg)
     assert a == b
     s_all = sp._sample_steps(11, 0, 100, 8, 4)
@@ -397,6 +398,7 @@ def test_msd_importance_independent_of_batch_size(monkeypatch):
     for batch in (1000, 2048, 7000):
         monkeypatch.setattr(sp, "BATCH", batch)
         rows = [row for b in sp._importance_batches(cfg) for row in sp._rows(*b)]
+        sp._importance_samples.cache_clear()  # draw the samples in batches of this size
         got.append((sp.msd_importance(cfg), rows))
     assert got[0] == got[1] == got[2]
 
