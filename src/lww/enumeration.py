@@ -10,21 +10,24 @@ loop erasure; an activity that weighs every loop 0 counts SAWs instead
 (_saw_rows). Both run on canonical SAWs, as the exact sampler does
 (_LEStates is the chain all three share), and return orbit totals: chi and
 the MSD sum them, two_point_table spreads them. Every other exhaustive sum
-(the loop-erased two-point table, constrained walk sums, visit sums, bubble
-chains, the closed-walk catalog, finite graphs) reads one depth-first
+but the catalog below (the loop-erased two-point table, constrained walk
+sums, visit sums, bubble chains, finite graphs) reads one depth-first
 generator, _grow, which carries each walk's partial loop erasure along, so
 activity weights never require re-scanning the walk; on Z^d from the
 origin it can grow the canonical walks alone. `walks` and `saws` are its
 walks alone. The sums over whole walks (walk sums, visit sums, finite-graph
 two-point tables, the closed tail of a bubble chain) read one class tally,
-_tally, which weighs each (endpoint, length, loops) class once. Loop measures on both kinds of graph read one catalog of
-closed walks (rooted at the origin of Z^d, or at every vertex of a finite
-graph), its entries weighed once per activity (_entry_weights). The rooted walks
-of an entry that meet a region are named by _shifts: on Z^d the shifts v
-whose translate range + v meets it (mu is translation invariant), on a
-finite graph the entry itself. So "sum over closed walks hitting A and B
-avoiding C" adds w(X)/|X| times |S_A & S_B - S_C| per entry, and the
-interaction factor I = 1 - exp(-mu) of every caller is _i_factor.
+_tally, which weighs each (endpoint, length, loops) class once. Loop
+measures on both kinds of graph read one catalog of closed walks (rooted
+at the origin of Z^d, or at every vertex of a finite graph), which runs
+forward like _transfer over merged states (loop erasure, range, erased-loop
+keys), charged per state; its entries are weighed once per activity
+(_entry_weights). The rooted walks of an entry that meet a region are
+named by _shifts: on Z^d the shifts v whose translate range + v meets it
+(mu is translation invariant), on a finite graph the entry itself. So "sum
+over closed walks hitting A and B avoiding C" adds w(X)/|X| times
+|S_A & S_B - S_C| per entry, and the interaction factor I = 1 - exp(-mu) of
+every caller is _i_factor.
 """
 
 from __future__ import annotations
@@ -89,9 +92,10 @@ def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_av
 
     The loop erasure is carried along: a step onto the SAW truncates it at
     the hit point and erases the loop saw[j:] + (v,), or its sap_key when
-    `keys` is true, so act.weight_of_keys(erased) is the walk's loop weight
-    under either kind of activity. Erased lists are shared between walks;
-    do not mutate them. Each walk yielded is charged to node_budget().
+    `keys` is true (each distinct loop keyed once per run), so
+    act.weight_of_keys(erased) is the walk's loop weight under either kind
+    of activity. Erased lists are shared between walks; do not mutate them.
+    Each walk yielded is charged to node_budget().
 
     With `canonical` (Z^d, prefix the origin alone) only the canonical walks
     are grown (_canonical_steps), one per orbit of the point group, and each
@@ -100,9 +104,17 @@ def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_av
     the last walk expanded one step shorter. The constraints must then be
     point-group invariant (end the origin, avoid empty).
     """
+    key_of: dict = {}  # erased loop -> its sap_key, for this run
+
+    def key(loop):
+        k = key_of.get(loop)
+        if k is None:
+            k = key_of[loop] = sap_key(loop, ctx)
+        return k
+
     saw, erased = _erase(prefix)
     if keys:
-        erased = [sap_key(loop, ctx) for loop in erased]
+        erased = [key(loop) for loop in erased]
     if canonical:
         rows = _canonical_units(ctx)
         units = [[u for u, _, _ in row] for row in rows]
@@ -137,7 +149,7 @@ def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_av
             elif not self_avoiding:
                 j = saw.index(v)
                 loop = saw[j:] + (v,)
-                stack.append((w + (v,), saw[: j + 1], erased + [sap_key(loop, ctx) if keys else loop]))
+                stack.append((w + (v,), saw[: j + 1], erased + [key(loop) if keys else loop]))
 
 
 def walk_sum(start, end, act: LoopActivity, nmax: int, ctx: GraphCtx, avoid=frozenset()) -> ZSeries:
@@ -476,33 +488,76 @@ def closed_walk_catalog(ctx: GraphCtx, max_len: int):
     Aggregated by (range, steps, erased-loop key multiset); each entry is
     (range frozenset, n, keys tuple, count). Readers sum over the entries,
     whose order is not part of the result. A lattice range is relative to
-    the origin, a finite one is the walk's own vertex set. On Z^d only the
-    canonical closed walks are grown (_grow with canonical), one per
-    point-group orbit. An orbit shares its keys (sap_key is a point-group
-    canonical form), and its walks are the images of the canonical one
-    under the injective signed maps of its axes, so each canonical entry is
-    counted again under every image of its range (_range_images), each
-    range expanded once for all the entries that share it.
+    the origin, a finite one is the walk's own vertex set.
+
+    The walks run forward one length at a time over merged states (partial
+    loop erasure, range so far, erased-loop keys) -> number of walks, as in
+    _transfer: a walk is back at its root exactly when its erasure is the
+    root alone. A state that can no longer reach the root in the steps left
+    is dropped, each distinct erased loop is keyed once per build, and each
+    state expanded is charged to node_budget(); a job is also refused up
+    front by _guard. On Z^d only the canonical walks are run, one per
+    point-group orbit, stepping by _canonical_steps for the axes their range
+    uses. An orbit shares its keys (sap_key is a point-group canonical
+    form), and its walks are the images of the canonical one under the
+    injective signed maps of its axes, so each canonical entry is counted
+    again under every image of its range (_range_images), each range
+    expanded once for all the entries that share it.
     """
     _guard(ctx, max_len)
-    agg: dict = {}
-    for root in (ctx.origin(),) if ctx.is_lattice else ctx.vertices():
-        for node in _grow(ctx, (root,), max_len, end=root, keys=True, canonical=ctx.is_lattice):
-            w = node[0]
-            if len(w) > 2 and w[-1] == root:
-                key = (frozenset(w), len(w) - 1, tuple(sorted(node[2])))
-                agg[key] = agg.get(key, 0) + 1
-    if ctx.is_lattice:
-        by_range: dict = {}
-        for (rng, n, keys), cnt in agg.items():
-            by_range.setdefault(rng, []).append((n, keys, cnt))
-        agg = {}
-        for rng, rows in by_range.items():
-            for image in _range_images(rng, ctx.d):
-                for n, keys, cnt in rows:
-                    key = (image, n, keys)
-                    agg[key] = agg.get(key, 0) + cnt
-    return tuple((rng, n, keys, cnt) for (rng, n, keys), cnt in agg.items())
+    lattice = ctx.is_lattice
+    if lattice:
+        steps = [[(u, k2) for u, _, k2 in row] for row in _canonical_units(ctx)]
+    budget, expanded = node_budget(), 0
+    loop_ids: dict = {}  # erased loop -> id of its sap_key
+    key_ids: dict = {}  # sap_key -> id, in order of first sight
+    agg: dict = {}  # (range, n, sorted key ids) -> count
+    for root in (ctx.origin(),) if lattice else ctx.vertices():
+        moves: dict = {}  # (vertex, axes used) -> [(next vertex, axes used, its distance to root)]
+        level = {((root,), frozenset((root,)), (), 0): 1}  # (LE, range, key ids, axes used) -> walks
+        for m in range(1, max_len + 1):
+            expanded += len(level)
+            if expanded > budget:
+                raise _states_over_budget()
+            room, nxt = max_len - m, {}  # room: steps left after this one
+            for (saw, rng, ids, k), cnt in level.items():
+                here = saw[-1]
+                out = moves.get((here, k))
+                if out is None:
+                    if lattice:
+                        out = [(tuple(map(add, here, u)), k2) for u, k2 in steps[k]]
+                    else:
+                        out = [(v, 0) for v in ctx.neighbors(here)]
+                    out = moves[here, k] = [(v, k2, ctx.distance(v, root)) for v, k2 in out]
+                for v, k2, far in out:
+                    if far > room:
+                        continue
+                    if v in saw:  # truncate at the hit point, erasing the loop after it
+                        j = saw.index(v)
+                        loop = saw[j:] + (v,)
+                        i = loop_ids.get(loop)
+                        if i is None:
+                            i = loop_ids[loop] = key_ids.setdefault(sap_key(loop, ctx), len(key_ids))
+                        state = (saw[: j + 1], rng, tuple(sorted(ids + (i,))), k2)
+                        if j == 0:  # back at the root
+                            entry = (rng, m, state[2])
+                            agg[entry] = agg.get(entry, 0) + cnt
+                    else:
+                        state = (saw + (v,), rng if v in rng else rng | {v}, ids, k2)
+                    if room:
+                        nxt[state] = nxt.get(state, 0) + cnt
+            level = nxt
+    names = list(key_ids)
+    by_range: dict = {}
+    for (rng, n, ids), cnt in agg.items():
+        by_range.setdefault(rng, []).append((n, tuple(sorted(names[i] for i in ids)), cnt))
+    cat: dict = {}
+    for rng, rows in by_range.items():
+        for image in _range_images(rng, ctx.d) if lattice else (rng,):
+            for n, keys, cnt in rows:
+                entry = (image, n, keys)
+                cat[entry] = cat.get(entry, 0) + cnt
+    return tuple((rng, n, keys, cnt) for (rng, n, keys), cnt in cat.items())
 
 
 def _range_images(rng, d: int) -> list:

@@ -179,19 +179,39 @@ def walk_order_max(w, cycles):
 def loop_addition(pair: LegalPair, trace=None):
     """Rebuild the walk from a legal pair (inverse of total loop erasure).
 
+    Each pop inserts the maximal piece whose first hit along the walk comes
+    last, at that hit (walk_order_max, then loop_insert). One backward pass
+    over the pieces finds the maxima, as _maximal does; they are pairwise
+    disjoint, and each of their vertices is mapped to its piece. One scan
+    of the walk, stopped once every maximum is hit, then gives each one's
+    first-hit time and the insertion point.
+
     When `trace` is a list the inserted cycles are appended in insertion
     order (the last entry is the first loop a subsequent erasure removes).
     An illegal pair raises PreconditionError at the first pop, before any
-    insertion: walk_order_max rejects a maximal piece that misses eta. A
-    piece that becomes maximal later lay under the cycle just inserted, so
-    it meets the walk.
+    insertion: a maximal piece that misses eta is never hit. A piece that
+    becomes maximal later lay under the cycle just inserted, so it meets
+    the walk.
     """
     w, pieces = pair.eta, list(pair.heap.pieces)  # a linear extension stays one as maxima pop
     while pieces:
-        maxima = _maximal(pieces)
-        c = walk_order_max(w, [p for _, p in maxima])
-        del pieces[next(i for i, p in maxima if p == c)]
-        w = loop_insert(w, c)
+        owner, above = {}, set()  # owner: vertex -> index of the maximal piece through it
+        for i in reversed(range(len(pieces))):  # as in _maximal
+            verts = pieces[i].vertices()
+            if above.isdisjoint(verts):
+                owner.update(dict.fromkeys(verts, i))
+            above |= verts
+        for t, v in enumerate(w):
+            i = owner.get(v)
+            if i is not None:
+                for u in pieces[i].seq:
+                    del owner[u]
+                if not owner:  # every maximum is hit, piece i last
+                    break
+        else:
+            raise PreconditionError("cycle does not intersect the walk")
+        c = pieces.pop(i)
+        w = w[:t] + c.rooted_at(v) + w[t + 1 :]
         if trace is not None:
             trace.append(c)
     return w

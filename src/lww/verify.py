@@ -168,23 +168,27 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
     origin = ctx.origin()
     ok = True
     total = 0
+    prev, cycles = None, {}  # cycles: erased loop -> its oriented cycle
     for w, saw, erased in en._grow(ctx, (origin,), nmax_walks):
-        loops = [hp.OrientedCycle.from_closed_walk(e) for e in erased]
-        pair = hp.LegalPair(eta=saw, heap=hp.CycleHeap.of(loops))
-        back = hp.loop_addition(pair)
+        if erased is not prev:  # _grow shares one erased list until a loop closes
+            prev = erased
+            for e in erased:
+                if e not in cycles:
+                    cycles[e] = hp.OrientedCycle.from_closed_walk(e)
+            loops = [cycles[e] for e in erased]
+            heap = hp.CycleHeap.of(loops)
+            heap_edges = []
+            for p in heap.pieces:
+                rep = p.rooted_at(p.seq[0])
+                heap_edges += [(u, v) if u <= v else (v, u) for u, v in zip(rep, rep[1:])]
+            same_pieces = sorted(p.seq for p in heap.pieces) == sorted(c.seq for c in loops)
+        back = hp.loop_addition(hp.LegalPair(eta=saw, heap=heap))
         total += 1
-        if back != w:
-            ok = False
-            break
-        edges = sorted((u, v) if u <= v else (v, u) for u, v in zip(w, w[1:]))
-        eta_edges = [(u, v) if u <= v else (v, u) for u, v in zip(pair.eta, pair.eta[1:])]
-        for p in pair.heap.pieces:
-            rep = p.rooted_at(p.seq[0])
-            eta_edges += [(u, v) if u <= v else (v, u) for u, v in zip(rep, rep[1:])]
-        if sorted(eta_edges) != edges:
-            ok = False
-            break
-        if sorted(p.seq for p in pair.heap.pieces) != sorted(c.seq for c in loops):
+        edges = [(u, v) if u <= v else (v, u) for u, v in zip(w, w[1:])]
+        eta_edges = [(u, v) if u <= v else (v, u) for u, v in zip(saw, saw[1:])] + heap_edges
+        edges.sort()
+        eta_edges.sort()
+        if back != w or eta_edges != edges or not same_pieces:
             ok = False
             break
     out.append(

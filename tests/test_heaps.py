@@ -340,3 +340,73 @@ def test_finite_two_point_table_matches_walk_fold(dims, nmax):
             table.setdefault(w[-1], [Fraction(0)] * (nmax + 1))[m] += weight
         got = en.two_point_table(act, nmax, box)
         assert {x: s.coeffs for x, s in got.data} == {x: tuple(c) for x, c in table.items()}
+
+
+# ---------------------------------------------------------------------------
+# loop addition against its former body
+
+
+def _loop_addition_oracle(pair, trace=None):
+    """loop_addition's former body: the maxima by _maximal, the last one hit
+    by walk_order_max and its insertion by loop_insert, each scanning the
+    walk on its own."""
+    w, pieces = pair.eta, list(pair.heap.pieces)
+    while pieces:
+        maxima = hp._maximal(pieces)
+        c = hp.walk_order_max(w, [p for _, p in maxima])
+        del pieces[next(i for i, p in maxima if p == c)]
+        w = hp.loop_insert(w, c)
+        if trace is not None:
+            trace.append(c)
+    return w
+
+
+def _both_rebuild(pair):
+    got, want = [], []
+    w = hp.loop_addition(pair, trace=got)
+    assert w == _loop_addition_oracle(pair, trace=want)
+    assert got == want
+    return w
+
+
+def test_loop_addition_matches_former_body_on_walks():
+    walks = 0
+    for w, saw, erased in en._grow(CTX2, ((0, 0),), 6):
+        heap = hp.CycleHeap.of(hp.OrientedCycle.from_closed_walk(loop) for loop in erased)
+        assert _both_rebuild(hp.LegalPair(eta=saw, heap=heap)) == w
+        walks += 1
+    assert walks == sum(4**m for m in range(7))
+
+
+def test_loop_addition_matches_former_body_on_box_pairs():
+    box, cap = hp.box_graph(3, 3), 7
+    heaps = list(hp.all_heaps(hp.all_oriented_cycles(box, cap), cap))
+    legal = illegal = full = 0
+    for eta in en.saws(box, (0, 0), cap):
+        budget = cap - (len(eta) - 1)
+        full += budget < 2
+        for heap in heaps:
+            if heap.size() > budget:
+                continue
+            pair = hp.LegalPair(eta=eta, heap=heap)
+            if pair.is_legal():
+                legal += 1
+                _both_rebuild(pair)
+                continue
+            illegal += 1
+            for rebuild in (hp.loop_addition, _loop_addition_oracle):
+                trace = []
+                with pytest.raises(PreconditionError):
+                    rebuild(pair, trace=trace)
+                assert trace == []
+    # criterion 04 counts 1581 legal pairs; it skips the SAWs with no room
+    # for a loop, each legal with the empty heap alone
+    assert legal == 1581 + full
+    assert illegal > 0
+
+
+def test_walk_order_max_rejects_tied_first_hits():
+    w = w1(0, 1, 2)
+    with pytest.raises(PreconditionError, match="tied"):
+        hp.walk_order_max(w, [oc((1,), (2,)), oc((1,), (5,))])
+    assert hp.walk_order_max(w, [oc((0,), (-1,)), oc((2,), (3,))]) == oc((2,), (3,))

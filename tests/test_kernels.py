@@ -658,6 +658,85 @@ def test_closed_walk_catalog_on_a_box(dims, n):
     assert per_len == {m: t for m, t in traces.items() if t}
 
 
+def _catalog_walks(ctx, max_len):
+    """(root, node) for each node of closed_walk_catalog's former depth-first
+    body: the walks that can still close up at their root, on Z^d the
+    canonical ones alone, each carrying its erased-loop keys."""
+    for root in (ctx.origin(),) if ctx.is_lattice else ctx.vertices():
+        for node in en._grow(ctx, (root,), max_len, end=root, keys=True, canonical=ctx.is_lattice):
+            yield root, node
+
+
+def _catalog_oracle(ctx, max_len):
+    """closed_walk_catalog's former body: every closed walk of _catalog_walks
+    counted by (range, n, sorted keys), and on Z^d each canonical entry
+    counted again under every image of its range."""
+    agg = Counter()
+    for root, (w, _, keys, *_) in _catalog_walks(ctx, max_len):
+        if len(w) > 2 and w[-1] == root:
+            agg[(frozenset(w), len(w) - 1, tuple(sorted(keys)))] += 1
+    if not ctx.is_lattice:
+        return agg
+    out = Counter()
+    for (rng, n, keys), cnt in agg.items():
+        for image in en._range_images(rng, ctx.d):
+            out[(image, n, keys)] += cnt
+    return out
+
+
+CATALOG_CASES = [(hp.box_graph(*dims), 8) for dims in ((2, 2), (3, 2), (3, 3))]
+CATALOG_CASES += [(GraphCtx.lattice(d), n) for d, n in ((1, 12), (2, 10), (3, 6), (4, 6))]
+CATALOG_IDS = ["box2x2", "box3x2", "box3x3", "Z1", "Z2", "Z3", "Z4"]
+
+
+@pytest.mark.parametrize("ctx,n", CATALOG_CASES, ids=CATALOG_IDS)
+def test_closed_walk_catalog_matches_former_body(ctx, n):
+    en.closed_walk_catalog.cache_clear()
+    cat = en.closed_walk_catalog(ctx, n)
+    assert Counter(cat) == Counter(entry + (cnt,) for entry, cnt in _catalog_oracle(ctx, n).items())
+
+
+@pytest.mark.parametrize("ctx,n", [(GraphCtx.lattice(2), 8), (hp.box_graph(3, 3), 8)], ids=["Z2", "box3x3"])
+def test_closed_walk_catalog_charges_each_state(monkeypatch, ctx, n):
+    """With the up-front guard off, the catalog is charged one unit per
+    state it expands: the distinct (loop erasure, range, erased keys) of
+    the walks shorter than n that can still close up, per root."""
+    states = {(root, len(w), saw, frozenset(w), tuple(sorted(keys)))
+              for root, (w, saw, keys, *_) in _catalog_walks(ctx, n) if len(w) <= n}
+    monkeypatch.setattr(en, "_guard", lambda ctx, max_len: None)
+    for budget in (len(states) - 1, 50):
+        lww.clear_caches()
+        monkeypatch.setenv("LWW_BUDGET", str(budget))
+        with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
+            en.closed_walk_catalog(ctx, n)
+    lww.clear_caches()
+    monkeypatch.setenv("LWW_BUDGET", str(len(states)))
+    assert en.closed_walk_catalog(ctx, n)
+    lww.clear_caches()
+
+
+def test_each_erased_loop_is_keyed_once(monkeypatch):
+    """_grow with keys, and a catalog build, call sap_key once per distinct
+    erased loop."""
+    calls = Counter()
+
+    def counting(loop, ctx=None):
+        calls[loop] += 1
+        return sap_key(loop, ctx)
+
+    monkeypatch.setattr(en, "sap_key", counting)
+    for ctx, start in ((GraphCtx.lattice(2), (0, 0)), (hp.box_graph(3, 3), (1, 1))):
+        loops = {loop for w in en.walks(ctx, start, 6) for loop in _erase(w)[1]}
+        calls.clear()
+        list(en._grow(ctx, (start,), 6, keys=True))
+        assert set(calls) == loops and set(calls.values()) == {1}
+        calls.clear()
+        en.closed_walk_catalog.cache_clear()
+        en.closed_walk_catalog(ctx, 6)
+        assert calls and set(calls.values()) == {1}
+    en.closed_walk_catalog.cache_clear()
+
+
 # ---------------------------------------------------------------------------
 # loop measures
 
