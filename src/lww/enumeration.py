@@ -38,6 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
+from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Optional
 
@@ -594,11 +595,21 @@ def _shifts(region, rng, ctx) -> set:
 
 @lru_cache(maxsize=None)
 def _entry_weights(act, ctx, max_len) -> tuple:
-    """(n, w(X)/|X| summed over the entry's walks, range) per entry of
-    closed_walk_catalog(ctx, max_len) of nonzero weight, once per activity."""
-    weighed = ((n, act.weight_of_keys(keys) * Fraction(cnt, n), rng)
-               for rng, n, keys, cnt in closed_walk_catalog(ctx, max_len))
-    return tuple(entry for entry in weighed if entry[1])
+    """(den, entries): one (n, W, range) per entry of closed_walk_catalog(ctx,
+    max_len) of nonzero weight, W / den the entry's w(X)/|X| summed over its
+    walks, over one common denominator; once per activity."""
+    weights: dict = {}  # keys -> w
+    raw = []
+    for rng, n, keys, cnt in closed_walk_catalog(ctx, max_len):
+        w = weights.get(keys)
+        if w is None:
+            w = weights[keys] = act.weight_of_keys(keys)
+        if w:
+            p, q = w.numerator * cnt, w.denominator * n
+            g = gcd(p, q)
+            raw.append((n, p // g, q // g, rng))
+    den = lcm(*[q for _, _, q, _ in raw])
+    return den, tuple((n, p * (den // q), rng) for n, p, q, rng in raw)
 
 
 def _mu(A, B, C, act, nmax, ctx) -> ZSeries:
@@ -614,16 +625,17 @@ def _mu(A, B, C, act, nmax, ctx) -> ZSeries:
             B = None
     if not A:
         return ZSeries.zero(nmax)
-    acc = SeriesSum(nmax)
-    for n, w, rng in _entry_weights(act, ctx, nmax - nmax % 2 if ctx.is_lattice else nmax):
+    nums = [0] * (nmax + 1)
+    den, entries = _entry_weights(act, ctx, nmax - nmax % 2 if ctx.is_lattice else nmax)
+    for n, w, rng in entries:
         hits = _shifts(A, rng, ctx)
         if B is not None:
             hits &= _shifts(B, rng, ctx)
         if C and hits:
             hits -= _shifts(C, rng, ctx)
         if hits:
-            acc.add_term(n, w * len(hits))
-    return acc.value()
+            nums[n] += w * len(hits)
+    return ZSeries.from_ints(nums, den)
 
 
 def loop_measure(A, B, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
@@ -712,7 +724,7 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
             contrib = ZSeries.monomial(size, length, nmax)
         else:
             mu = loop_measure(eta, (), act, budget, ctx)
-            contrib = (exp_series(ZSeries.of(mu.coeffs, nmax)) * size).shift(length)
+            contrib = (exp_series(mu.to_order(nmax)) * size).shift(length)
         key = _orbit_key(eta[-1])
         acc = totals.get(key)
         if acc is None:

@@ -132,9 +132,13 @@ def _sample_steps(seed: int, start_index: int, count: int, n: int, two_d: int) -
     Step t of sample i is raw word t of the stream keyed (seed, i), read as a
     signed int64, modulo 2d; a sample's steps therefore do not depend on the
     batch it is drawn in. The modulo bias is ~ 2d / 2^64, far below
-    statistical resolution.
+    statistical resolution. When 2d is a power of two the floor modulo of a
+    two's-complement word is its low bits, taken with a mask.
     """
-    return _philox_raw(seed, start_index, count, n).view(np.int64) % two_d
+    words = _philox_raw(seed, start_index, count, n).view(np.int64)
+    if two_d & (two_d - 1) == 0:
+        return words & (two_d - 1)
+    return words % two_d
 
 
 def _narrow_int(bound: int):

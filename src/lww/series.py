@@ -1,20 +1,22 @@
 """Exact truncated power series in z over the rationals.
 
-ZSeries is the arithmetic substrate for every identity check: a tuple of
-Fraction coefficients c_0..c_{nmax}, closed under ring ops at fixed
-truncation order. SpatialSeries maps lattice points (or finite-graph
-vertices) to ZSeries with finite support.
+ZSeries is the arithmetic substrate for every identity check: coefficients
+c_0..c_{nmax}, closed under ring ops at fixed truncation order. SpatialSeries
+maps lattice points (or finite-graph vertices) to ZSeries with finite
+support.
 
-The kernels (product, exp, log1p, reciprocal, sums of many series, spatial
-convolution and inverse) are integer-scaled: each operand is scaled once to
-integer numerators over one common denominator (the lcm of its
-denominators), the recurrence runs on Python ints, and a normalised Fraction
-is built only for each output coefficient (the shared ZERO when it
-vanishes). Coefficients in and out are normalised Fractions (an int
-coefficient is read as n/1), and every result is the same exact rational
-the schoolbook Fraction recurrence gives, so serialised outputs cannot
-change; there is no knob choosing between the two. Every product of two
-series runs this one kernel, whatever the sparsity of its factors.
+A series is held in integer form: numerators over their least common
+denominator, kept positive, so each series has one such form and `==` and
+`hash` read it. Every kernel (sum, difference, negation, scalar and series
+product, shift, exp, log1p, reciprocal, sums of many series, spatial
+convolution and inverse) reads and writes that form: its recurrence runs on
+Python ints, and one `gcd(den, *nums)` call reduces its output. `.coeffs`,
+the tuple of normalised Fractions (the shared ZERO for 0), is built only
+when read and then kept; a series built from coefficients (`ZSeries(coeffs)`,
+`of`, `const`) keeps them and finds its integer form only when a kernel
+first reads it. Every result is the same exact rational the schoolbook
+Fraction recurrence gives, so serialised outputs cannot change; there is no
+knob choosing between the two.
 """
 
 from __future__ import annotations
@@ -22,13 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import add
 
 from .core import PreconditionError
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _scaled(coeffs) -> tuple:
@@ -37,9 +38,12 @@ def _scaled(coeffs) -> tuple:
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _fractions(nums, dens) -> tuple:
-    """Normalised Fraction coefficients nums[k] / dens[k]."""
-    return tuple(Fraction(x, d) if x else ZERO for x, d in zip(nums, dens))
+def _ratio(c) -> tuple:
+    """(numerator, denominator) of a rational scalar, building no Fraction
+    for an int or a Fraction."""
+    if not isinstance(c, (int, Fraction)):
+        c = Fraction(c)
+    return c.numerator, c.denominator
 
 
 def _cauchy(a, b, out: list) -> list:
@@ -58,21 +62,67 @@ def _support(nums) -> list:
     return [(k, v) for k, v in enumerate(nums) if v]
 
 
-@dataclass(frozen=True)
 class ZSeries:
-    coeffs: tuple  # length nmax+1
+    """c_0 + c_1 z + ... + c_nmax z^nmax, in integer form (see the module
+    docstring) or as the coefficients it was built from, or both."""
+
+    __slots__ = ("_co", "_nums", "_den")
+
+    def __init__(self, coeffs):
+        self._co = tuple(coeffs)  # length nmax+1
+        self._nums = self._den = None
+
+    @staticmethod
+    def from_ints(nums, den: int) -> "ZSeries":
+        """The series nums[k] / den (den != 0), reduced by one gcd call."""
+        if den < 0:
+            nums, den = [-x for x in nums], -den
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [x // g for x in nums], den // g
+        s = object.__new__(ZSeries)
+        s._co, s._nums, s._den = None, tuple(nums), den
+        return s
+
+    def _ints(self) -> tuple:
+        """(nums, den): c_k == nums[k] / den, den > 0 the least common denominator."""
+        if self._nums is None:
+            nums, self._den = _scaled(self._co)
+            self._nums = tuple(nums)
+        return self._nums, self._den
+
+    @property
+    def coeffs(self) -> tuple:
+        co = self._co
+        if co is None:
+            den = self._den
+            co = self._co = tuple(Fraction(x, den) if x else ZERO for x in self._nums)
+        return co
 
     @property
     def nmax(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._co if self._co is not None else self._nums) - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, ZSeries):
+            return NotImplemented
+        if self._co is not None and other._co is not None:
+            return self._co == other._co
+        return self._ints() == other._ints()
+
+    def __hash__(self):
+        return hash(self._ints())
+
+    def __repr__(self):
+        return f"ZSeries(coeffs={self.coeffs!r})"
 
     @staticmethod
     def zero(nmax: int) -> "ZSeries":
-        return ZSeries((ZERO,) * (nmax + 1))
+        return ZSeries.from_ints((0,) * (nmax + 1), 1)
 
     @staticmethod
     def one(nmax: int) -> "ZSeries":
-        return ZSeries((ONE,) + (ZERO,) * nmax)
+        return ZSeries.from_ints((1,) + (0,) * nmax, 1)
 
     @staticmethod
     def const(c, nmax: int) -> "ZSeries":
@@ -82,9 +132,10 @@ class ZSeries:
     def monomial(c, power: int, nmax: int) -> "ZSeries":
         if power > nmax:
             return ZSeries.zero(nmax)
-        co = [ZERO] * (nmax + 1)
-        co[power] = Fraction(c)
-        return ZSeries(tuple(co))
+        p, q = _ratio(c)
+        nums = [0] * (nmax + 1)
+        nums[power] = p
+        return ZSeries.from_ints(nums, q)
 
     @staticmethod
     def of(coeffs, nmax: int) -> "ZSeries":
@@ -94,36 +145,48 @@ class ZSeries:
 
     @staticmethod
     def sum(series, nmax: int) -> "ZSeries":
-        """Sum of an iterable of series at order nmax, each coefficient built once."""
+        """Sum of an iterable of series at order nmax, reduced once."""
         acc = SeriesSum(nmax)
         for s in series:
             acc.add(s)
         return acc.value()
 
+    def to_order(self, nmax: int) -> "ZSeries":
+        """The same series truncated, or padded with zeros, to order nmax."""
+        nums, den = self._ints()
+        return ZSeries.from_ints(nums[: nmax + 1] + (0,) * (nmax + 1 - len(nums)), den)
+
     def _check(self, other: "ZSeries"):
         if self.nmax != other.nmax:
             raise PreconditionError("mismatched truncation orders")
 
-    def __add__(self, other: "ZSeries") -> "ZSeries":
+    def _combine(self, other: "ZSeries", sign: int) -> "ZSeries":
+        """self + sign * other over the lcm of the two denominators."""
         self._check(other)
-        return ZSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        (na, da), (nb, db) = self._ints(), other._ints()
+        den = lcm(da, db)
+        sa, sb = den // da, sign * (den // db)
+        return ZSeries.from_ints([x * sa + y * sb for x, y in zip(na, nb)], den)
+
+    def __add__(self, other: "ZSeries") -> "ZSeries":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "ZSeries") -> "ZSeries":
-        self._check(other)
-        return ZSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "ZSeries":
-        return ZSeries(tuple(-a for a in self.coeffs))
+        nums, den = self._ints()
+        return ZSeries.from_ints([-x for x in nums], den)
 
     def __mul__(self, other):
+        nums, den = self._ints()
         if not isinstance(other, ZSeries):
-            c = Fraction(other)
-            return ZSeries(tuple(c * a for a in self.coeffs))
+            p, q = _ratio(other)
+            return ZSeries.from_ints([p * x for x in nums], q * den)
         self._check(other)
-        n = len(self.coeffs)
-        (na, da), (nb, db) = _scaled(self.coeffs), _scaled(other.coeffs)
-        out = _cauchy(_support(na), _support(nb), [0] * n)
-        return ZSeries(_fractions(out, [da * db] * n))
+        nb, db = other._ints()
+        out = _cauchy(_support(nums), _support(nb), [0] * len(nums))
+        return ZSeries.from_ints(out, den * db)
 
     __rmul__ = __mul__
 
@@ -131,32 +194,37 @@ class ZSeries:
         """Multiply by z^k."""
         if k == 0:
             return self
-        n = self.nmax
-        return ZSeries((ZERO,) * min(k, n + 1) + self.coeffs[: max(0, n + 1 - k)])
+        nums, den = self._ints()
+        n = len(nums)
+        return ZSeries.from_ints((0,) * min(k, n) + nums[: max(0, n - k)], den)
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self._co if self._nums is None else self._nums)
 
     def leq(self, other: "ZSeries") -> bool:
         """Coefficientwise <=."""
         self._check(other)
-        return all(a <= b for a, b in zip(self.coeffs, other.coeffs))
+        (na, da), (nb, db) = self._ints(), other._ints()
+        return all(x * db <= y * da for x, y in zip(na, nb))
 
     def nonneg(self) -> bool:
-        return all(c >= 0 for c in self.coeffs)
+        return all(x >= 0 for x in self._ints()[0])
 
     def derivative(self) -> "ZSeries":
         """d/dz on coefficients; the top coefficient is lost to truncation."""
-        n = self.nmax
-        co = [Fraction(k) * self.coeffs[k] for k in range(1, n + 1)] + [ZERO]
-        return ZSeries(tuple(co))
+        nums, den = self._ints()
+        return ZSeries.from_ints([k * nums[k] for k in range(1, len(nums))] + [0], den)
 
     def eval_at(self, z) -> Fraction:
-        z = Fraction(z)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        """sum_k c_k z^k; with z = p/q, Horner on sum_k nums[k] p^k q^(n-k)
+        over den q^n, one Fraction built."""
+        p, q = _ratio(z)
+        nums, den = self._ints()
+        acc, qk = 0, 1
+        for x in reversed(nums):
+            acc = acc * p + x * qk
+            qk *= q
+        return Fraction(acc, den * qk // q)
 
     def to_json(self) -> list:
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
@@ -169,7 +237,7 @@ class ZSeries:
 
 class SeriesSum:
     """Running exact sum of series at one order: integer numerators over one
-    common denominator, so no Fraction is built before value()."""
+    common denominator, reduced once by value()."""
 
     def __init__(self, nmax: int):
         self.nums = [0] * (nmax + 1)
@@ -183,75 +251,88 @@ class SeriesSum:
             self.den = den
 
     def add(self, s: ZSeries) -> None:
-        co = s.coeffs
-        if len(co) != len(self.nums):
+        nums, den = s._ints()
+        if len(nums) != len(self.nums):
             raise PreconditionError("mismatched truncation orders")
-        self._widen(lcm(self.den, *[c.denominator for c in co]))
-        nums, den = self.nums, self.den
-        for k, c in enumerate(co):
-            if c:
-                nums[k] += c.numerator * (den // c.denominator)
+        self._widen(lcm(self.den, den))
+        scale = self.den // den
+        acc = self.nums
+        for k, x in enumerate(nums):
+            if x:
+                acc[k] += x * scale
 
     def add_term(self, k: int, c) -> None:
         """Add c z^k."""
-        self._widen(lcm(self.den, c.denominator))
-        self.nums[k] += c.numerator * (self.den // c.denominator)
+        p, q = _ratio(c)
+        self._widen(lcm(self.den, q))
+        self.nums[k] += p * (self.den // q)
 
     def value(self) -> ZSeries:
-        return ZSeries(_fractions(self.nums, [self.den] * len(self.nums)))
+        return ZSeries.from_ints(self.nums, self.den)
 
 
 def exp_series(a: ZSeries) -> ZSeries:
     """Truncated exp(a); a must have zero constant term (keeps coefficients rational).
 
     With a_j = A_j / D: k e_k = sum_j j a_j e_{k-j}, so e_k = F_k / (k! D^k)
-    with integers F_0 = 1, F_k = sum_j j A_j D^{j-1} F_{k-j} (k-1)!/(k-j)!.
+    with integers F_0 = 1, F_k = sum_j j A_j D^{j-1} F_{k-j} (k-1)!/(k-j)!;
+    over the common denominator n! D^n, e_k = F_k (n!/k!) D^{n-k} / (n! D^n).
     """
-    if a.coeffs[0] != 0:
+    nums, den = a._ints()
+    if nums[0]:
         raise PreconditionError("exp needs zero constant term")
-    nums, den = _scaled(a.coeffs)
     n = len(nums)
     fact = [factorial(k) for k in range(n)]
     terms = [(j, j * v * den ** (j - 1)) for j, v in _support(nums)]
     f = [1] + [0] * (n - 1)
     for k in range(1, n):
         f[k] = sum(t * f[k - j] * (fact[k - 1] // fact[k - j]) for j, t in terms if j <= k)
-    return ZSeries(_fractions(f, [fact[k] * den**k for k in range(n)]))
+    top = n - 1
+    return ZSeries.from_ints(
+        [x * (fact[top] // fact[k]) * den ** (top - k) for k, x in enumerate(f)], fact[top] * den**top
+    )
 
 
 def reciprocal(a: ZSeries) -> ZSeries:
     """Truncated 1/a; a must have nonzero constant term.
 
     With a_j = A_j / D: r_k = D R_k / A_0^{k+1} with integers R_0 = 1,
-    R_k = -sum_{j>=1} A_j A_0^{j-1} R_{k-j}.
+    R_k = -sum_{j>=1} A_j A_0^{j-1} R_{k-j}; over the common denominator
+    A_0^{n+1}, r_k = D R_k A_0^{n-k} / A_0^{n+1}.
     """
-    if a.coeffs[0] == 0:
-        raise PreconditionError("reciprocal needs nonzero constant term")
-    nums, den = _scaled(a.coeffs)
-    n = len(nums)
+    nums, den = a._ints()
     c0 = nums[0]
+    if not c0:
+        raise PreconditionError("reciprocal needs nonzero constant term")
+    n = len(nums)
     terms = [(j, v * c0 ** (j - 1)) for j, v in _support(nums) if j]
     r = [1] + [0] * (n - 1)
     for k in range(1, n):
         r[k] = -sum(t * r[k - j] for j, t in terms if j <= k)
-    return ZSeries(_fractions([den * x for x in r], [c0 ** (k + 1) for k in range(n)]))
+    top = n - 1
+    return ZSeries.from_ints([den * x * c0 ** (top - k) for k, x in enumerate(r)], c0**n)
 
 
 def log1p_series(a: ZSeries) -> ZSeries:
     """Truncated log(1+a); a must have zero constant term.
 
     With a_j = A_j / D, (1 + a) l' = a' gives l_k = L_k / (k D^k) with
-    integers L_k = k A_k D^{k-1} - sum_{1<=j<k} A_j D^{j-1} L_{k-j}.
+    integers L_k = k A_k D^{k-1} - sum_{1<=j<k} A_j D^{j-1} L_{k-j}; over
+    the common denominator M D^n, M = lcm(1..n), l_k = L_k (M/k) D^{n-k} / (M D^n).
     """
-    if a.coeffs[0] != 0:
+    nums, den = a._ints()
+    if nums[0]:
         raise PreconditionError("log1p needs zero constant term")
-    nums, den = _scaled(a.coeffs)
     n = len(nums)
     terms = [(j, v * den ** (j - 1)) for j, v in _support(nums)]
     ell = [0] * n
     for k in range(1, n):
         ell[k] = k * nums[k] * den ** (k - 1) - sum(t * ell[k - j] for j, t in terms if j < k)
-    return ZSeries(_fractions(ell, [max(k, 1) * den**k for k in range(n)]))
+    top = n - 1
+    m = lcm(*range(1, n))
+    return ZSeries.from_ints(
+        [x * (m // k) * den ** (top - k) if x else 0 for k, x in enumerate(ell)], m * den**top
+    )
 
 
 @dataclass(frozen=True)
@@ -320,9 +401,9 @@ class SpatialSeries:
 
 def _scaled_rows(a: SpatialSeries) -> tuple:
     """([(point, sparse int row)], den): a(x)_k == row value at k / den."""
-    den = lcm(*[c.denominator for _, s in a.data for c in s.coeffs])
-    return [(x, _support([c.numerator * (den // c.denominator) for c in s.coeffs]))
-            for x, s in a.data], den
+    forms = [(x, s._ints()) for x, s in a.data]
+    den = lcm(*[d for _, (_, d) in forms])
+    return [(x, [(k, v * (den // d)) for k, v in _support(nums)]) for x, (nums, d) in forms], den
 
 
 def spatial_convolve(a: SpatialSeries, b: SpatialSeries) -> SpatialSeries:
@@ -339,8 +420,8 @@ def spatial_convolve(a: SpatialSeries, b: SpatialSeries) -> SpatialSeries:
             if row is None:
                 row = acc[x] = [0] * n
             _cauchy(ra, rb, row)
-    dens = [da * db] * n
-    return SpatialSeries.build({x: ZSeries(_fractions(row, dens)) for x, row in acc.items()}, a.nmax)
+    den = da * db
+    return SpatialSeries.build({x: ZSeries.from_ints(row, den) for x, row in acc.items()}, a.nmax)
 
 
 def spatial_inverse(a: SpatialSeries) -> SpatialSeries:
@@ -354,14 +435,13 @@ def spatial_inverse(a: SpatialSeries) -> SpatialSeries:
     n = a.nmax
     d = len(a.data[0][0]) if a.data else 0
     origin = (0,) * d
-    a0 = a.at(origin)
-    if a0.coeffs[0] == 0:
-        raise PreconditionError("a(0) needs nonzero constant term")
-    for x, s in a.data:
-        if x != origin and s.coeffs[0] != 0:
-            raise PreconditionError("off-origin constant terms must vanish")
     rows, den = _scaled_rows(a)
-    c0 = a0.coeffs[0].numerator * (den // a0.coeffs[0].denominator)
+    consts = {x: row[0][1] for x, row in rows if row[0][0] == 0}
+    c0 = consts.pop(origin, 0)
+    if not c0:
+        raise PreconditionError("a(0) needs nonzero constant term")
+    if consts:
+        raise PreconditionError("off-origin constant terms must vanish")
     terms = sorted(((j, y, v * c0 ** (j - 1)) for y, row in rows for j, v in row if j),
                    key=lambda t: t[0])
     inv = [{origin: 1}]
@@ -374,8 +454,9 @@ def spatial_inverse(a: SpatialSeries) -> SpatialSeries:
                 x = tuple(map(add, y, xz))
                 rk[x] = rk.get(x, 0) - t * r
         inv.append({x: r for x, r in rk.items() if r})
-    dens = [c0 ** (k + 1) for k in range(n + 1)]
+    scale = [den * c0 ** (n - k) for k in range(n + 1)]
     support = set().union(*inv)
     return SpatialSeries.build(
-        {x: ZSeries(_fractions([den * row.get(x, 0) for row in inv], dens)) for x in support}, n
+        {x: ZSeries.from_ints([s * row.get(x, 0) for s, row in zip(scale, inv)], c0 ** (n + 1))
+         for x in support}, n
     )

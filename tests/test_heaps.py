@@ -410,3 +410,20 @@ def test_walk_order_max_rejects_tied_first_hits():
     with pytest.raises(PreconditionError, match="tied"):
         hp.walk_order_max(w, [oc((1,), (2,)), oc((1,), (5,))])
     assert hp.walk_order_max(w, [oc((0,), (-1,)), oc((2,), (3,))]) == oc((2,), (3,))
+
+
+def test_heap_theorem_suite_reuses_the_oriented_gas(monkeypatch):
+    """suite_heap_theorem computes each oriented cycle gas once: three
+    targets plus the unoriented one per lambda."""
+    from lww import verify as vf
+
+    calls = []
+    gas = hp.cycle_gas_two_point
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return gas(*args, **kwargs)
+
+    monkeypatch.setattr(hp, "cycle_gas_two_point", counting)
+    assert all(r.passed for r in vf.suite_heap_theorem(4))
+    assert len(calls) == 12

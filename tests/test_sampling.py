@@ -54,6 +54,23 @@ def test_importance_deterministic_and_partition_independent():
     assert np.array_equal(s_all, s_parts)
 
 
+
+@pytest.mark.parametrize("two_d", [2, 4, 6, 8, 16])
+def test_sample_steps_are_the_signed_floor_modulo(monkeypatch, two_d):
+    """The steps equal raw.view(int64) % 2d (a mask when 2d is a power of
+    two), on Philox words and on words at and around 2^63."""
+    raw = sp._philox_raw(5, 0, 64, 12)
+    assert (raw >= 2**63).any() and (raw < 2**63).any()
+    want = raw.view(np.int64) % two_d
+    got = sp._sample_steps(5, 0, 64, 12, two_d)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    edge = [0, 1, 2, 3, 5, 7, 2**62, 2**63 - 2, 2**63 - 1, 2**63, 2**63 + 1, 2**63 + 3,
+            2**63 + 6, 2**64 - 7, 2**64 - 2, 2**64 - 1]
+    words = np.array(edge * 2, dtype=np.uint64).reshape(2, len(edge))
+    monkeypatch.setattr(sp, "_philox_raw", lambda seed, start, count, n: words)
+    got = sp._sample_steps(0, 0, 2, len(edge), two_d)
+    assert got.tolist() == [[(w - 2**64 if w >= 2**63 else w) % two_d for w in edge]] * 2
+
 def test_importance_consistent_with_exact():
     lam = Fraction(1, 2)
     exact = float(sp.msd_exact(8, 2, LoopActivity.constant(lam)))

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from functools import reduce
-from math import factorial
+from math import factorial, gcd
 from operator import add
 
 import pytest
@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from lww.core import PreconditionError
 from lww.series import (
+    ZERO,
     SeriesSum,
     SpatialSeries,
     ZSeries,
@@ -373,3 +374,134 @@ def test_spatial_inverse_matches_oracle(data, n):
             table[p] = data.draw(series(n, const="zero"))
     a = SpatialSeries.build(table, n)
     _spatial_exact(spatial_inverse(a), _inverse_oracle(a))
+
+
+# ---------------------------------------------------------------------------
+# the integer form: kernels hold numerators over one denominator, and
+# coefficients are built only when read
+
+
+def _sub_oracle(a, b):
+    return _add_oracle(a, _mul_oracle(b, ZSeries.const(-1, b.nmax)))
+
+
+def _normalised(s):
+    """Every coefficient a normalised Fraction with a positive denominator,
+    the shared ZERO for 0."""
+    for c in s.coeffs:
+        assert type(c) is Fraction and c.denominator > 0
+        assert gcd(c.numerator, c.denominator) == 1
+        assert c is ZERO if c == 0 else True
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), orders)
+def test_mixed_chains_match_oracles(data, n):
+    a = data.draw(series(n, const="zero"))
+    b = data.draw(series(n, const="nonzero"))
+    c = data.draw(series(n))
+    got = exp_series(a) * reciprocal(b) - a * b
+    want = _sub_oracle(_mul_oracle(_exp_oracle(a), _reciprocal_oracle(b)), _mul_oracle(a, b))
+    _exact(got, want)
+    _normalised(got)
+    # kernel outputs fed back with Fraction-built operands
+    terms = [got, c, a * c, -b, (c + got).shift(1), b * Fraction(-2, 3), got * 4]
+    fold = reduce(_add_oracle, [want, c, _mul_oracle(a, c), _sub_oracle(ZSeries.zero(n), b),
+                                _mul_oracle(_add_oracle(c, want), ZSeries.monomial(1, 1, n)),
+                                _mul_oracle(b, ZSeries.const(Fraction(-2, 3), n)),
+                                _mul_oracle(want, ZSeries.const(4, n))])
+    total = ZSeries.sum(terms, n)
+    _exact(total, fold)
+    _normalised(total)
+    acc = SeriesSum(n)
+    for t in terms:
+        acc.add(t)
+    assert acc.value() == total
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), orders)
+def test_eq_and_hash_agree_across_forms(data, n):
+    a = data.draw(series(n))
+    kernel = a * ZSeries.one(n)  # the same series, in integer form only
+    built = ZSeries(tuple(a.coeffs))  # the same series, from its coefficients only
+    assert kernel == built and built == kernel and hash(kernel) == hash(built)
+    assert a + ZSeries.one(n) != a and ZSeries.zero(n + 1) != ZSeries.zero(n)
+    zero = a - a
+    assert zero == ZSeries.zero(n) and hash(zero) == hash(ZSeries.zero(n))
+    assert zero == ZSeries.of([0] * (n + 1), n) and hash(zero) == hash(ZSeries.of([], n))
+    assert zero.is_zero() and zero.coeffs == (ZERO,) * (n + 1)
+    assert all(c is ZERO for c in zero.coeffs)
+    assert {built: 1}[kernel] == 1
+    assert (a * 0).coeffs == ZSeries.zero(n).coeffs
+
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), orders, st.one_of(fractions, st.integers(-3, 3)))
+def test_eval_at_matches_the_coefficient_sum(data, n, z):
+    a = data.draw(series(n))
+    want = sum((Fraction(c) * Fraction(z) ** k for k, c in enumerate(a.coeffs)), Fraction(0))
+    for s in (a, a * ZSeries.one(n)):
+        got = s.eval_at(z)
+        assert type(got) is Fraction and got == want
+
+def test_int_coefficients_equal_fraction_coefficients():
+    ints = ZSeries((1, -2, 0))
+    assert ints == ZSeries.of([1, -2], 2) and hash(ints) == hash(ZSeries.of([1, -2], 2))
+    assert ints == ZSeries.one(2) - ZSeries.monomial(2, 1, 2)
+    assert (ints * ints).coeffs == (1, -4, 4) and ints.coeffs == (1, -2, 0)
+    assert repr(ZSeries.one(1)) == "ZSeries(coeffs=(Fraction(1, 1), Fraction(0, 1)))"
+
+
+@pytest.mark.parametrize("n", range(6))
+@pytest.mark.parametrize("c0", [-3, Fraction(-2, 5), Fraction(7, 3)])
+def test_negative_constant_terms_give_normalised_coefficients(n, c0):
+    a = ZSeries.of([c0, 1, Fraction(-1, 2)], n)
+    _exact(reciprocal(a), _reciprocal_oracle(a))
+    _normalised(reciprocal(a))
+    z = ZSeries.monomial(1, 1, n)
+    table = SpatialSeries.build(
+        {(0, 0): a, (1, 0): z * Fraction(1, 2), (-1, 0): -z, (0, 1): z.shift(1) * 3}, n
+    )
+    inv = spatial_inverse(table)
+    _spatial_exact(inv, _inverse_oracle(table))
+    for _, s in inv.data:
+        _normalised(s)
+    assert spatial_convolve(table, inv) == SpatialSeries.delta((0, 0), n)
+
+
+def test_unread_ring_chain_builds_no_fraction(monkeypatch):
+    n = 8
+    a = ZSeries.of([0, Fraction(1, 3), -2, 0, Fraction(5, 7)], n)
+    b = ZSeries.of([Fraction(-3, 2), 1, Fraction(1, 5)], n)
+    third, zeros = Fraction(1, 3), ZSeries.of([], n)
+    ta = SpatialSeries.build({(0, 0): b, (1, 0): a, (0, -1): a * third}, n)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python >= 3.12 arithmetic
+        coprime = Fraction._from_coprime_ints
+
+        def counting_coprime(cls, *args):
+            built.append(args)
+            return coprime(*args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counting_coprime))
+    chain = exp_series(a) * reciprocal(b) - a * b
+    chain = ZSeries.sum([chain, a.shift(2), -b, chain * third, chain * 2, b.derivative()], n)
+    chain = log1p_series(a * chain) + (chain.to_order(n + 2) * a.to_order(n + 2)).to_order(n)
+    acc = SeriesSum(n)
+    acc.add(chain)
+    acc.add_term(3, third)
+    chain = acc.value()
+    conv = spatial_convolve(ta, ta.scale(chain)) - ta + ta.scale(third)
+    inv = spatial_inverse(conv)
+    checks = (chain == zeros, hash(chain), chain.is_zero(), chain.leq(chain), inv.at((0, 0)).nonneg())
+    assert built == [] and checks[0] is False
+    assert inv.sum_over_x().coeffs and built  # reading builds the coefficients
