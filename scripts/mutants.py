@@ -1,0 +1,133 @@
+#!/usr/bin/env python3
+"""Mutation checks: each listed mutant must make its listed tests fail.
+
+An entry names a file, an exact snippet in it, the snippet's replacement
+and the test ids that must catch the change. The script copies src/,
+tests/ and pyproject.toml to a temporary directory, runs every listed test
+there once unmutated (they must pass), then, for each entry, applies it to
+a fresh copy and runs its tests with `pytest -x -q` (they must fail).
+Hypothesis runs with a fixed seed, so a verdict does not change from run to
+run. Stdlib only.
+
+    python3 scripts/mutants.py            # every entry
+    python3 scripts/mutants.py NAME ...   # the named entries
+
+Exits 1 if a snippet does not occur exactly once in its file (update the
+entry, never drop it in silence), if the unmutated tree fails a listed
+test, or if a mutant survives. Prints one line per entry.
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    tests: tuple
+
+
+KERNELS = "tests/test_kernels.py::"
+MUTANTS = [
+    Mutant("image-count-without-2^k", "src/lww/enumeration.py",
+           "(rng, 2**k * perm(ctx.d, k), rows)",
+           "(rng, perm(ctx.d, k), rows)",
+           (KERNELS + "test_alpha_closed_forms_match_the_expanded_catalog",)),
+    Mutant("edge-term-without-1/d", "src/lww/enumeration.py",
+           "size * _edges(rng) // ctx.d",
+           "size * _edges(rng)",
+           (KERNELS + "test_alpha_closed_forms_match_the_expanded_catalog",)),
+    Mutant("convolution-cut-one-order-early", "src/lww/series.py",
+           "            if low >= room:\n",
+           "            if low >= room - 1:\n",
+           ("tests/test_series.py::test_spatial_convolve_skips_only_pairs_past_nmax",)),
+    Mutant("le-table-cache-keyed-by-budget-alone", "src/lww/enumeration.py",
+           "        rng = _range_key(eta)\n",
+           "        rng = budget\n",
+           (KERNELS + "test_loop_erased_table_matches_every_saw",)),
+    Mutant("range-key-not-translated", "src/lww/enumeration.py",
+           "[[c - min(col) for c in col] for col in oriented]",
+           "oriented",
+           (KERNELS + "test_range_key_names_the_orbit",)),
+    Mutant("shift-code-base-without-the-budget", "src/lww/enumeration.py",
+           "        base = 1 << (far + budget).bit_length() + 1\n",
+           "        base = 1 << far.bit_length() + 1\n",
+           (KERNELS + "test_lattice_loop_measures_match_the_expanded_catalog",)),
+    Mutant("catalog-guard-only-on-a-miss", "src/lww/enumeration.py",
+           "    _guard(ctx, max_len)\n    return _catalog(ctx, max_len)\n",
+           "    return _catalog(ctx, max_len)\n",
+           (KERNELS + "test_catalog_guard_runs_cold_and_warm",)),
+    Mutant("transfer-decoder-power-off-by-one", "src/lww/enumeration.py",
+           "    scale = [p**k * q ** (top - k) for k in range(top + 1)]\n",
+           "    scale = [p**k * q ** (top - k - 1) for k in range(top + 1)]\n",
+           ("tests/test_transfer.py::test_quotient_transfer_matches_full_states",)),
+]
+
+
+def copy_tree(dest: str) -> None:
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dest, name),
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(src, os.path.join(dest, name))
+
+
+def run_tests(tree: str, tests) -> bool:
+    """True when every test passes in the tree."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+           "--hypothesis-seed=0", "-o", "addopts=", *tests]
+    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode == 0
+
+
+def main(argv) -> int:
+    chosen = [m for m in MUTANTS if not argv or m.name in argv]
+    unknown = set(argv) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}")
+        return 1
+    bad = 0
+    for m in chosen:
+        with open(os.path.join(ROOT, m.path)) as f:
+            found = f.read().count(m.snippet)
+        if found != 1:
+            print(f"STALE    {m.name}: its snippet occurs {found} times in {m.path}")
+            bad += 1
+    if bad:
+        return 1
+    with tempfile.TemporaryDirectory(prefix="lww-mutants-") as tmp:
+        clean = os.path.join(tmp, "clean")
+        copy_tree(clean)
+        tests = sorted({t for m in chosen for t in m.tests})
+        if not run_tests(clean, tests):
+            print("FAILED   the unmutated tree fails the listed tests")
+            return 1
+        for i, m in enumerate(chosen):
+            tree = os.path.join(tmp, f"mutant{i}")
+            copy_tree(tree)
+            path = os.path.join(tree, m.path)
+            with open(path) as f:
+                text = f.read()
+            with open(path, "w") as f:
+                f.write(text.replace(m.snippet, m.replacement))
+            killed = not run_tests(tree, m.tests)
+            print(f"{'killed  ' if killed else 'SURVIVED'} {m.name}")
+            bad += not killed
+            shutil.rmtree(tree)
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -2,32 +2,22 @@
 
 Every lattice sum from the origin of Z^d runs on canonical walks, one per
 orbit of the point group, each standing for its orbit (_canonical_steps is
-the one step rule: which steps, with which multiplicity), and spreads its
-totals over the endpoint orbits only where an endpoint is read (_spread).
-Lattice two-point tables, loop-count tables and exact MSDs run forward over
-loop-erasure states (_transfer), merging walks that share their partial
+the one step rule), and spreads its totals over the endpoint orbits only
+where an endpoint is read (_spread). Two-point tables, loop-count tables and
+exact MSDs run forward over loop-erasure states (_transfer on _LEStates,
+which the exact sampler shares), merging the walks that share their partial
 loop erasure; an activity that weighs every loop 0 counts SAWs instead
-(_saw_rows). Both run on canonical SAWs, as the exact sampler does
-(_LEStates is the chain all three share), and return orbit totals: chi and
-the MSD sum them, two_point_table spreads them. Every other exhaustive sum
-but the catalog below (the loop-erased two-point table, constrained walk
-sums, visit sums, bubble chains, finite graphs) reads one depth-first
-generator, _grow, which carries each walk's partial loop erasure along, so
-activity weights never require re-scanning the walk; on Z^d from the
-origin it can grow the canonical walks alone. `walks` and `saws` are its
-walks alone. The sums over whole walks (walk sums, visit sums, finite-graph
-two-point tables, the closed tail of a bubble chain) read one class tally,
-_tally, which weighs each (endpoint, length, loops) class once. Loop
-measures on both kinds of graph read one catalog of closed walks (rooted
-at the origin of Z^d, or at every vertex of a finite graph), which runs
-forward like _transfer over merged states (loop erasure, range, erased-loop
-keys), charged per state; its entries are weighed once per activity
-(_entry_weights). The rooted walks of an entry that meet a region are
-named by _shifts: on Z^d the shifts v whose translate range + v meets it
-(mu is translation invariant), on a finite graph the entry itself. So "sum
-over closed walks hitting A and B avoiding C" adds w(X)/|X| times
-|S_A & S_B - S_C| per entry, and the interaction factor I = 1 - exp(-mu) of
-every caller is _i_factor.
+(_saw_rows). Every other exhaustive sum reads one depth-first generator,
+_grow, which carries each walk's loop erasure along (`walks` and `saws` are
+its walks alone); the sums over whole walks weigh its classes once (_tally).
+
+Loop measures read one catalog of closed walks by (range, length, erased-loop
+keys), rooted at the origin of Z^d or at every vertex of a finite graph and
+built forward over merged states like _transfer. On Z^d it keeps the
+ranges of the canonical walks, each with the number of its images. mu({0}) and
+mu({0}, {e}), hence alpha_0 and alpha, are closed forms over the canonical
+ranges (_mu); any other region counts, for each image of each range, built
+on first request, the translates that meet it (_shifts).
 """
 
 from __future__ import annotations
@@ -37,8 +27,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product
-from math import gcd, lcm
+from itertools import groupby, permutations, product
+from math import gcd, lcm, perm
 from operator import add, mul, sub
 from typing import Optional
 
@@ -382,7 +372,7 @@ def _saw_rows(n: int, ctx: GraphCtx) -> list:
     return [states.totals(row) for row in rows]
 
 
-def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list:
+def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> tuple:
     """Walks of length m <= n from the origin of Z^d, summed by endpoint
     orbit.
 
@@ -396,31 +386,39 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> list
     = 0, or a table of zeros) leaves only the SAWs, which share no states:
     _saw_rows counts them instead.
 
-    Returns rows: rows[m] maps each endpoint orbit (_orbit_key) to the
-    total over the m-step walks ending in it: [N_0, N_1, ...] (act=None) or
-    their weight sum. A point's own value is the total over the orbit's
-    size (_spread). Raises ResourceError when more than node_budget()
-    canonical states are expanded, or were expanded to build cached rows.
+    Returns (rows, den): rows[m] maps each endpoint orbit (_orbit_key) to
+    the total over the m-step walks ending in it, an int over den, or their
+    counts [N_0, N_1, ...] by loop number when act is None (den 1). With
+    lambda = p/q, sum_k N_k lambda^k is decoded as sum_k N_k p^k q^(K-k)
+    over q^K, K the most loops in any row. A point's own value is the total
+    over the orbit's size (_spread). Raises ResourceError when more than
+    node_budget() canonical states are expanded, or were expanded to build
+    cached rows.
     """
     if act is not None and act.sup() == 0:
-        return _saw_rows(n, ctx)
+        return _saw_rows(n, ctx), 1
     if act is not None and not act.is_constant:
-        return _forward(_LEStates(ctx, n), act)
+        rows = _forward(_LEStates(ctx, n), act)
+        den = lcm(*[w.denominator for row in rows for w in row.values()])
+        return [{key: w.numerator * (den // w.denominator) for key, w in row.items()} for row in rows], den
     rows, width, expanded = _packed_rows(n, ctx)
     if expanded > node_budget():
         raise _states_over_budget()
     mask = (1 << width) - 1
 
-    def value(w):
-        counts = []
+    def counts(w):
+        out = []
         while w:
-            counts.append(w & mask)
+            out.append(w & mask)
             w >>= width
-        if act is None:
-            return counts
-        return sum((c * act.value**k for k, c in enumerate(counts)), Fraction(0))
+        return out
 
-    return [{key: value(w) for key, w in row.items()} for row in rows]
+    if act is None:
+        return [{key: counts(w) for key, w in row.items()} for row in rows], 1
+    p, q = act.value.numerator, act.value.denominator
+    top = max((w.bit_length() - 1) // width for row in rows for w in row.values())
+    scale = [p**k * q ** (top - k) for k in range(top + 1)]
+    return [{key: sum(map(mul, counts(w), scale)) for key, w in row.items()} for row in rows], q**top
 
 
 @lru_cache(maxsize=16)
@@ -481,31 +479,56 @@ def _forward(states: _LEStates, act: Optional[LoopActivity]) -> list:
 # closed-walk catalogs and loop measures
 
 
-@lru_cache(maxsize=None)
-def closed_walk_catalog(ctx: GraphCtx, max_len: int):
-    """Closed walks with 2 <= length <= max_len, rooted at the origin of Z^d
-    or at every vertex of a finite graph.
+class _Catalog:
+    """closed_walk_catalog's result: `ranges`, one (range, size, rows) per
+    range, rows ((n, keys, count), ...). On a finite graph a range is a
+    walk's vertex set, of size 1. On Z^d it is a canonical walk's range on
+    the axes 0..k-1, its rows count canonical walks, and each of its size =
+    2^k d!/(d-k)! images (the injective signed maps of those axes) holds
+    them again; images() builds them on first request and keeps them.
+    """
 
-    Aggregated by (range, steps, erased-loop key multiset); each entry is
-    (range frozenset, n, keys tuple, count). Readers sum over the entries,
-    whose order is not part of the result. A lattice range is relative to
-    the origin, a finite one is the walk's own vertex set.
+    __slots__ = ("ranges", "d", "_images")
+
+    def __init__(self, ranges: tuple, d: Optional[int]):
+        self.ranges, self.d, self._images = ranges, d, {}
+
+    def images(self, rng, base) -> list:
+        """[(image, copies)]: the distinct images of a range, each as the set
+        of its points' _code in base, with the number of maps giving each (a
+        symmetric range repeats); [(rng, 1)] off Z^d."""
+        out = self._images.get((rng, base))
+        if out is None:
+            out = self._images[rng, base] = [
+                (frozenset(_code(p, base) for p in image), c) for image, c in Counter(_range_images(rng, self.d)).items()
+            ] if self.d else [(rng, 1)]
+        return out
+
+
+def closed_walk_catalog(ctx: GraphCtx, max_len: int) -> _Catalog:
+    """Closed walks with 2 <= length <= max_len, rooted at the origin of Z^d
+    or at every vertex of a finite graph, aggregated by (range, steps,
+    erased-loop key multiset) into a _Catalog. A job is refused up front by
+    _guard on every call, cached or not."""
+    _guard(ctx, max_len)
+    return _catalog(ctx, max_len)
+
+
+@lru_cache(maxsize=None)
+def _catalog(ctx: GraphCtx, max_len: int) -> _Catalog:
+    """closed_walk_catalog's build.
 
     The walks run forward one length at a time over merged states (partial
     loop erasure, range so far, erased-loop keys) -> number of walks, as in
     _transfer: a walk is back at its root exactly when its erasure is the
     root alone. A state that can no longer reach the root in the steps left
     is dropped, each distinct erased loop is keyed once per build, and each
-    state expanded is charged to node_budget(); a job is also refused up
-    front by _guard. On Z^d only the canonical walks are run, one per
-    point-group orbit, stepping by _canonical_steps for the axes their range
-    uses. An orbit shares its keys (sap_key is a point-group canonical
-    form), and its walks are the images of the canonical one under the
-    injective signed maps of its axes, so each canonical entry is counted
-    again under every image of its range (_range_images), each range
-    expanded once for all the entries that share it.
+    state expanded is charged to node_budget(). On Z^d only the canonical
+    walks are run, one per point-group orbit, stepping by _canonical_steps
+    for the axes their range uses; an orbit shares its keys (sap_key is a
+    point-group canonical form), and its walks are the images of the
+    canonical one under the injective signed maps of its axes.
     """
-    _guard(ctx, max_len)
     lattice = ctx.is_lattice
     if lattice:
         steps = [[(u, k2) for u, _, k2 in row] for row in _canonical_units(ctx)]
@@ -552,13 +575,10 @@ def closed_walk_catalog(ctx: GraphCtx, max_len: int):
     by_range: dict = {}
     for (rng, n, ids), cnt in agg.items():
         by_range.setdefault(rng, []).append((n, tuple(sorted(names[i] for i in ids)), cnt))
-    cat: dict = {}
-    for rng, rows in by_range.items():
-        for image in _range_images(rng, ctx.d) if lattice else (rng,):
-            for n, keys, cnt in rows:
-                entry = (image, n, keys)
-                cat[entry] = cat.get(entry, 0) + cnt
-    return tuple((rng, n, keys, cnt) for (rng, n, keys), cnt in cat.items())
+    if not lattice:
+        return _Catalog(tuple((rng, 1, tuple(rows)) for rng, rows in by_range.items()), None)
+    axes = [(rng, sum(map(any, zip(*rng))), tuple(rows)) for rng, rows in by_range.items()]
+    return _Catalog(tuple((rng, 2**k * perm(ctx.d, k), rows) for rng, k, rows in axes), ctx.d)
 
 
 def _range_images(rng, d: int) -> list:
@@ -580,6 +600,16 @@ def _range_images(rng, d: int) -> list:
     return out
 
 
+def _code(p, base: int) -> int:
+    """The point p of Z^d as the int sum_i p_i base^i."""
+    return sum(c * base**i for i, c in enumerate(p))
+
+
+def _edges(rng) -> int:
+    """The number of pairs of points of a range of Z^d at distance 1."""
+    return sum(p[:i] + (p[i] + 1,) + p[i + 1:] in rng for p in rng for i in range(len(p)))
+
+
 def _shifts(region, rng, ctx) -> set:
     """The rooted walks of a catalog entry with range `rng` that meet `region`.
 
@@ -595,26 +625,39 @@ def _shifts(region, rng, ctx) -> set:
 
 @lru_cache(maxsize=None)
 def _entry_weights(act, ctx, max_len) -> tuple:
-    """(den, entries): one (n, W, range) per entry of closed_walk_catalog(ctx,
-    max_len) of nonzero weight, W / den the entry's w(X)/|X| summed over its
-    walks, over one common denominator; once per activity."""
+    """(den, rows): one (range, size, [(n, W), ...]) per range of
+    closed_walk_catalog(ctx, max_len) of nonzero weight, W / den the w(X)/|X|
+    summed over its walks of length n, over one common denominator; once per
+    activity."""
     weights: dict = {}  # keys -> w
     raw = []
-    for rng, n, keys, cnt in closed_walk_catalog(ctx, max_len):
-        w = weights.get(keys)
-        if w is None:
-            w = weights[keys] = act.weight_of_keys(keys)
-        if w:
-            p, q = w.numerator * cnt, w.denominator * n
-            g = gcd(p, q)
-            raw.append((n, p // g, q // g, rng))
-    den = lcm(*[q for _, _, q, _ in raw])
-    return den, tuple((n, p * (den // q), rng) for n, p, q, rng in raw)
+    for rng, size, rows in closed_walk_catalog(ctx, max_len).ranges:
+        terms = []
+        for n, keys, cnt in rows:
+            w = weights.get(keys)
+            if w is None:
+                w = weights[keys] = act.weight_of_keys(keys)
+            if w:
+                p, q = w.numerator * cnt, w.denominator * n
+                g = gcd(p, q)
+                terms.append((n, p // g, q // g))
+        if terms:
+            raw.append((rng, size, terms))
+    den = lcm(*[q for _, _, terms in raw for _, _, q in terms])
+    return den, tuple((rng, size, [(n, p * (den // q)) for n, p, q in terms]) for rng, size, terms in raw)
 
 
 def _mu(A, B, C, act, nmax, ctx) -> ZSeries:
     """mu(A, B; C): closed walks (any root) hitting A, and B unless B is
-    None, avoiding C, weight w/|w|."""
+    None, avoiding C, weight w/|w|.
+
+    On Z^d a range R stands for its translates: |R| of them contain a given
+    point, and, summed over the `size` images of R, size E(R)/d contain both
+    ends of a given unit step (E(R) counts the pairs of R at distance 1,
+    each along one of 2d directions). So mu({a}) and mu({a}, {a + e}) are
+    read off the canonical ranges; any other query counts the shifts (as in
+    _shifts) of each image of each range, built on first request.
+    """
     C = frozenset(C)
     A = frozenset(A) - C
     if B is not None:
@@ -625,16 +668,40 @@ def _mu(A, B, C, act, nmax, ctx) -> ZSeries:
             B = None
     if not A:
         return ZSeries.zero(nmax)
+    budget = nmax - nmax % 2 if ctx.is_lattice else nmax
+    cat = closed_walk_catalog(ctx, budget)
+    den, rows = _entry_weights(act, ctx, budget)
+    closed = ctx.is_lattice and not C and len(A) == 1 and (
+        B is None or len(B) == 1 and ctx.distance(*A, *B) == 1)
+    base = None
+    if ctx.is_lattice and not closed:
+        # points as _codes, so that a shift a - r is one int subtraction; an
+        # image lies within budget / 2 of the origin, so every coordinate of a
+        # shift is below base / 2 and distinct shifts keep distinct codes
+        far = max(abs(c) for p in A | C | (B or frozenset()) for c in p)
+        base = 1 << (far + budget).bit_length() + 1
+        A, C = frozenset(_code(p, base) for p in A), frozenset(_code(p, base) for p in C)
+        B = None if B is None else frozenset(_code(p, base) for p in B)
+
+    def shifts(region, image):
+        return {a - r for a in region for r in image} if base else _shifts(region, image, ctx)
+
     nums = [0] * (nmax + 1)
-    den, entries = _entry_weights(act, ctx, nmax - nmax % 2 if ctx.is_lattice else nmax)
-    for n, w, rng in entries:
-        hits = _shifts(A, rng, ctx)
-        if B is not None:
-            hits &= _shifts(B, rng, ctx)
-        if C and hits:
-            hits -= _shifts(C, rng, ctx)
+    for rng, size, terms in rows:
+        if closed:
+            hits = size * len(rng) if B is None else size * _edges(rng) // ctx.d
+        else:
+            hits = 0
+            for image, copies in cat.images(rng, base):
+                found = shifts(A, image)
+                if B is not None:
+                    found &= shifts(B, image)
+                if C and found:
+                    found -= shifts(C, image)
+                hits += copies * len(found)
         if hits:
-            nums[n] += w * len(hits)
+            for n, w in terms:
+                nums[n] += hits * w
     return ZSeries.from_ints(nums, den)
 
 
@@ -651,13 +718,15 @@ def generalized_loop_measure(
 
 
 def alpha0(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
-    """alpha_0 = exp(mu({0})), with mu({0}) = mu(0, 0; {}) from _mu_pair."""
+    """alpha_0 = exp(mu({0})), with mu({0}) = mu(0, 0; {}) from _mu_pair
+    (on Z^d the closed form sum over ranges of size w/|W| |R|, see _mu)."""
     return exp_series(_mu_pair(ctx.origin(), frozenset(), act, nmax, ctx))
 
 
 def alpha_renorm(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """alpha = exp(mu({0}; {y})) with y the first lexicographic neighbor,
-    as mu({0}) - mu({0}, {y}) from _mu_pair."""
+    as mu({0}) - mu({0}, {y}) from _mu_pair (on Z^d the closed form sum over
+    ranges of size w/|W| (|R| - E(R)/d), see _mu)."""
     o = ctx.origin()
     mu = _mu_pair(o, frozenset(), act, nmax, ctx) - _mu_pair(ctx.neighbors(o)[0], frozenset(), act, nmax, ctx)
     return exp_series(mu)
@@ -681,11 +750,13 @@ def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) ->
     start = _default_origin(ctx) if origin is None else origin
     if not ctx.is_lattice:
         return SpatialSeries.build(_tally(ctx, (start,), act, nmax), nmax)
-    table: dict = {}
-    for m, row in enumerate(_transfer(nmax, ctx, act)):
-        for x, w in _spread(row, Fraction).items():
-            table.setdefault(tuple(map(add, x, start)), [Fraction(0)] * (nmax + 1))[m] += w
-    return SpatialSeries.build({x: ZSeries(tuple(c)) for x, c in table.items()}, nmax)
+    rows, den = _transfer(nmax, ctx, act)
+    totals: dict = {}  # endpoint orbit -> numerators by length
+    for m, row in enumerate(rows):
+        for key, w in row.items():
+            totals.setdefault(key, [0] * (nmax + 1))[m] = w
+    table = _spread(totals, lambda nums, size: ZSeries.from_ints(nums, den * size))
+    return SpatialSeries.build({tuple(map(add, x, start)): s for x, s in table.items()}, nmax)
 
 
 def two_point(x, act: LoopActivity, nmax: int, ctx: GraphCtx, reduced: bool = False, origin=None) -> ZSeries:
@@ -711,27 +782,64 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
 
     Theorem "LM-Rep" route to the two-point function; must agree with
     two_point_table coefficientwise. The SAWs are the canonical ones of
-    Z^d (_grow with canonical), each charged to node_budget(). mu of a
-    range is point-group invariant, so each canonical SAW's term is
-    computed once and counted for its orbit; the totals by endpoint orbit
-    are _spread at the end.
+    Z^d (_grow with canonical), each charged to node_budget() and counted
+    for its orbit; the totals by endpoint orbit are _spread at the end. mu
+    of a range is invariant under translations and the point group, so it
+    is computed once per _range_key (a SAW and its reversal share one);
+    the key fixes |range|, hence the length and the budget.
     """
     totals: dict = {}
+    dressed: dict = {}  # _range_key -> exp(mu(range))
     for eta, _, _, size in _grow(ctx, (ctx.origin(),), nmax, self_avoiding=True, canonical=True):
-        length = len(eta) - 1
-        budget = nmax - length
-        if budget < 2:  # no loop fits: exp(mu) = 1
-            contrib = ZSeries.monomial(size, length, nmax)
-        else:
-            mu = loop_measure(eta, (), act, budget, ctx)
-            contrib = (exp_series(mu.to_order(nmax)) * size).shift(length)
         key = _orbit_key(eta[-1])
         acc = totals.get(key)
         if acc is None:
             acc = totals[key] = SeriesSum(nmax)
-        acc.add(contrib)
+        length = len(eta) - 1
+        budget = nmax - length
+        if budget < 2:  # no loop fits: exp(mu) = 1
+            acc.add_term(length, size)
+            continue
+        rng = _range_key(eta)
+        e = dressed.get(rng)
+        if e is None:
+            e = dressed[rng] = exp_series(loop_measure(eta, (), act, budget, ctx).to_order(nmax))
+        acc.add((e * size).shift(length))
     table = _spread({key: acc.value() for key, acc in totals.items()}, lambda s, n: s * Fraction(1, n))
     return SpatialSeries.build(table, nmax)
+
+
+def _range_key(points) -> tuple:
+    """A finite point set of Z^d up to translation and the point group: the
+    least sorted image, translated to the nonnegative orthant, over the
+    signed permutations of the axes that put it in normal position.
+
+    An axis's profile is the histogram of its coordinates, least or reversed
+    to least; normal position orders the axes the set spans by profile and
+    orients each to its profile. Isometric sets have the same normal
+    positions, so only axes of equal profile are permuted, and only an axis
+    with a symmetric histogram takes both signs.
+    """
+    cols = list(zip(*points))
+    axes = []  # (profile, axis, signs) of each spanned axis
+    for i, col in enumerate(cols):
+        lo = min(col)
+        hist = [0] * (max(col) - lo + 1)
+        for c in col:
+            hist[c - lo] += 1
+        if len(hist) > 1:
+            rev = hist[::-1]
+            axes.append((min(hist, rev), i, (1, -1) if hist == rev else (1,) if hist < rev else (-1,)))
+    axes.sort()
+    best = None
+    for order in product(*[permutations(g) for _, g in groupby(axes, key=lambda a: a[0])]):
+        chosen = [a for g in order for a in g]
+        for signs in product(*[a[2] for a in chosen]):
+            oriented = [[s * c for c in cols[a[1]]] for s, a in zip(signs, chosen)]
+            image = sorted(zip(*[[c - min(col) for c in col] for col in oriented]))
+            if best is None or image < best:
+                best = image
+    return tuple(best)
 
 
 @lru_cache(maxsize=None)
@@ -807,7 +915,7 @@ class LoopCountTable:
 def loop_count_table(n_max: int, d: int, endpoint_resolved: bool = False) -> LoopCountTable:
     """Exact counts N(n, k) of n-step walks with k erased loops."""
     entries: dict = {}
-    for n, row in enumerate(_transfer(n_max, GraphCtx.lattice(d))):
+    for n, row in enumerate(_transfer(n_max, GraphCtx.lattice(d))[0]):
         if endpoint_resolved:
             row = _spread(row, lambda counts, size: [c // size for c in counts])
         for x, counts in row.items():
@@ -834,7 +942,8 @@ def chi_series(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
         return two_point_table(act, nmax, ctx).sum_over_x()
     if act.is_constant and act.value == 1:
         return ZSeries(tuple(Fraction(2 * ctx.d) ** m for m in range(nmax + 1)))
-    return ZSeries(tuple(Fraction(sum(row.values())) for row in _transfer(nmax, ctx, act)))
+    rows, den = _transfer(nmax, ctx, act)
+    return ZSeries.from_ints([sum(row.values()) for row in rows], den)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def msd_exact(n: int, d: int, act: LoopActivity) -> Fraction:
         raise PreconditionError(f"need n >= 0, got {n}")
     if act.is_constant and act.value == 1:
         return Fraction(n)
-    ends = _transfer(n, ctx, act)[n]
+    ends = _transfer(n, ctx, act)[0][n]  # a common denominator cancels
     num = sum(w * sum(x * x for x in pt) for pt, w in ends.items())
     return Fraction(num) / sum(ends.values())
 

@@ -407,14 +407,21 @@ def _scaled_rows(a: SpatialSeries) -> tuple:
 
 
 def spatial_convolve(a: SpatialSeries, b: SpatialSeries) -> SpatialSeries:
-    """(a*b)(x) = sum_y a(y) b(x-y) on the lattice (points are int tuples)."""
+    """(a*b)(x) = sum_y a(y) b(x-y) on the lattice (points are int tuples).
+
+    b's rows are taken by lowest order, so the pairs whose product starts
+    past nmax are never visited."""
     if a.nmax != b.nmax:
         raise PreconditionError("mismatched truncation orders")
     n = a.nmax + 1
     (rows_a, da), (rows_b, db) = _scaled_rows(a), _scaled_rows(b)
+    rows_b = sorted(((rb[0][0], w, rb) for w, rb in rows_b if rb), key=lambda t: t[0])
     acc = {}
     for y, ra in rows_a:
-        for w, rb in rows_b:
+        room = n - ra[0][0] if ra else 0  # b's rows below this order meet ra
+        for low, w, rb in rows_b:
+            if low >= room:
+                break
             x = tuple(map(add, y, w))
             row = acc.get(x)
             if row is None:

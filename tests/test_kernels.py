@@ -198,11 +198,12 @@ def test_loop_erased_table_and_universe_charge_walks(monkeypatch):
     ctx = GraphCtx.lattice(2)
     half = LoopActivity.constant(Fraction(1, 2))
     lww.clear_caches()
-    # Cache the catalogs first: a cold catalog's up-front guard (4^6 naive
-    # walks) would raise below either budget, and only the SAW charge is
-    # under test here.
+    # Only the SAW charge is under test here: the catalogs are built first,
+    # so their state charges do not count, and the up-front guard (4^6 naive
+    # walks), which runs on every catalog call, is off.
     for m in (2, 4, 6):
         en.closed_walk_catalog(GraphCtx.lattice(2), m)
+    monkeypatch.setattr(en, "_guard", lambda ctx, max_len: None)
     n_saws = _canonical_saws_shorter_than(2, 7)  # the canonical SAWs of <= 6 steps
     assert n_saws == 1 + 1 + 2 + 5 + 13 + 36 + 98
     monkeypatch.setenv("LWW_BUDGET", str(n_saws - 1))
@@ -586,8 +587,9 @@ def test_closed_walk_catalog(d, n):
     ctx = GraphCtx.lattice(d)
     o = ctx.origin()
     cat = en.closed_walk_catalog(GraphCtx.lattice(d), n)
+    got = _expanded(cat)
     per_len = Counter()
-    for _, m, _, cnt in cat:
+    for (_, m, _), cnt in got.items():
         per_len[m] += cnt
     assert per_len == {m: _closed_walks(m, d) for m in range(2, n + 1, 2)}
     want = Counter()
@@ -595,9 +597,23 @@ def test_closed_walk_catalog(d, n):
         if len(w) > 2 and w[-1] == o:
             keys = tuple(sorted(sap_key(loop) for loop in _erase(w)[1]))
             want[(frozenset(w), len(w) - 1, keys)] += 1
-    got = {(rng, m, keys): cnt for rng, m, keys, cnt in cat}
-    assert len(got) == len(cat)
     assert got == want
+    for rng, size, _ in cat.ranges:  # canonical: on the axes 0..k-1, with 2^k d!/(d-k)! images
+        k = sum(map(any, zip(*rng)))
+        assert not any(p[k:] != (0,) * (d - k) for p in rng)
+        assert size == 2**k * len(list(permutations(range(d), k))) == len(en._range_images(rng, d))
+
+
+def _expanded(cat) -> Counter:
+    """(range, n, keys) -> count over the closed walks of a catalog, each
+    canonical range replaced by its images: on Z^d every closed walk rooted
+    at the origin, on a finite graph every closed walk."""
+    out = Counter()
+    for rng, _, rows in cat.ranges:
+        for image, copies in Counter(en._range_images(rng, cat.d)).items() if cat.d else [(rng, 1)]:
+            for n, keys, cnt in rows:
+                out[(image, n, keys)] += cnt * copies
+    return out
 
 
 def _group_images(points, d, collect=frozenset):
@@ -635,15 +651,13 @@ def test_range_images_are_the_orbit(d, rng, distinct):
 @pytest.mark.parametrize("dims,n", [((2, 2), 8), ((2, 3), 7), ((3, 3), 6)])
 def test_closed_walk_catalog_on_a_box(dims, n):
     box = hp.box_graph(*dims)
-    cat = en.closed_walk_catalog(box, n)
+    got = _expanded(en.closed_walk_catalog(box, n))
     want = Counter()
     for root in box.vertices():
         for w in en.walks(box, root, n):
             if len(w) > 2 and w[-1] == root:
                 keys = tuple(sorted(sap_key(loop, box) for loop in _erase(w)[1]))
                 want[(frozenset(w), len(w) - 1, keys)] += 1
-    got = {(rng, m, keys): cnt for rng, m, keys, cnt in cat}
-    assert len(got) == len(cat)
     assert got == want
     # closed walks over every root: the trace of the adjacency matrix power
     verts = box.vertices()
@@ -653,7 +667,7 @@ def test_closed_walk_catalog_on_a_box(dims, n):
         power = [[sum(a * b for a, b in zip(row, col)) for col in zip(*adj)] for row in power]
         traces[m] = sum(power[i][i] for i in range(len(verts)))
     per_len = Counter()
-    for _, m, _, cnt in cat:
+    for (_, m, _), cnt in got.items():
         per_len[m] += cnt
     assert per_len == {m: t for m, t in traces.items() if t}
 
@@ -691,9 +705,8 @@ CATALOG_IDS = ["box2x2", "box3x2", "box3x3", "Z1", "Z2", "Z3", "Z4"]
 
 @pytest.mark.parametrize("ctx,n", CATALOG_CASES, ids=CATALOG_IDS)
 def test_closed_walk_catalog_matches_former_body(ctx, n):
-    en.closed_walk_catalog.cache_clear()
-    cat = en.closed_walk_catalog(ctx, n)
-    assert Counter(cat) == Counter(entry + (cnt,) for entry, cnt in _catalog_oracle(ctx, n).items())
+    lww.clear_caches()
+    assert _expanded(en.closed_walk_catalog(ctx, n)) == _catalog_oracle(ctx, n)
 
 
 @pytest.mark.parametrize("ctx,n", [(GraphCtx.lattice(2), 8), (hp.box_graph(3, 3), 8)], ids=["Z2", "box3x3"])
@@ -711,7 +724,7 @@ def test_closed_walk_catalog_charges_each_state(monkeypatch, ctx, n):
             en.closed_walk_catalog(ctx, n)
     lww.clear_caches()
     monkeypatch.setenv("LWW_BUDGET", str(len(states)))
-    assert en.closed_walk_catalog(ctx, n)
+    assert en.closed_walk_catalog(ctx, n).ranges
     lww.clear_caches()
 
 
@@ -731,10 +744,10 @@ def test_each_erased_loop_is_keyed_once(monkeypatch):
         list(en._grow(ctx, (start,), 6, keys=True))
         assert set(calls) == loops and set(calls.values()) == {1}
         calls.clear()
-        en.closed_walk_catalog.cache_clear()
+        lww.clear_caches()
         en.closed_walk_catalog(ctx, 6)
         assert calls and set(calls.values()) == {1}
-    en.closed_walk_catalog.cache_clear()
+    lww.clear_caches()
 
 
 # ---------------------------------------------------------------------------
@@ -860,3 +873,139 @@ def test_lattice_loop_measures_match_brute_force(d, nmax, lam):
         assert got.coeffs == _mu_brute(A, None, C, act, nmax, ctx).coeffs, C
         got = en.generalized_loop_measure(A, B, C, act, nmax, ctx)
         assert got.coeffs == _mu_brute(A, B, C, act, nmax, ctx).coeffs, C
+
+
+def _mu_catalog_oracle(A, B, C, act, nmax, ctx):
+    """The former _mu: every entry of the former catalog body (every image
+    of every canonical range on Z^d) weighed on its own, times the number of
+    its rooted walks (_shifts) that hit A, and B unless B is None, and avoid C."""
+    C = frozenset(C)
+    A = frozenset(A) - C
+    if B is not None:
+        B = frozenset(B) - C
+        if B == A:
+            B = None
+    coeffs = [Fraction(0)] * (nmax + 1)
+    if not A or B is not None and not B:
+        return ZSeries(tuple(coeffs))
+    for (rng, n, keys), cnt in _catalog_oracle(ctx, nmax - nmax % 2 if ctx.is_lattice else nmax).items():
+        hits = en._shifts(A, rng, ctx)
+        if B is not None:
+            hits &= en._shifts(B, rng, ctx)
+        hits -= en._shifts(C, rng, ctx)
+        coeffs[n] += act.weight_of_keys(keys) * cnt * len(hits) / n
+    return ZSeries(tuple(coeffs))
+
+
+@pytest.mark.parametrize("d,nmax", [(1, 10), (2, 8), (2, 7), (3, 6), (4, 6), (5, 6)])
+@pytest.mark.parametrize("lam", (Fraction(1, 2), Fraction(2), "table"), ids=str)
+def test_alpha_closed_forms_match_the_expanded_catalog(d, nmax, lam):
+    """alpha_0 = exp mu({0}) and alpha = exp mu({0}; {y}) from the canonical
+    ranges alone (|R| and E(R)/d per range) equal the former route over every
+    image of every range; so do mu({x}) and mu({x}, {x + u}) at other points
+    x and unit steps u, which read the same closed forms."""
+    ctx, act = GraphCtx.lattice(d), _activity(d, lam)
+    o = ctx.origin()
+    lww.clear_caches()
+    mu0 = _mu_catalog_oracle({o}, None, (), act, nmax, ctx)
+    mu_y = _mu_catalog_oracle({o}, {ctx.neighbors(o)[0]}, (), act, nmax, ctx)
+    assert en.alpha0(act, nmax, ctx) == exp_series(mu0)
+    assert en.alpha_renorm(act, nmax, ctx) == exp_series(mu0 - mu_y)
+    x = tuple(range(1, d + 1))
+    assert en.loop_measure({x}, (), act, nmax, ctx) == mu0
+    for u in ctx.neighbors(o):
+        assert en.generalized_loop_measure({x}, {tuple(map(sum, zip(x, u)))}, (), act, nmax, ctx) == mu_y
+    lww.clear_caches()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_lattice_loop_measures_match_the_expanded_catalog(d, data):
+    """loop_measure and generalized_loop_measure on random regions of Z^d,
+    with and without an avoided set, against the former route; one point,
+    and the two ends of a unit step, take the closed forms."""
+    ctx = GraphCtx.lattice(d)
+    nmax = data.draw(st.integers(0, {1: 9, 2: 8, 3: 5}[d]), label="nmax")
+    act = _activity(d, data.draw(st.sampled_from(LAMBDAS + ("table",)), label="lam"))
+    reach = data.draw(st.integers(1, 3), label="reach")  # near regions meet long loops in many shifts
+    point = st.tuples(*[st.integers(-reach, reach)] * d)
+    shape = data.draw(st.sampled_from(("point", "step", "regions")), label="shape")
+    a = data.draw(point, label="a")
+    if shape == "regions":
+        A = data.draw(st.frozensets(point, min_size=1, max_size=3), label="A")
+        B = data.draw(st.none() | st.frozensets(point, min_size=1, max_size=2), label="B")
+        C = data.draw(st.frozensets(point, max_size=2), label="C")
+    else:
+        A, C = frozenset([a]), frozenset()
+        B = None if shape == "point" else frozenset([tuple(map(sum, zip(a, data.draw(
+            st.sampled_from(ctx.neighbors(ctx.origin())), label="u"))))])
+    want = _mu_catalog_oracle(A, B, C, act, nmax, ctx)
+    got = en.loop_measure(A, C, act, nmax, ctx) if B is None else en.generalized_loop_measure(A, B, C, act, nmax, ctx)
+    assert got == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BOXES), st.data())
+def test_box_loop_measures_match_the_expanded_catalog(dims, data):
+    box = hp.box_graph(*dims)
+    verts = st.sampled_from(box.vertices())
+    nmax = data.draw(st.integers(0, 6), label="nmax")
+    act = data.draw(st.sampled_from([LoopActivity.constant(lam) for lam in LAMBDAS] + [_box_table(box)]), label="act")
+    A = data.draw(st.frozensets(verts, min_size=1, max_size=3), label="A")
+    B = data.draw(st.none() | st.frozensets(verts, min_size=1, max_size=2), label="B")
+    C = data.draw(st.frozensets(verts, max_size=2), label="C")
+    want = _mu_catalog_oracle(A, B, C, act, nmax, box)
+    got = en.loop_measure(A, C, act, nmax, box) if B is None else en.generalized_loop_measure(A, B, C, act, nmax, box)
+    assert got == want
+
+
+def test_catalog_guard_runs_cold_and_warm(monkeypatch):
+    """The catalog's up-front guard ((2d)^n naive walks) runs on every call,
+    so a small budget raises whether or not the catalog, or the weights and
+    loop measures read from it, are cached."""
+    ctx, half = GraphCtx.lattice(2), LoopActivity.constant(Fraction(1, 2))
+    for call in (lambda: en.closed_walk_catalog(ctx, 6),
+                 lambda: en.loop_measure({(0, 0), (1, 1)}, {(1, 0)}, half, 6, ctx)):
+        lww.clear_caches()
+        for warm in (False, True):
+            monkeypatch.setenv("LWW_BUDGET", str(4**6 - 1))
+            with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
+                call()
+            monkeypatch.setenv("LWW_BUDGET", str(4**6))
+            call()  # fills the caches on the cold pass
+    lww.clear_caches()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_range_key_names_the_orbit(d, data):
+    """_range_key(P) == _range_key(Q) exactly when Q is a translate of an
+    image of P under the point group, brute forced over the whole group."""
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+
+    def canon(pts):
+        return min(tuple(sorted(tuple(c - m for c, m in zip(p, map(min, zip(*img)))) for p in img))
+                   for img in _group_images(pts, d))
+
+    P = data.draw(st.frozensets(point, min_size=1, max_size=6), label="P")
+    Q = data.draw(st.frozensets(point, min_size=1, max_size=6), label="Q")
+    assert (en._range_key(P) == en._range_key(Q)) == (canon(P) == canon(Q))
+    shift = data.draw(point, label="shift")
+    image = data.draw(st.sampled_from(_group_images(P, d)), label="image")
+    assert en._range_key([tuple(map(sum, zip(p, shift))) for p in image]) == en._range_key(P)
+
+
+def test_clear_caches_drops_the_catalog_and_its_images():
+    """Images are built on the first query that needs them, kept by the
+    catalog, and dropped with it by lww.clear_caches()."""
+    ctx, half = GraphCtx.lattice(2), LoopActivity.constant(Fraction(1, 2))
+    lww.clear_caches()
+    cat = en.closed_walk_catalog(ctx, 6)
+    en.alpha0(half, 6, ctx)
+    assert not cat._images  # the closed forms read the canonical ranges alone
+    en.loop_measure({(0, 0), (2, 0)}, (), half, 6, ctx)
+    assert {rng for rng, _ in cat._images} == {rng for rng, _, _ in cat.ranges}
+    lww.clear_caches()
+    fresh = en.closed_walk_catalog(ctx, 6)
+    assert fresh is not cat and not fresh._images
+    lww.clear_caches()

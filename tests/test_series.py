@@ -367,6 +367,27 @@ def test_spatial_convolve_matches_oracle(data, n):
 
 @settings(max_examples=80, deadline=None)
 @given(st.data(), orders)
+def test_spatial_convolve_skips_only_pairs_past_nmax(data, n):
+    """spatial_convolve visits b's rows by lowest order and stops once a
+    pair starts past nmax; it must agree with the plain double loop on rows
+    that start at every order, on supports of different shapes and sizes,
+    and with zero rows, which a table built directly can hold."""
+    def table(size, shape):
+        rows = {}
+        for p in data.draw(st.lists(shape, max_size=size, unique=True)):
+            low = data.draw(st.integers(0, n + 1))  # n + 1: a zero row
+            tail = data.draw(st.lists(fractions, min_size=n + 1 - low, max_size=n + 1 - low))
+            rows[p] = ZSeries((ZERO,) * low + tuple(tail))
+        return SpatialSeries(tuple(sorted(rows.items())), n)
+
+    a = table(6, points)
+    b = table(3, st.tuples(st.integers(0, 3), st.integers(-1, 0)))
+    _spatial_exact(spatial_convolve(a, b), _convolve_oracle(a, b))
+    _spatial_exact(spatial_convolve(b, a), _convolve_oracle(b, a))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), orders)
 def test_spatial_inverse_matches_oracle(data, n):
     table = {(0, 0): data.draw(series(n, const="nonzero"))}
     for p in data.draw(st.lists(points, max_size=3, unique=True)):

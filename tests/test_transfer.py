@@ -207,13 +207,15 @@ def _full_transfer(n, ctx, act=None):
     return [{states.point(q): value(w) for q, w in row.items()} for row in rows]
 
 
-def _spread_rows(rows):
+def _spread_rows(transfer):
     """The engine's rows of orbit totals spread over every endpoint, as the
     full-state oracles return them: counts divided digit by digit, weights
     as Fractions."""
+    rows, den = transfer
+
     def share(w, size):
         if not isinstance(w, list):
-            return Fraction(w, size)
+            return Fraction(w, den * size)
         assert all(c % size == 0 for c in w), (w, size)
         return [c // size for c in w]
 
@@ -373,7 +375,7 @@ def test_saw_counter_charges_each_expanded_saw(monkeypatch):
     assert expanded == 1 + 1 + 2 + 5 + 13
     ctx, zero = GraphCtx.lattice(2), LoopActivity.constant(0)
     monkeypatch.setenv("LWW_BUDGET", str(expanded))
-    assert sum(en._transfer(5, ctx, zero)[5].values()) == SAW_COUNTS[2][4]
+    assert sum(en._transfer(5, ctx, zero)[0][5].values()) == SAW_COUNTS[2][4]
     monkeypatch.setenv("LWW_BUDGET", str(expanded - 1))
     with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
         en._transfer(5, ctx, zero)
