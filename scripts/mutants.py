@@ -7,7 +7,8 @@ tests/ and pyproject.toml to a temporary directory, runs every listed test
 there once unmutated (they must pass), then, for each entry, applies it to
 a fresh copy and runs its tests with `pytest -x -q` (they must fail).
 Hypothesis runs with a fixed seed, so a verdict does not change from run to
-run. Stdlib only.
+run. Each pytest run is stopped after TIMEOUT_S seconds and then counts as
+failed. Stdlib only.
 
     python3 scripts/mutants.py            # every entry
     python3 scripts/mutants.py NAME ...   # the named entries
@@ -26,6 +27,7 @@ from typing import NamedTuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 300  # per pytest run
 
 
 class Mutant(NamedTuple):
@@ -39,8 +41,8 @@ class Mutant(NamedTuple):
 KERNELS = "tests/test_kernels.py::"
 MUTANTS = [
     Mutant("image-count-without-2^k", "src/lww/enumeration.py",
-           "(rng, 2**k * perm(ctx.d, k), rows)",
-           "(rng, perm(ctx.d, k), rows)",
+           "    return 2**k * perm(d, k)\n",
+           "    return perm(d, k)\n",
            (KERNELS + "test_alpha_closed_forms_match_the_expanded_catalog",)),
     Mutant("edge-term-without-1/d", "src/lww/enumeration.py",
            "size * _edges(rng) // ctx.d",
@@ -70,6 +72,74 @@ MUTANTS = [
            "    scale = [p**k * q ** (top - k) for k in range(top + 1)]\n",
            "    scale = [p**k * q ** (top - k - 1) for k in range(top + 1)]\n",
            ("tests/test_transfer.py::test_quotient_transfer_matches_full_states",)),
+    Mutant("forward-parity-flipped", "src/lww/enumeration.py",
+           "            if (m - length) % 2:\n                continue\n",
+           "            if not (m - length) % 2:\n                continue\n",
+           ("tests/test_transfer.py::test_quotient_transfer_matches_full_states[2]",)),
+    Mutant("forward-loop-truncates-one-short", "src/lww/enumeration.py",
+           "                    child = codes[j]\n",
+           "                    child = codes[j - 1]\n",
+           ("tests/test_transfer.py::test_quotient_transfer_matches_full_states[2]",)),
+    Mutant("saw-rows-in-place-level-one-early", "src/lww/enumeration.py",
+           "], length == n - 2\n",
+           "], length == n - 3\n",
+           ("tests/test_transfer.py::test_saw_counts_pinned",)),
+    Mutant("le-table-loop-room-off-by-one", "src/lww/enumeration.py",
+           "        if budget < 2:  # no loop fits: exp(mu) = 1\n",
+           "        if budget < 3:  # no loop fits: exp(mu) = 1\n",
+           (KERNELS + "test_loop_erased_table_matches_every_saw",)),
+    Mutant("alpha-guard-only-on-a-miss", "src/lww/enumeration.py",
+           "    _measure_guard(ctx, nmax)\n    return exp_series(",
+           "    return exp_series(",
+           (KERNELS + "test_catalog_guard_runs_cold_and_warm",)),
+    Mutant("catalog-without-prune", "src/lww/enumeration.py",
+           "                    if far > room:\n",
+           "                    if far > max_len:\n",
+           (KERNELS + "test_closed_walk_catalog_charges_each_state",)),
+    Mutant("catalog-charges-nothing", "src/lww/enumeration.py",
+           "            expanded += len(level)\n",
+           "",
+           (KERNELS + "test_closed_walk_catalog_charges_each_state",)),
+    Mutant("catalog-without-key-cache", "src/lww/enumeration.py",
+           "                        i = loop_ids.get(loop)\n",
+           "                        i = None\n",
+           (KERNELS + "test_each_erased_loop_is_keyed_once",)),
+    Mutant("grow-without-key-cache", "src/lww/enumeration.py",
+           "        k = key_of.get(loop)\n",
+           "        k = None\n",
+           (KERNELS + "test_each_erased_loop_is_keyed_once",)),
+    Mutant("mulhilo-carry-slip", "src/lww/sampling.py",
+           "    x_hi += t >> s32\n",
+           "",
+           ("tests/test_sampling.py::test_mulhilo_matches_python_ints",)),
+    Mutant("narrow-int-off-by-one", "src/lww/sampling.py",
+           "if bound <= np.iinfo(t).max)",
+           "if bound < np.iinfo(t).max)",
+           ("tests/test_sampling.py::test_walk_keys_dtype_boundaries",)),
+    Mutant("sample-steps-wrong-mask", "src/lww/sampling.py",
+           "        return words & (two_d - 1)\n",
+           "        return words & two_d\n",
+           ("tests/test_sampling.py::test_sample_steps_are_the_signed_floor_modulo",)),
+    Mutant("from-ints-without-sign-fix", "src/lww/series.py",
+           "        if den < 0:\n",
+           "        if False:\n",
+           ("tests/test_series.py::test_negative_constant_terms_give_normalised_coefficients",)),
+    Mutant("from-ints-without-gcd", "src/lww/series.py",
+           "        if g != 1:\n",
+           "        if False:\n",
+           ("tests/test_series.py::test_eq_and_hash_agree_across_forms",)),
+    Mutant("eager-coeffs", "src/lww/series.py",
+           "        s._co, s._nums, s._den = None, tuple(nums), den\n",
+           "        s._co, s._nums, s._den = tuple(Fraction(x, den) for x in nums), tuple(nums), den\n",
+           ("tests/test_series.py::test_unread_ring_chain_builds_no_fraction",)),
+    Mutant("eval-at-wrong-horner-step", "src/lww/series.py",
+           "            acc = acc * p + x * qk\n",
+           "            acc = acc * q + x * qk\n",
+           ("tests/test_series.py::test_eval_at_matches_the_coefficient_sum",)),
+    Mutant("loop-addition-scan-without-early-stop", "src/lww/heaps.py",
+           "                if not owner:  # every maximum is hit, piece i last\n                    break\n",
+           "                if not owner:  # every maximum is hit, piece i last\n                    pass\n",
+           ("tests/test_heaps.py::test_loop_addition_examples",)),
 ]
 
 
@@ -84,12 +154,17 @@ def copy_tree(dest: str) -> None:
 
 
 def run_tests(tree: str, tests) -> bool:
-    """True when every test passes in the tree."""
+    """True when every test passes in the tree within TIMEOUT_S seconds: a
+    mutant that hangs counts as killed, an unmutated tree that does as
+    failed."""
     env = dict(os.environ, PYTHONPATH=os.path.join(tree, "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
            "--hypothesis-seed=0", "-o", "addopts=", *tests]
-    return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
-                          stderr=subprocess.DEVNULL).returncode == 0
+    try:
+        return subprocess.run(cmd, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode == 0
+    except subprocess.TimeoutExpired:
+        return False
 
 
 def main(argv) -> int:

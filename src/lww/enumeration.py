@@ -3,13 +3,16 @@
 Every lattice sum from the origin of Z^d runs on canonical walks, one per
 orbit of the point group, each standing for its orbit (_canonical_steps is
 the one step rule), and spreads its totals over the endpoint orbits only
-where an endpoint is read (_spread). Two-point tables, loop-count tables and
-exact MSDs run forward over loop-erasure states (_transfer on _LEStates,
-which the exact sampler shares), merging the walks that share their partial
-loop erasure; an activity that weighs every loop 0 counts SAWs instead
-(_saw_rows). Every other exhaustive sum reads one depth-first generator,
-_grow, which carries each walk's loop erasure along (`walks` and `saws` are
-its walks alone); the sums over whole walks weigh its classes once (_tally).
+where an endpoint is read (_spread). A walk's loop weight depends only on
+the loops its chronological loop erasure removes, a chain on SAWs, so the
+lattice engines run on canonical SAWs, all read from one depth-first pass
+(_LEStates.saws): the forward transfer (_forward: two-point and loop-count
+tables, exact MSDs), the SAW counter for an activity that weighs every
+loop 0 (_saw_rows), the exact sampler's completion sums and the
+loop-erased two-point table. Every other exhaustive sum reads one
+depth-first generator of whole walks, _grow, which carries each walk's
+loop erasure along (`walks` and `saws` are its walks alone); the sums over
+whole walks weigh its classes once (_tally).
 
 Loop measures read one catalog of closed walks by (range, length, erased-loop
 keys), rooted at the origin of Z^d or at every vertex of a finite graph and
@@ -75,8 +78,7 @@ def saws(ctx: GraphCtx, start, max_len: int):
     return (w for w, _, _ in _grow(ctx, (start,), max_len, self_avoiding=True))
 
 
-def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_avoiding=False,
-          canonical=False):
+def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_avoiding=False):
     """(walk, LE(walk), erased loops) for prefix and for every extension of
     it of at most max_len steps in all that never steps onto `avoid` and can
     still reach `end` (when given) in the steps left, depth first.
@@ -87,13 +89,6 @@ def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_av
     act.weight_of_keys(erased) is the walk's loop weight under either kind
     of activity. Erased lists are shared between walks; do not mutate them.
     Each walk yielded is charged to node_budget().
-
-    With `canonical` (Z^d, prefix the origin alone) only the canonical walks
-    are grown (_canonical_steps), one per orbit of the point group, and each
-    node carries the size of its orbit as a fourth entry. A walk's axis
-    count and orbit size follow from its parent's, which, depth first, is
-    the last walk expanded one step shorter. The constraints must then be
-    point-group invariant (end the origin, avoid empty).
     """
     key_of: dict = {}  # erased loop -> its sap_key, for this run
 
@@ -106,11 +101,6 @@ def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_av
     saw, erased = _erase(prefix)
     if keys:
         erased = [key(loop) for loop in erased]
-    if canonical:
-        rows = _canonical_units(ctx)
-        units = [[u for u, _, _ in row] for row in rows]
-        after = [{u: (mult, k2) for u, mult, k2 in row} for row in rows]
-        axes, sizes = [0] * (max_len + 1), [1] * (max_len + 1)  # by length, along the current path
     left = node_budget()
     stack = [(prefix, saw, erased)]
     while stack:
@@ -119,20 +109,12 @@ def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_av
         if left < 0:
             raise ResourceError(f"walk generator yields more than {node_budget()} walks "
                                 "(override with LWW_BUDGET)")
+        yield node
         w, saw, erased = node
-        if canonical:
-            m = len(w) - 1
-            if m:
-                mult, axes[m] = after[axes[m - 1]][tuple(map(sub, w[-1], w[-2]))]
-                sizes[m] = sizes[m - 1] * mult
-            yield node + (sizes[m],)
-        else:
-            yield node
         room = max_len - len(w)  # steps left after the next one
         if room < 0:
             continue
-        nxt = [tuple(map(add, w[-1], u)) for u in units[axes[m]]] if canonical else ctx.neighbors(w[-1])
-        for v in nxt:
+        for v in ctx.neighbors(w[-1]):
             if v in avoid or (end is not None and ctx.distance(v, end) > room):
                 continue
             if v not in saw:
@@ -208,6 +190,12 @@ def _canonical_units(ctx: GraphCtx) -> list:
     return [[(units[s], mult, k2) for s, mult, k2 in row] for row in _canonical_steps(ctx.d)]
 
 
+def _orbit_size(d: int, k: int) -> int:
+    """The walks in the orbit of a canonical walk on k of the d axes of Z^d,
+    and the images of its range: 2^k d!/(d-k)! (_canonical_steps)."""
+    return 2**k * perm(d, k)
+
+
 def _orbit_key(x) -> tuple:
     """The point-group orbit of a point of Z^d, as its sorted |coordinates|."""
     return tuple(sorted(map(abs, x)))
@@ -257,12 +245,14 @@ class _LEStates:
 
     The partial loop erasure of a walk is a Markov chain on SAWs (Lawler
     1991), and a walk's loop weight depends only on the loops it erases. A
-    state is the SAW's steps as base-2d digits under a leading 1 (the origin
-    alone is 1); points are ints in radix 2n+1. Every engine runs the chain
-    on canonical SAWs alone, stepping by `steps` (_canonical_steps with each
-    step's int move): _transfer and _saw_rows forward, summing their rows by
-    endpoint orbit (totals()), and sampling.sample_exact backward, by
-    push_frame(). Each charge()s the states it expands to node_budget().
+    state is a canonical SAW, coded as its steps in base-2d digits under a
+    leading 1 (the origin alone is 1); points are ints in radix 2n+1. Every
+    engine reads the canonical SAWs from one pass, saws(), steps out of a
+    SAW on k axes by steps[k] (_canonical_steps with each step's int move),
+    counts an orbit on k axes as sizes[k] walks and charge()s its work to
+    node_budget(). The forward engines sum their rows by endpoint orbit
+    (totals()); sampling.sample_exact draws in the original frame by
+    push_frame().
     """
 
     def __init__(self, ctx: GraphCtx, n: int):
@@ -271,28 +261,42 @@ class _LEStates:
         self.d, self.n, self.base, self.radix = ctx.d, n, 2 * ctx.d, 2 * n + 1
         self.moves = [sum(c * self.radix**i for i, c in enumerate(v)) for v in ctx.neighbors(ctx.origin())]
         self.steps = [[(s, self.moves[s], mult, k2) for s, mult, k2 in row] for row in _canonical_steps(self.d)]
-        self.axes_after = [{s: k2 for s, _, _, k2 in row} for row in self.steps]
+        self.sizes = [_orbit_size(self.d, k) for k in range(self.d + 1)]
         self.offset = n * sum(self.radix**i for i in range(self.d))  # makes every digit nonnegative
         self.powers = [self.base**i for i in range(n + 1)]
         self.width = self.powers[n].bit_length()  # packed N_k <= (2d)^n, also for an orbit's total
         self.budget, self.expanded = node_budget(), 0
+        self.path, self.pos, self.codes = [], {}, []  # saws()'s current SAW
 
     def point(self, q) -> tuple:
         return tuple((q + self.offset) // self.radix**i % self.radix - self.n for i in range(self.d))
 
-    def walk(self, code) -> tuple:
-        """(points, k): the SAW of a state as int points from the origin, and
-        the number of axes a canonical SAW uses (its axes are 0 .. k-1; k
-        means nothing for another SAW, such as an erased loop's)."""
-        steps = []
-        while code > 1:
-            code, s = divmod(code, self.base)
-            steps.append(s)
-        pts, k = [0], 0
-        for s in reversed(steps):
-            pts.append(pts[-1] + self.moves[s])
-            k = self.axes_after[k].get(s, k)
-        return pts, k
+    def saws(self, m: int):
+        """(length, endpoint, axes used) of each canonical SAW of at most m
+        steps, depth first from an explicit stack, so m is not bounded by
+        the recursion limit.
+
+        While a SAW is yielded, path holds its int points, pos maps each of
+        them to its index and codes[i] is the state of its first i steps: a
+        push s out of it leads to codes[-1] * base + s, a step onto path[j]
+        truncates it to codes[j]. The three are updated in place.
+        """
+        path, pos, codes, moves, base = self.path, self.pos, self.codes, self.steps, self.base
+        todo = [(0, 0, 1, 0)]  # (length, endpoint, code, axes used) of the SAWs to visit
+        while todo:
+            length, x, code, k = todo.pop()
+            for y in path[length:]:  # back up to this SAW's parent
+                del pos[y]
+            del path[length:], codes[length:]
+            pos[x] = length
+            path.append(x)
+            codes.append(code)
+            yield length, x, k
+            if length < m:
+                for s, mv, _, k2 in moves[k]:
+                    y = x + mv
+                    if y not in pos:
+                        todo.append((length + 1, y, code * base + s, k2))
 
     def root_frame(self) -> tuple:
         """The frame of the SAW of no steps: every step is the canonical +e_0."""
@@ -335,40 +339,29 @@ def _saw_rows(n: int, ctx: GraphCtx) -> list:
     """_transfer's rows for an activity that weighs every loop 0: the SAWs of
     length m <= n from the origin of Z^d, counted by endpoint orbit.
 
-    Depth-first over the canonical SAWs (_LEStates), each carrying the size
-    of its orbit, with the SAW's int points in a set (a (2n+1)^d occupancy
-    map would not fit in memory for large d) and an explicit stack, so n is
-    not bounded by the recursion limit. Each canonical SAW expanded is
-    charge()d.
+    One pass over the canonical SAWs of at most n - 2 steps (_LEStates.saws)
+    counts each child of each for its orbit, and expands the children of
+    length n - 1 in place: no step out of one lands on it. The SAW's points
+    are a set, as a (2n+1)^d occupancy map would not fit in memory for large
+    d. Each canonical SAW expanded is charge()d.
     """
     states = _LEStates(ctx, n)
-    moves = states.steps
+    moves, sizes, pos = states.steps, states.sizes, states.pos
     rows = [{0: 1}] + [{} for _ in range(n)]
-    last, path, on_path = rows[n], [], set()
-    todo = [(0, 0, 0, 1)] if n else []  # (endpoint, length, axes used, orbit size) of the SAWs to expand
-    while todo:
-        q, m, k, size = todo.pop()
-        for p in path[m:]:  # back up to this SAW's parent
-            on_path.remove(p)
-        del path[m:]
-        path.append(q)
-        on_path.add(q)
+    last = rows[n]
+    for length, x, k in states.saws(max(n - 2, 0)) if n else ():
         states.charge(1)
-        m += 1
-        row = rows[m]
-        for _, mv, mult, k2 in moves[k]:
-            r = q + mv
-            if r not in on_path:
-                c = size * mult
-                row[r] = row.get(r, 0) + c
-                if m < n - 1:
-                    todo.append((r, m, k2, c))
-                elif m < n:  # expand r in place: no step out of r lands on r
+        row, in_place = rows[length + 1], length == n - 2
+        for _, mv, _, k2 in moves[k]:
+            r = x + mv
+            if r not in pos:
+                row[r] = row.get(r, 0) + sizes[k2]
+                if in_place:
                     states.charge(1)
-                    for _, mv2, mult2, _ in moves[k2]:
+                    for _, mv2, _, k3 in moves[k2]:
                         t = r + mv2
-                        if t not in on_path:
-                            last[t] = last.get(t, 0) + c * mult2
+                        if t not in pos:
+                            last[t] = last.get(t, 0) + sizes[k3]
     return [states.totals(row) for row in rows]
 
 
@@ -435,13 +428,17 @@ def _packed_rows(n: int, ctx: GraphCtx) -> tuple:
 def _forward(states: _LEStates, act: Optional[LoopActivity]) -> list:
     """_transfer's rows by orbit, run forward over the canonical SAWs of
     states: packed loop-count ints when act is None (a charged loop is a
-    shift by states.width), else a Fraction weight per state. A push
-    onto an unused axis stands for its 2(d-k) images, and a loop-closing
-    step truncates to a canonical prefix. Level n is recorded, never
-    stored."""
+    shift by states.width), else a Fraction weight per state.
+
+    Level m maps each state of the m-step walks, a canonical SAW of length
+    <= m and of the parity of m, to its weight. One pass of states.saws(m)
+    expands it: a push onto an unused axis stands for its 2(d-k) images, and
+    a loop-closing step onto path[j] truncates it to codes[j]. Level n is
+    recorded, never stored."""
     n, moves = states.n, states.steps
     base, powers, width = states.base, states.powers, states.width
-    loop_weights: dict = {}  # erased loop -> activity
+    path, pos, codes = states.path, states.pos, states.codes
+    loop_weights: dict = {}  # erased loop's code -> activity
 
     one = 1 if act is None else Fraction(1)
     rows = [{0: one}] + [{} for _ in range(n)]
@@ -449,23 +446,25 @@ def _forward(states: _LEStates, act: Optional[LoopActivity]) -> list:
     for m in range(n):
         states.charge(len(level))
         row, nxt = rows[m + 1], {}
-        for code, w in level.items():
-            pts, k = states.walk(code)
-            pos = {q: i for i, q in enumerate(pts)}
+        for length, x, k in states.saws(m):
+            if (m - length) % 2:
+                continue
+            code = codes[-1]
+            w = level[code]
             for s, mv, mult, _ in moves[k]:
-                q = pts[-1] + mv
+                q = x + mv
                 j = pos.get(q)
                 if j is None:
                     child, cw = code * base + s, w * mult
                 else:  # truncate at the hit point, erasing the loop after it
-                    cut = powers[len(pts) - 1 - j]
-                    child = code // cut
+                    child = codes[j]
                     if act is None:
                         cw = w << width
                     else:
+                        cut = powers[length - j]
                         loop = cut + code % cut
                         if loop not in loop_weights:
-                            closed = tuple(map(states.point, states.walk(loop)[0] + [0]))
+                            closed = tuple(states.point(p - q) for p in path[j:]) + (states.point(0),)
                             loop_weights[loop] = act.weight_of_key(sap_key(closed))
                         cw = w * loop_weights[loop]
                 row[q] = row.get(q, 0) + cw
@@ -577,8 +576,8 @@ def _catalog(ctx: GraphCtx, max_len: int) -> _Catalog:
         by_range.setdefault(rng, []).append((n, tuple(sorted(names[i] for i in ids)), cnt))
     if not lattice:
         return _Catalog(tuple((rng, 1, tuple(rows)) for rng, rows in by_range.items()), None)
-    axes = [(rng, sum(map(any, zip(*rng))), tuple(rows)) for rng, rows in by_range.items()]
-    return _Catalog(tuple((rng, 2**k * perm(ctx.d, k), rows) for rng, k, rows in axes), ctx.d)
+    return _Catalog(tuple((rng, _orbit_size(ctx.d, sum(map(any, zip(*rng)))), tuple(rows))
+                          for rng, rows in by_range.items()), ctx.d)
 
 
 def _range_images(rng, d: int) -> list:
@@ -717,9 +716,17 @@ def generalized_loop_measure(
     return _mu(A, B, C, act, nmax, ctx)
 
 
+def _measure_guard(ctx: GraphCtx, nmax: int):
+    """The up-front refusal (_guard) of the catalog that _mu_pair reads at
+    nmax, run before _mu_pair so that a job is refused cached or not."""
+    if nmax >= 2:
+        _guard(ctx, nmax - nmax % 2 if ctx.is_lattice else nmax)
+
+
 def alpha0(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """alpha_0 = exp(mu({0})), with mu({0}) = mu(0, 0; {}) from _mu_pair
     (on Z^d the closed form sum over ranges of size w/|W| |R|, see _mu)."""
+    _measure_guard(ctx, nmax)
     return exp_series(_mu_pair(ctx.origin(), frozenset(), act, nmax, ctx))
 
 
@@ -727,6 +734,7 @@ def alpha_renorm(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """alpha = exp(mu({0}; {y})) with y the first lexicographic neighbor,
     as mu({0}) - mu({0}, {y}) from _mu_pair (on Z^d the closed form sum over
     ranges of size w/|W| (|R| - E(R)/d), see _mu)."""
+    _measure_guard(ctx, nmax)
     o = ctx.origin()
     mu = _mu_pair(o, frozenset(), act, nmax, ctx) - _mu_pair(ctx.neighbors(o)[0], frozenset(), act, nmax, ctx)
     return exp_series(mu)
@@ -781,30 +789,36 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
     """sum over SAWs eta: 0 -> x of z^{|eta|} exp(mu(range eta)).
 
     Theorem "LM-Rep" route to the two-point function; must agree with
-    two_point_table coefficientwise. The SAWs are the canonical ones of
-    Z^d (_grow with canonical), each charged to node_budget() and counted
-    for its orbit; the totals by endpoint orbit are _spread at the end. mu
-    of a range is invariant under translations and the point group, so it
-    is computed once per _range_key (a SAW and its reversal share one);
-    the key fixes |range|, hence the length and the budget.
+    two_point_table coefficientwise. The SAWs are the canonical ones of Z^d
+    (_LEStates.saws), each charged to node_budget() and counted for its
+    orbit. A SAW with no room for a loop counts at its int endpoint, and
+    those counts are summed by endpoint orbit once; only the other SAWs are
+    decoded to points. mu of a range is invariant under translations and the
+    point group, so it is computed once per _range_key (a SAW and its
+    reversal share one); the key fixes |range|, hence the length and the
+    budget.
     """
-    totals: dict = {}
+    states = _LEStates(ctx, nmax)
+    path, sizes = states.path, states.sizes
+    bare = [{} for _ in range(nmax + 1)]  # by length: int endpoint -> SAWs with exp(mu) = 1
+    totals: dict = {}  # endpoint orbit -> SeriesSum
     dressed: dict = {}  # _range_key -> exp(mu(range))
-    for eta, _, _, size in _grow(ctx, (ctx.origin(),), nmax, self_avoiding=True, canonical=True):
-        key = _orbit_key(eta[-1])
-        acc = totals.get(key)
-        if acc is None:
-            acc = totals[key] = SeriesSum(nmax)
-        length = len(eta) - 1
+    for length, x, k in states.saws(nmax):
+        states.charge(1)
         budget = nmax - length
         if budget < 2:  # no loop fits: exp(mu) = 1
-            acc.add_term(length, size)
+            row = bare[length]
+            row[x] = row.get(x, 0) + sizes[k]
             continue
+        eta = tuple(map(states.point, path))
         rng = _range_key(eta)
         e = dressed.get(rng)
         if e is None:
             e = dressed[rng] = exp_series(loop_measure(eta, (), act, budget, ctx).to_order(nmax))
-        acc.add((e * size).shift(length))
+        totals.setdefault(_orbit_key(eta[-1]), SeriesSum(nmax)).add((e * sizes[k]).shift(length))
+    for length, row in enumerate(bare):
+        for key, count in states.totals(row).items():
+            totals.setdefault(key, SeriesSum(nmax)).add_term(length, count)
     table = _spread({key: acc.value() for key, acc in totals.items()}, lambda s, n: s * Fraction(1, n))
     return SpatialSeries.build(table, nmax)
 

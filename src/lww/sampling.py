@@ -283,41 +283,25 @@ def _completion_sums(states: _LEStates, p: int, q: int) -> list:
     of the parity of m) to q^(n-m) times its completion sum under lambda =
     p/q, an int: a push weighs q and an erasure p, times the sum of the state
     it leads to. levels[n] is None: every sum there is 1. Level m is filled
-    by one depth-first pass over the canonical SAWs of length <= m, whose
-    points, positions and prefix codes are kept along the path, so no state
-    is decoded. Each state filled is charge()d.
+    by one pass of states.saws(m), whose prefix codes name the state each
+    step leads to. Each state filled is charge()d.
     """
-    base, n = states.base, states.n
-    moves = states.steps
+    base, n, moves, pos, codes = states.base, states.n, states.steps, states.pos, states.codes
     levels = [None] * (n + 1)
     for m in reversed(range(n)):
         sums, level = levels[m + 1], {}
-        path, codes, pos = [], [], {}
-        todo = [(0, 0, 1, 0)]  # (length, endpoint, code, axes used) of the SAWs to visit
-        while todo:
-            length, x, code, k = todo.pop()
-            for y in path[length:]:  # back up to this SAW's parent
-                del pos[y]
-            del path[length:], codes[length:]
-            pos[x] = length
-            path.append(x)
-            codes.append(code)
-            fill = (m - length) % 2 == 0
-            total = 0
-            for s, mv, mult, k2 in moves[k]:
-                y = x + mv
-                j = pos.get(y)
+        for length, x, k in states.saws(m):
+            if (m - length) % 2:
+                continue
+            code, total = codes[-1], 0
+            for s, mv, mult, _ in moves[k]:
+                j = pos.get(x + mv)
                 if j is None:
-                    child = code * base + s
-                    if length < m:
-                        todo.append((length + 1, y, child, k2))
-                    if fill:
-                        total += mult * q * (1 if sums is None else sums[child])
-                elif fill:
+                    total += mult * q * (1 if sums is None else sums[code * base + s])
+                else:
                     total += p * (1 if sums is None else sums[codes[j]])
-            if fill:
-                states.charge(1)
-                level[code] = total
+            states.charge(1)
+            level[code] = total
         levels[m] = level
     return levels
 

@@ -1,14 +1,15 @@
 """The shared walk kernels against slow oracles.
 
 The walk generator _grow (with the loop erasure it carries, and walks and
-saws on top of it), the class tally, the interaction factor, the visit sum,
-the bubble chain, the heap sum, the closed-walk catalog and the loop measure
-(on Z^d and finite graphs alike) each have one implementation that several public
-functions call. The oracles below are independent enumerations, or the
-bodies those functions had before they shared a kernel, kept here so the
-merge is checked Fraction for Fraction. On Z^d the catalog and the
-loop-erased two-point table grow canonical walks only, one per point-group
-orbit; their oracles walk every image.
+saws on top of it), the canonical-SAW pass _LEStates.saws, the class tally,
+the interaction factor, the visit sum, the bubble chain, the heap sum, the
+closed-walk catalog and the loop measure (on Z^d and finite graphs alike)
+each have one implementation that several public functions call. The
+oracles below are independent enumerations, or the bodies those functions
+had before they shared a kernel, kept here so the merge is checked
+Fraction for Fraction. On Z^d the catalog and the loop-erased two-point
+table run on canonical walks only, one per point-group orbit; their
+oracles walk every image.
 """
 
 import hashlib
@@ -32,7 +33,7 @@ from lww.series import SeriesSum, SpatialSeries, ZSeries, exp_series
 from lww.verify import SAW_COUNTS_D2
 from test_acceptance import _saw_counts_brute
 from test_expansion import _table_activity
-from test_transfer import _canonical_saws_shorter_than
+from test_transfer import SAW_COUNTS, _FullStates, _canonical_saws_shorter_than
 
 LAMBDAS = (Fraction(0), Fraction(1, 2), Fraction(2))
 BOXES = ((2, 2), (2, 3), (3, 3))
@@ -165,22 +166,33 @@ def _is_canonical(w):
     return True
 
 
-@pytest.mark.parametrize("d,n", [(1, 6), (2, 5), (3, 4), (4, 3)])
-def test_grow_canonical_walks(d, n):
-    """canonical=True grows exactly the canonical walks, carrying the same
-    erasure as every walk, each with the size of its point-group orbit;
-    the sizes add up to all (2d)^m walks of each length m."""
+PINNED_SAW_COUNTS = {1: (1,) + (2,) * 6, 2: (1,) + SAW_COUNTS[2], 3: (1,) + SAW_COUNTS[3],
+                     4: (1, 8, 56, 392, 2648), 10: (1, 20, 20 * 19, 20 * 19 * 19)}
+
+
+@pytest.mark.parametrize("d,n", [(1, 6), (2, 5), (3, 4), (4, 3), (10, 3)])
+def test_states_saws_are_the_canonical_saws(d, n):
+    """_LEStates.saws(n) yields exactly the canonical SAWs of at most n
+    steps, each with its endpoint, axis count, points, positions and prefix
+    codes; the orbit sizes of each length add up to every SAW."""
     ctx = GraphCtx.lattice(d)
-    o = ctx.origin()
-    plain = {t[0]: t for t in en._grow(ctx, (o,), n, keys=True)}
-    canon = list(en._grow(ctx, (o,), n, keys=True, canonical=True))
-    assert sorted(t[0] for t in canon) == sorted(w for w in plain if _is_canonical(w))
-    sizes = Counter()
-    for w, saw, keys, size in canon:
-        assert (w, saw, keys) == plain[w]
-        assert size == len(set(_group_images(w, d, tuple)))
-        sizes[len(w) - 1] += size
-    assert sizes == {m: (2 * d) ** m for m in range(n + 1)}
+    states = en._LEStates(ctx, n)
+    full = _FullStates(ctx, n)
+    got, sizes = [], Counter()
+    for length, x, k in states.saws(n):
+        w = tuple(map(states.point, states.path))
+        got.append(w)
+        assert len(w) == length + 1 and states.path[-1] == x
+        assert states.pos == {q: i for i, q in enumerate(states.path)}
+        assert [full.points(c) for c in states.codes] == [states.path[: i + 1] for i in range(length + 1)]
+        assert k == sum(map(any, zip(*w)))
+        if d <= 4:
+            assert states.sizes[k] == len(set(_group_images(w, d, tuple)))
+        sizes[length] += states.sizes[k]
+    if d <= 4:
+        assert sorted(got) == sorted(w for w in en.saws(ctx, ctx.origin(), n) if _is_canonical(w))
+    assert len(got) == len(set(got))
+    assert tuple(sizes[m] for m in range(n + 1)) == PINNED_SAW_COUNTS[d][: n + 1]
 
 
 def test_generators_charge_each_walk(monkeypatch):
@@ -677,8 +689,9 @@ def _catalog_walks(ctx, max_len):
     body: the walks that can still close up at their root, on Z^d the
     canonical ones alone, each carrying its erased-loop keys."""
     for root in (ctx.origin(),) if ctx.is_lattice else ctx.vertices():
-        for node in en._grow(ctx, (root,), max_len, end=root, keys=True, canonical=ctx.is_lattice):
-            yield root, node
+        for node in en._grow(ctx, (root,), max_len, end=root, keys=True):
+            if not ctx.is_lattice or _is_canonical(node[0]):
+                yield root, node
 
 
 def _catalog_oracle(ctx, max_len):
@@ -686,7 +699,7 @@ def _catalog_oracle(ctx, max_len):
     counted by (range, n, sorted keys), and on Z^d each canonical entry
     counted again under every image of its range."""
     agg = Counter()
-    for root, (w, _, keys, *_) in _catalog_walks(ctx, max_len):
+    for root, (w, _, keys) in _catalog_walks(ctx, max_len):
         if len(w) > 2 and w[-1] == root:
             agg[(frozenset(w), len(w) - 1, tuple(sorted(keys)))] += 1
     if not ctx.is_lattice:
@@ -715,7 +728,7 @@ def test_closed_walk_catalog_charges_each_state(monkeypatch, ctx, n):
     state it expands: the distinct (loop erasure, range, erased keys) of
     the walks shorter than n that can still close up, per root."""
     states = {(root, len(w), saw, frozenset(w), tuple(sorted(keys)))
-              for root, (w, saw, keys, *_) in _catalog_walks(ctx, n) if len(w) <= n}
+              for root, (w, saw, keys) in _catalog_walks(ctx, n) if len(w) <= n}
     monkeypatch.setattr(en, "_guard", lambda ctx, max_len: None)
     for budget in (len(states) - 1, 50):
         lww.clear_caches()
@@ -962,10 +975,14 @@ def test_box_loop_measures_match_the_expanded_catalog(dims, data):
 def test_catalog_guard_runs_cold_and_warm(monkeypatch):
     """The catalog's up-front guard ((2d)^n naive walks) runs on every call,
     so a small budget raises whether or not the catalog, or the weights and
-    loop measures read from it, are cached."""
+    loop measures read from it, are cached; alpha0 and alpha_renorm run it
+    before they read _mu_pair (at nmax 7 on the catalog of closed walks of
+    at most 6 steps)."""
     ctx, half = GraphCtx.lattice(2), LoopActivity.constant(Fraction(1, 2))
     for call in (lambda: en.closed_walk_catalog(ctx, 6),
-                 lambda: en.loop_measure({(0, 0), (1, 1)}, {(1, 0)}, half, 6, ctx)):
+                 lambda: en.loop_measure({(0, 0), (1, 1)}, {(1, 0)}, half, 6, ctx),
+                 lambda: en.alpha0(half, 6, ctx),
+                 lambda: en.alpha_renorm(half, 7, ctx)):
         lww.clear_caches()
         for warm in (False, True):
             monkeypatch.setenv("LWW_BUDGET", str(4**6 - 1))

@@ -107,8 +107,16 @@ class _FullStates(en._LEStates):
     rule the engine ran before it ran on canonical states."""
 
     def points(self, code) -> list:
-        """The SAW of a state, as int points from the origin."""
-        return self.walk(code)[0]
+        """The SAW of a state, as int points from the origin: its steps are
+        the base-2d digits of the code under the leading 1."""
+        steps = []
+        while code > 1:
+            code, s = divmod(code, self.base)
+            steps.append(s)
+        pts = [0]
+        for s in reversed(steps):
+            pts.append(pts[-1] + self.moves[s])
+        return pts
 
     def successors(self, code) -> list:
         """(endpoint, next state, erased loop) of each step out of a state, in
