@@ -748,13 +748,19 @@ def _default_origin(ctx: GraphCtx):
     return ctx.origin() if ctx.is_lattice else ctx.vertices()[0]
 
 
-@lru_cache(maxsize=None)
 def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -> SpatialSeries:
     """G(x) for all endpoints at once: direct weighted enumeration from 0.
 
     Lattice activities go through _transfer (its SAW counter when every
     loop weighs 0), whose orbit totals are _spread over the endpoints;
-    finite graphs read the class tally of every walk (_tally)."""
+    finite graphs tally every walk (_tally, its _guard run on every call)."""
+    if not ctx.is_lattice:
+        _guard(ctx, nmax)
+    return _two_point_table(act, nmax, ctx, origin)
+
+
+@lru_cache(maxsize=None)
+def _two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -> SpatialSeries:
     start = _default_origin(ctx) if origin is None else origin
     if not ctx.is_lattice:
         return SpatialSeries.build(_tally(ctx, (start,), act, nmax), nmax)
@@ -889,6 +895,7 @@ def _i_factor(wa, wb, interior, act, budget, ctx) -> ZSeries:
 
 def interaction_two_point(x, y, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """I(x,y) = 1 if x=y else 1 - exp(-mu(x,y))."""
+    _measure_guard(ctx, nmax)
     return _i_factor(x, y, (), act, nmax, ctx)
 
 
@@ -896,6 +903,7 @@ def i_omega(w, a: int, b: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> Z
     """I^w(a,b): walk-dependent interaction along w between times a < b."""
     if not (0 <= a < b <= len(w) - 1):
         raise PreconditionError("need 0 <= a < b <= |w|")
+    _measure_guard(ctx, nmax)
     return _i_factor(w[a], w[b], w[a + 1 : b], act, nmax, ctx)
 
 

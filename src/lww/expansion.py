@@ -95,13 +95,17 @@ def _x_dressing(walk, cp_set, act, budget, ctx) -> ZSeries:
     return exp_series(exponent)
 
 
-@lru_cache(maxsize=None)
 def pi_n_table(N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSeries:
     """pi^(N)(x) = sum_m pi_m^(N)(x) as a SpatialSeries (positive objects;
-    signs enter in pi_total)."""
+    signs enter in pi_total); _guard runs on every call, cached or not."""
     if not ctx.is_lattice:
         raise PreconditionError("expansion runs on the lattice")
     _guard(ctx, nmax)
+    return _pi_n_table(N, act, nmax, ctx)
+
+
+@lru_cache(maxsize=None)
+def _pi_n_table(N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSeries:
     steps = _canonical_units(ctx)
     table: dict = {}  # endpoint orbit -> coefficients summed over its walks
     a0_inv = reciprocal(alpha0(act, nmax, ctx))

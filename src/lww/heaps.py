@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .core import GraphCtx, LoopActivity, PreconditionError, _erase, sap_key
 from .series import SeriesSum, ZSeries, reciprocal
@@ -45,8 +45,7 @@ class OrientedCycle:
     def rooted_at(self, v) -> tuple:
         """The unique representative (c_0 .. c_k) with c_0 = v (closed)."""
         i = self.seq.index(v)
-        rep = self.seq[i:] + self.seq[:i]
-        return rep + (v,)
+        return self.seq[i:] + self.seq[:i] + (v,)
 
     def reversed_cycle(self) -> "OrientedCycle":
         return OrientedCycle(_least_rotation(self.seq[::-1]))
@@ -90,9 +89,13 @@ class CycleHeap:
     def size(self) -> int:
         return sum(len(p) for p in self.pieces)
 
+    @cached_property
+    def _maxima(self) -> list:  # built once: LegalPair and loop_addition read it
+        return _maximal(self.pieces)
+
     def maximal_pieces(self) -> list:
         """Pieces with no concurrent piece above them (poppable from the top)."""
-        return _maximal(self.pieces)
+        return list(self._maxima)
 
 
 def _maximal(pieces) -> list:
@@ -136,21 +139,16 @@ class LegalPair:
 
     def is_legal(self) -> bool:
         rng = set(self.eta)
-        return not any(rng.isdisjoint(p.vertices()) for _, p in self.heap.maximal_pieces())
+        return not any(rng.isdisjoint(p.vertices()) for _, p in self.heap._maxima)
 
 
 def loop_insert(w, c: OrientedCycle):
     """Insert c into w at the first vertex of w lying on c."""
-    hit = None
     verts = c.vertices()
-    for i, v in enumerate(w):
-        if v in verts:
-            hit = i
-            break
+    hit = next((i for i, v in enumerate(w) if v in verts), None)
     if hit is None:
         raise PreconditionError("cycle shares no vertex with the walk")
-    rep = c.rooted_at(w[hit])
-    return w[:hit] + rep + w[hit + 1 :]
+    return w[:hit] + c.rooted_at(w[hit]) + w[hit + 1 :]
 
 
 def walk_order_max(w, cycles):
@@ -160,9 +158,7 @@ def walk_order_max(w, cycles):
     (pairwise disjoint cycles, e.g. the maximal pieces of a heap, always
     are).
     """
-    best = None
-    best_t = -1
-    seen_times = set()
+    best, best_t, seen_times = None, -1, set()
     for c in cycles:
         verts = c.vertices()
         t = next((i for i, v in enumerate(w) if v in verts), None)
@@ -180,11 +176,10 @@ def loop_addition(pair: LegalPair, trace=None):
     """Rebuild the walk from a legal pair (inverse of total loop erasure).
 
     Each pop inserts the maximal piece whose first hit along the walk comes
-    last, at that hit (walk_order_max, then loop_insert). One backward pass
-    over the pieces finds the maxima, as _maximal does; they are pairwise
-    disjoint, and each of their vertices is mapped to its piece. One scan
-    of the walk, stopped once every maximum is hit, then gives each one's
-    first-hit time and the insertion point.
+    last, at that hit (walk_order_max, then loop_insert). The maxima are
+    cached on the heap, and found by _maximal after a pop. A lone maximum
+    goes in at its first hit; several are pairwise disjoint, so one scan of
+    the walk, stopped once every maximum is hit, finds the last.
 
     When `trace` is a list the inserted cycles are appended in insertion
     order (the last entry is the first loop a subsequent erasure removes).
@@ -193,28 +188,39 @@ def loop_addition(pair: LegalPair, trace=None):
     becomes maximal later lay under the cycle just inserted, so it meets
     the walk.
     """
-    w, pieces = pair.eta, list(pair.heap.pieces)  # a linear extension stays one as maxima pop
-    while pieces:
-        owner, above = {}, set()  # owner: vertex -> index of the maximal piece through it
-        for i in reversed(range(len(pieces))):  # as in _maximal
-            verts = pieces[i].vertices()
-            if above.isdisjoint(verts):
-                owner.update(dict.fromkeys(verts, i))
-            above |= verts
-        for t, v in enumerate(w):
-            i = owner.get(v)
-            if i is not None:
-                for u in pieces[i].seq:
-                    del owner[u]
-                if not owner:  # every maximum is hit, piece i last
+    w, heap = pair.eta, pair.heap
+    maxima = heap._maxima
+    if not maxima:
+        return w
+    pieces = list(heap.pieces)  # a linear extension stays one as maxima pop
+    while True:
+        if len(maxima) == 1:
+            [(i, c)] = maxima
+            verts = c._vertex_set
+            for t, v in enumerate(w):
+                if v in verts:
                     break
+            else:
+                raise PreconditionError("cycle does not intersect the walk")
         else:
-            raise PreconditionError("cycle does not intersect the walk")
+            owner = {v: i for i, p in maxima for v in p.seq}  # vertex -> index of its maximum
+            for t, v in enumerate(w):
+                i = owner.get(v)
+                if i is not None:
+                    for u in pieces[i].seq:
+                        del owner[u]
+                    if not owner:  # every maximum is hit, piece i last
+                        break
+            else:
+                raise PreconditionError("cycle does not intersect the walk")
         c = pieces.pop(i)
-        w = w[:t] + c.rooted_at(v) + w[t + 1 :]
+        seq, k = c.seq, c.seq.index(v)
+        w = w[:t] + seq[k:] + seq[:k] + w[t:]
         if trace is not None:
             trace.append(c)
-    return w
+        if not pieces:
+            return w
+        maxima = _maximal(pieces) if len(pieces) > 1 else [(0, pieces[0])]
 
 
 def loop_erasure_to_pair(w) -> LegalPair:
@@ -251,6 +257,7 @@ def all_heaps(cycles, max_size: int):
     is, past a later-listed piece before reaching one it is concurrent with.
     """
     cycles = tuple(cycles)
+    sizes = [len(c) for c in cycles]
     seq = []  # indices into cycles
 
     def commutes_past_larger(j):
@@ -263,10 +270,10 @@ def all_heaps(cycles, max_size: int):
 
     def grow(budget):
         yield CycleHeap.of(cycles[i] for i in seq)
-        for j, c in enumerate(cycles):
-            if len(c) <= budget and not commutes_past_larger(j):
+        for j, k in enumerate(sizes):
+            if k <= budget and not commutes_past_larger(j):
                 seq.append(j)
-                yield from grow(budget - len(c))
+                yield from grow(budget - k)
                 seq.pop()
 
     yield from grow(max_size)

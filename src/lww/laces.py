@@ -11,6 +11,7 @@ one common denominator and return exact Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import comb
 
@@ -29,13 +30,7 @@ class CapExceeded(RuntimeError):
 
 def _positions(graph):
     """Strip labels if present."""
-    out = set()
-    for e in graph:
-        if len(e) == 3:
-            out.add((e[0], e[1]))
-        else:
-            out.add(tuple(e))
-    return out
+    return {(e[0], e[1]) for e in graph}
 
 
 def is_connected(graph, a: int, b: int) -> bool:
@@ -191,41 +186,43 @@ def _position_weights(a: int, b: int, weights: dict, labelled: bool) -> dict:
 def _graph_sums(a: int, b: int, pos_weights: dict):
     """(K, J) = (sum over all graphs, sum over connected graphs) of products.
 
-    Dynamic programming over positions with the state (straddle coverage
-    bitmask, touches-a, touches-b); exponentially many graphs collapse onto
-    at most 2^{b-a+1} states. The weights are scaled once to integer
-    numerators n_e over D = lcm(denominators): a state that skips a
-    position is multiplied by D and one that takes it by n_e, so after all
-    E positions every state holds its sum times D^E.
+    Dynamic programming over positions with the state (straddle coverage,
+    touches-a, touches-b) as one int: bit j - a + 1 per straddled interior
+    j, bits 1 and 0 for touching a and b, so taking a position ORs its bits
+    in; exponentially many graphs collapse onto at most 2^{b-a+1} states.
+    The weights are scaled once to integer numerators n_e over D = lcm of
+    the denominators: a state that skips a position is multiplied by D and
+    one that takes it by n_e, so each ends as its sum times D^E (E positions).
     """
     if b <= a:
         return (Fraction(1), Fraction(0)) if b == a else (Fraction(0), Fraction(0))
-    interior = b - a - 1
-    full = (1 << interior) - 1
     nums, den = _scaled(pos_weights.values())
-    states = {(0, False, False): 1}
+    states = {0: 1}
     for (s, t), n in zip(pos_weights, nums):
-        mask = 0
+        bits = (s == a) << 1 | (t == b)
         for j in range(max(s + 1, a + 1), min(t, b)):
-            mask |= 1 << (j - a - 1)
-        xa, xb = s == a, t == b
+            bits |= 1 << (j - a + 1)
         nxt = {key: wt * den for key, wt in states.items()}
-        for (cover, ta, tb), wt in states.items():
-            key = (cover | mask, ta or xa, tb or xb)
+        for key, wt in states.items():
+            key |= bits
             nxt[key] = nxt.get(key, 0) + wt * n
         states = nxt
     scale = den ** len(nums)
     K = Fraction(sum(states.values()), scale)
-    J = Fraction(states.get((full, True, True), 0), scale) if b > a + 1 else Fraction(0)
+    J = Fraction(states.get((1 << b - a + 1) - 1, 0), scale) if b > a + 1 else Fraction(0)
     return K, J
 
 
 def connected_graph_sum(a: int, b: int, weights: dict) -> Fraction:
     """Sum over labelled connected graphs of the product of edge weights."""
-    labelled = _labelled(weights)
-    _cap(a, b, labelled)
-    _, J = _graph_sums(a, b, _position_weights(a, b, weights, labelled))
-    return J
+    return K_J(a, b, weights)[1]
+
+
+@lru_cache(maxsize=32)
+def _lace_terms(a: int, b: int, labelled: bool) -> tuple:
+    """(lace, _compatible_edges) for each lace all_laces builds by rule on
+    [a, b]: weight-free, so built once per interval and labelling."""
+    return tuple((lace, _compatible_edges(lace, a, b)) for lace in all_laces(a, b, labelled=labelled))
 
 
 def lace_prescription_sum(a: int, b: int, weights: dict) -> Fraction:
@@ -241,13 +238,12 @@ def lace_prescription_sum(a: int, b: int, weights: dict) -> Fraction:
     num = dict(zip(weights, nums))
     total = comb(b - a + 1, 2) * (2 if labelled else 1)
     acc = 0
-    for lace in all_laces(a, b, labelled=labelled):
+    for lace, comp in _lace_terms(a, b, labelled):
         p = 1
         for e in lace:
             p *= num.get(e, 0)
         if p == 0:
             continue
-        comp = _compatible_edges(lace, a, b)  # all_laces builds laces by rule
         for e in comp:
             p *= den + num.get(e, 0)
         acc += p * den ** (total - len(lace) - len(comp))
@@ -258,23 +254,22 @@ def K_J(a: int, b: int, weights: dict):
     """K[a,b] (all graphs) and J[a,b] (connected graphs), with K=J=0 for a>b
     and the empty graph carrying weight 1."""
     labelled = _labelled(weights)
-    if a > b:
-        return Fraction(0), Fraction(0)
     _cap(a, b, labelled)
     return _graph_sums(a, b, _position_weights(a, b, weights, labelled))
 
 
 def kj_recursion_residual(a: int, b: int, weights: dict) -> Fraction:
-    """Residual of K[a,b] = K[a,a+1] K[a+1,b] + sum_{j>=2} J[a,a+j] K[a+j,b]."""
-    K_ab, _ = K_J(a, b, weights)
-    K_a1, _ = K_J(a, a + 1, weights)
-    K_rest, _ = K_J(a + 1, b, weights)
-    acc = K_a1 * K_rest
+    """Residual of K[a,b] = K[a,a+1] K[a+1,b] + sum_{j>=2} J[a,a+j] K[a+j,b]; weights checked and capped once."""
+    labelled = _labelled(weights)
+    _cap(a, b, labelled)
+
+    def kj(s, t):
+        return _graph_sums(s, t, _position_weights(s, t, weights, labelled))
+
+    acc = kj(a, a + 1)[0] * kj(a + 1, b)[0]
     for j in range(2, b - a + 1):
-        _, J_j = K_J(a, a + j, weights)
-        K_j, _ = K_J(a + j, b, weights)
-        acc += J_j * K_j
-    return K_ab - acc
+        acc += kj(a, a + j)[1] * kj(a + j, b)[0]
+    return kj(a, b)[0] - acc
 
 
 def lace_positions_for_vector(mvec) -> frozenset:

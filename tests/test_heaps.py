@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,6 +118,17 @@ def test_loop_addition_examples():
     with pytest.raises(PreconditionError):
         hp.loop_addition(mixed, trace=trace)
     assert trace == []
+
+
+def test_loop_addition_with_two_maxima():
+    """Disjoint maxima: the one hit last along eta goes in first, and the
+    scan stops at its first hit."""
+    eta = w1(0, 1, 2, 4)
+    heap = hp.CycleHeap.of([oc((2,), (3,)), oc((0,), (-1,))])
+    assert len(heap.maximal_pieces()) == 2
+    trace = []
+    assert hp.loop_addition(hp.LegalPair(eta=eta, heap=heap), trace=trace) == w1(0, -1, 0, 1, 2, 3, 2, 4)
+    assert trace == [oc((2,), (3,)), oc((0,), (-1,))]
 
 
 def test_loop_erasure_to_pair_examples():
@@ -427,3 +438,86 @@ def test_heap_theorem_suite_reuses_the_oriented_gas(monkeypatch):
     monkeypatch.setattr(hp, "cycle_gas_two_point", counting)
     assert all(r.passed for r in vf.suite_heap_theorem(4))
     assert len(calls) == 12
+
+
+# ---------------------------------------------------------------------------
+# the Viennot suite's fast paths
+
+
+def test_maximal_pieces_is_a_fresh_list_of_the_cached_maxima():
+    heap = hp.CycleHeap.of([oc((0,), (1,)), oc((1,), (2,)), oc((5,), (6,))])
+    got = heap.maximal_pieces()
+    assert got == _maximal_oracle(heap.pieces) == [(1, oc((5,), (6,))), (2, oc((1,), (2,)))]
+    got.clear()
+    assert heap.maximal_pieces() == _maximal_oracle(heap.pieces)
+
+
+def test_edge_ids_name_undirected_edges():
+    """Over every step of a ball, in any order of first use, (u, v) and
+    (v, u) get one id and distinct undirected edges distinct ids."""
+    from lww import verify as vf
+
+    r = 4
+    ball = {p for p in product(range(-r, r + 1), repeat=2) if abs(p[0]) + abs(p[1]) <= r}
+    steps = [(u, v) for u in sorted(ball) for v in CTX2.neighbors(u) if v in ball]
+    for order in (steps, steps[::-1], random.Random(7).sample(steps, len(steps))):
+        eid = vf._EdgeIds()
+        ids = {step: eid[step] for step in order}
+        assert all(eid[v, u] == i for (u, v), i in ids.items())
+        by_edge = {frozenset(step): i for step, i in ids.items()}
+        assert len(set(by_edge.values())) == len(by_edge) == len(steps) // 2
+        assert len(eid) == len(steps)
+
+
+def test_sorted_edge_ids_match_a_full_sort():
+    """_sorted_ids, which grows a path's ids from its parent's when it can,
+    equals the sort of every step's id, for the walks and SAWs of a DFS in
+    order and shuffled."""
+    from lww import verify as vf
+
+    get = vf._EdgeIds().__getitem__
+    nodes = list(en._grow(CTX2, ((0, 0),), 5))
+    for order in (nodes, random.Random(3).sample(nodes, len(nodes))):
+        walk_last, saw_last = {}, {}
+        for w, saw, _ in order:
+            assert vf._sorted_ids(w, get, walk_last) == sorted(map(get, zip(w, w[1:])))
+            assert vf._sorted_ids(saw, get, saw_last) == sorted(map(get, zip(saw, saw[1:])))
+
+
+def test_suite_heaps_catches_a_dropped_loop(monkeypatch):
+    """The round trip passes, and fails once _grow, as verify reads it,
+    hands one walk an erased list with its last loop dropped."""
+    from lww import verify as vf
+
+    assert [r.passed for r in vf.suite_heaps(3, 3)] == [True, True]
+    grow = en._grow
+
+    def dropping(*args, **kwargs):
+        dropped = False
+        for w, saw, erased in grow(*args, **kwargs):
+            if erased and not dropped:
+                dropped, erased = True, erased[:-1]
+            yield w, saw, erased
+
+    monkeypatch.setattr(en, "_grow", dropping)
+    trip, box = vf.suite_heaps(3, 3)
+    assert trip.name.startswith("Viennot round-trip") and not trip.passed
+    assert box.passed  # the box's SAWs erase no loop
+
+
+def test_suite_heaps_edge_check_catches_a_dropped_loop(monkeypatch):
+    """With loop_addition answering every walk itself, the edge multisets
+    alone still catch a walk whose erased list lost a loop."""
+    from lww import verify as vf
+
+    grow, last = en._grow, []
+
+    def dropping(*args, **kwargs):
+        for w, saw, erased in grow(*args, **kwargs):
+            last[:] = [w]
+            yield w, saw, erased[:-1] if len(w) == 4 and erased else erased
+
+    monkeypatch.setattr(en, "_grow", dropping)
+    monkeypatch.setattr(hp, "loop_addition", lambda pair, trace=None: last[0])
+    trip = vf.suite_heaps(3, 3)[0]
+    assert not trip.passed

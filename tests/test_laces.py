@@ -199,6 +199,46 @@ def test_kj_base_cases_and_recursion():
             assert lc.kj_recursion_residual(0, L, ws) == 0
 
 
+def _kj_residual_oracle(a, b, ws):
+    """kj_recursion_residual's former body: one checked K_J call per term."""
+    K_ab, _ = lc.K_J(a, b, ws)
+    K_a1, _ = lc.K_J(a, a + 1, ws)
+    K_rest, _ = lc.K_J(a + 1, b, ws)
+    acc = K_a1 * K_rest
+    for j in range(2, b - a + 1):
+        _, J_j = lc.K_J(a, a + j, ws)
+        K_j, _ = lc.K_J(a + j, b, ws)
+        acc += J_j * K_j
+    return K_ab - acc
+
+
+def test_kj_residual_matches_former_body_and_caps():
+    rng = random.Random(11)
+    for a, b in ((0, -1), (0, 0), (2, 2), (2, 3), (1, 5), (0, 6)):
+        for labelled in (False, True):
+            if labelled and b - a > 4:
+                continue
+            ws = {tuple(x + a for x in e[:2]) + e[2:]: w
+                  for e, w in _rand_weights(rng, max(b - a, 1), labelled).items()}
+            assert lc.kj_recursion_residual(a, b, ws) == _kj_residual_oracle(a, b, ws)
+    with pytest.raises(lc.CapExceeded):
+        lc.kj_recursion_residual(0, 7, _rand_weights(rng, 7))
+    with pytest.raises(lc.CapExceeded):
+        lc.kj_recursion_residual(1, 6, _rand_weights(rng, 5, labelled=True))
+
+
+def test_lace_terms_are_the_laces_with_their_compatible_edges():
+    """The cached (lace, compatible edges) list of every interval and
+    labelling the lace suite reads, and of an offset interval, equals
+    all_laces zipped with _compatible_edges; the cache is bounded."""
+    cases = [(0, L, False) for L in range(2, 7)] + [(0, L, True) for L in range(2, 5)] + [(3, 7, False), (2, 5, True)]
+    for a, b, labelled in cases:
+        laces = lc.all_laces(a, b, labelled=labelled)
+        want = [(lace, lc._compatible_edges(lace, a, b)) for lace in laces]
+        assert list(lc._lace_terms(a, b, labelled)) == want
+    assert lc._lace_terms.cache_info().maxsize is not None
+
+
 def test_valid_vectors():
     assert lc.valid_vectors(1, 1) == []
     assert lc.valid_vectors(1, 4) == [(4,)]
