@@ -141,16 +141,16 @@ MUTANTS = [
            "                    if not owner:  # every maximum is hit, piece i last\n                        pass\n",
            ("tests/test_heaps.py::test_loop_addition_with_two_maxima",)),
     Mutant("heap-cache-keyed-by-length", "src/lww/verify.py",
-           "            prev, key = erased, tuple(erased)\n",
-           "            prev, key = erased, len(erased)\n",
+           "            key = tuple(erased)\n",
+           "            key = len(erased)\n",
            ("tests/test_heaps.py::test_suite_heaps_catches_a_dropped_loop",)),
     Mutant("edge-ids-per-direction", "src/lww/verify.py",
            "        self[step] = self[step[::-1]] = i = len(self) // 2",
            "        self[step] = i = len(self)",
            ("tests/test_heaps.py::test_edge_ids_name_undirected_edges",)),
     Mutant("loop-addition-rotation-off-by-one", "src/lww/heaps.py",
-           "        w = w[:t] + seq[k:] + seq[:k] + w[t:]\n",
-           "        w = w[:t] + seq[k + 1:] + seq[:k + 1] + w[t:]\n",
+           "        w = w[:t] + c.seq[k:] + c.seq[:k] + w[t:]\n",
+           "        w = w[:t] + c.seq[k + 1:] + c.seq[:k + 1] + w[t:]\n",
            ("tests/test_heaps.py::test_loop_addition_examples",)),
     Mutant("maxima-cached-from-the-wrong-end", "src/lww/heaps.py",
            "        return _maximal(self.pieces)\n",
@@ -161,8 +161,8 @@ MUTANTS = [
            "_lace_terms(a, b, False):",
            ("tests/test_laces.py::test_prescription_random",)),
     Mutant("kj-residual-without-cap", "src/lww/laces.py",
-           "    labelled = _labelled(weights)\n    _cap(a, b, labelled)\n\n    def kj(",
-           "    labelled = _labelled(weights)\n\n    def kj(",
+           "    _cap(a, b, labelled)\n    nums, den = _position_weights(a, b, weights, labelled)\n",
+           "    nums, den = _position_weights(a, b, weights, labelled)\n",
            ("tests/test_laces.py::test_kj_residual_matches_former_body_and_caps",)),
     Mutant("pi-n-table-guard-only-on-a-miss", "src/lww/expansion.py",
            "    _guard(ctx, nmax)\n    return _pi_n_table(",
@@ -172,26 +172,18 @@ MUTANTS = [
            "    if not ctx.is_lattice:\n        _guard(ctx, nmax)\n    return _two_point_table(",
            "    return _two_point_table(",
            (KERNELS + "test_table_guards_run_cold_and_warm",)),
-    Mutant("interaction-guard-only-on-a-miss", "src/lww/enumeration.py",
-           "    _measure_guard(ctx, nmax)\n    return _i_factor(x, y, (), act, nmax, ctx)",
-           "    return _i_factor(x, y, (), act, nmax, ctx)",
-           (KERNELS + "test_table_guards_run_cold_and_warm",)),
-    Mutant("i-omega-guard-only-on-a-miss", "src/lww/enumeration.py",
-           "    _measure_guard(ctx, nmax)\n    return _i_factor(w[a], w[b]",
-           "    return _i_factor(w[a], w[b]",
-           (KERNELS + "test_table_guards_run_cold_and_warm",)),
+    Mutant("kj-subinterval-keeps-later-positions", "src/lww/laces.py",
+           "if s <= e[0] and e[1] <= t}",
+           "if s <= e[0]}",
+           ("tests/test_laces.py::test_kj_residual_matches_former_body_and_caps",)),
     Mutant("graph-sums-interior-bit-off-by-one", "src/lww/laces.py",
            "            bits |= 1 << (j - a + 1)\n",
            "            bits |= 1 << (j - a)\n",
            ("tests/test_laces.py::test_graph_sums_match_fraction_oracle",)),
     Mutant("round-trip-without-edge-check", "src/lww/verify.py",
-           " or _sorted_ids(w, get, walk_last) != sorted(_sorted_ids(saw, get, saw_last) + heap_ids)",
-           "",
+           "        if back != w or eta_edges != edges or not same_pieces:\n",
+           "        if back != w or not same_pieces:\n",
            ("tests/test_heaps.py::test_suite_heaps_edge_check_catches_a_dropped_loop",)),
-    Mutant("sorted-ids-grow-the-first-edge", "src/lww/verify.py",
-           "        ids = prev[1] + [get(path[-2:])]\n",
-           "        ids = prev[1] + [get(path[:2])]\n",
-           ("tests/test_heaps.py::test_sorted_edge_ids_match_a_full_sort",)),
 ]
 
 

@@ -7,10 +7,10 @@ def clear_caches() -> None:
     """Empty every lru_cache in the loaded modules of the package.
 
     The caches live as long as the process. Most are unbounded; the
-    importance sample set (sampling._importance_samples, the last one drawn)
-    and the transfer engine's loop-count rows (enumeration._packed_rows, 16
-    (n, d) entries) are bounded. A module that was never imported has none
-    filled, so only loaded modules are walked.
+    importance sample set (sampling._importance_samples, the last one drawn),
+    the transfer engine's loop-count rows (enumeration._packed_rows, 16
+    (n, d) entries) and laces._lace_terms (32 entries) are bounded. A
+    module never imported has none filled, so only loaded ones are walked.
     """
     import sys
 

@@ -895,7 +895,6 @@ def _i_factor(wa, wb, interior, act, budget, ctx) -> ZSeries:
 
 def interaction_two_point(x, y, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """I(x,y) = 1 if x=y else 1 - exp(-mu(x,y))."""
-    _measure_guard(ctx, nmax)
     return _i_factor(x, y, (), act, nmax, ctx)
 
 
@@ -903,7 +902,6 @@ def i_omega(w, a: int, b: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> Z
     """I^w(a,b): walk-dependent interaction along w between times a < b."""
     if not (0 <= a < b <= len(w) - 1):
         raise PreconditionError("need 0 <= a < b <= |w|")
-    _measure_guard(ctx, nmax)
     return _i_factor(w[a], w[b], w[a + 1 : b], act, nmax, ctx)
 
 

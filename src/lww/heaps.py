@@ -45,7 +45,8 @@ class OrientedCycle:
     def rooted_at(self, v) -> tuple:
         """The unique representative (c_0 .. c_k) with c_0 = v (closed)."""
         i = self.seq.index(v)
-        return self.seq[i:] + self.seq[:i] + (v,)
+        rep = self.seq[i:] + self.seq[:i]
+        return rep + (v,)
 
     def reversed_cycle(self) -> "OrientedCycle":
         return OrientedCycle(_least_rotation(self.seq[::-1]))
@@ -144,11 +145,16 @@ class LegalPair:
 
 def loop_insert(w, c: OrientedCycle):
     """Insert c into w at the first vertex of w lying on c."""
+    hit = None
     verts = c.vertices()
-    hit = next((i for i, v in enumerate(w) if v in verts), None)
+    for i, v in enumerate(w):
+        if v in verts:
+            hit = i
+            break
     if hit is None:
         raise PreconditionError("cycle shares no vertex with the walk")
-    return w[:hit] + c.rooted_at(w[hit]) + w[hit + 1 :]
+    rep = c.rooted_at(w[hit])
+    return w[:hit] + rep + w[hit + 1 :]
 
 
 def walk_order_max(w, cycles):
@@ -158,7 +164,9 @@ def walk_order_max(w, cycles):
     (pairwise disjoint cycles, e.g. the maximal pieces of a heap, always
     are).
     """
-    best, best_t, seen_times = None, -1, set()
+    best = None
+    best_t = -1
+    seen_times = set()
     for c in cycles:
         verts = c.vertices()
         t = next((i for i, v in enumerate(w) if v in verts), None)
@@ -176,10 +184,9 @@ def loop_addition(pair: LegalPair, trace=None):
     """Rebuild the walk from a legal pair (inverse of total loop erasure).
 
     Each pop inserts the maximal piece whose first hit along the walk comes
-    last, at that hit (walk_order_max, then loop_insert). The maxima are
-    cached on the heap, and found by _maximal after a pop. A lone maximum
-    goes in at its first hit; several are pairwise disjoint, so one scan of
-    the walk, stopped once every maximum is hit, finds the last.
+    last, at that hit (walk_order_max, then loop_insert): a lone maximum at
+    its first hit, several (disjoint) by one scan of the walk that stops once
+    all are hit. The heap's cached maxima come first, then _maximal's.
 
     When `trace` is a list the inserted cycles are appended in insertion
     order (the last entry is the first loop a subsequent erasure removes).
@@ -188,15 +195,12 @@ def loop_addition(pair: LegalPair, trace=None):
     becomes maximal later lay under the cycle just inserted, so it meets
     the walk.
     """
-    w, heap = pair.eta, pair.heap
-    maxima = heap._maxima
-    if not maxima:
-        return w
-    pieces = list(heap.pieces)  # a linear extension stays one as maxima pop
-    while True:
+    w, pieces = pair.eta, list(pair.heap.pieces)  # a linear extension stays one as maxima pop
+    maxima = pair.heap._maxima
+    while maxima:
         if len(maxima) == 1:
             [(i, c)] = maxima
-            verts = c._vertex_set
+            verts = c.vertices()
             for t, v in enumerate(w):
                 if v in verts:
                     break
@@ -214,13 +218,12 @@ def loop_addition(pair: LegalPair, trace=None):
             else:
                 raise PreconditionError("cycle does not intersect the walk")
         c = pieces.pop(i)
-        seq, k = c.seq, c.seq.index(v)
-        w = w[:t] + seq[k:] + seq[:k] + w[t:]
+        k = c.seq.index(v)  # c goes in rotated to start at v, before v's visit
+        w = w[:t] + c.seq[k:] + c.seq[:k] + w[t:]
         if trace is not None:
             trace.append(c)
-        if not pieces:
-            return w
-        maxima = _maximal(pieces) if len(pieces) > 1 else [(0, pieces[0])]
+        maxima = _maximal(pieces) if len(pieces) > 1 else list(enumerate(pieces))  # one left is maximal
+    return w
 
 
 def loop_erasure_to_pair(w) -> LegalPair:

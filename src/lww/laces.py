@@ -30,7 +30,13 @@ class CapExceeded(RuntimeError):
 
 def _positions(graph):
     """Strip labels if present."""
-    return {(e[0], e[1]) for e in graph}
+    out = set()
+    for e in graph:
+        if len(e) == 3:
+            out.add((e[0], e[1]))
+        else:
+            out.add(tuple(e))
+    return out
 
 
 def is_connected(graph, a: int, b: int) -> bool:
@@ -163,8 +169,9 @@ def _labelled(weights: dict) -> bool:
     return sizes == {3}
 
 
-def _position_weights(a: int, b: int, weights: dict, labelled: bool) -> dict:
-    """Collapse labelled weights onto positions.
+def _position_weights(a: int, b: int, weights: dict, labelled: bool) -> tuple:
+    """Collapse labelled weights onto positions: ({(s, t): n}, D), each
+    nonzero weight n / D over one D, the lcm of the denominators.
 
     A position present in a labelled graph may carry one or both labels, so
     its effective weight is w_sp + w_tl + w_sp*w_tl; connectivity only sees
@@ -180,25 +187,25 @@ def _position_weights(a: int, b: int, weights: dict, labelled: bool) -> dict:
             w = weights.get((s, t), 0)
         if w != 0:
             out[(s, t)] = w
-    return out
+    nums, den = _scaled(out.values())
+    return dict(zip(out, nums)), den
 
 
-def _graph_sums(a: int, b: int, pos_weights: dict):
-    """(K, J) = (sum over all graphs, sum over connected graphs) of products.
+def _graph_sums(a: int, b: int, nums: dict, den: int):
+    """(K, J) = (sum over all graphs, sum over connected graphs) of products,
+    the weights given as integer numerators n_e (nums) over one D = den.
 
     Dynamic programming over positions with the state (straddle coverage,
     touches-a, touches-b) as one int: bit j - a + 1 per straddled interior
     j, bits 1 and 0 for touching a and b, so taking a position ORs its bits
     in; exponentially many graphs collapse onto at most 2^{b-a+1} states.
-    The weights are scaled once to integer numerators n_e over D = lcm of
-    the denominators: a state that skips a position is multiplied by D and
-    one that takes it by n_e, so each ends as its sum times D^E (E positions).
+    A state that skips a position is multiplied by D and one that takes it
+    by n_e, so each ends as its sum times D^E (E positions).
     """
     if b <= a:
         return (Fraction(1), Fraction(0)) if b == a else (Fraction(0), Fraction(0))
-    nums, den = _scaled(pos_weights.values())
     states = {0: 1}
-    for (s, t), n in zip(pos_weights, nums):
+    for (s, t), n in nums.items():
         bits = (s == a) << 1 | (t == b)
         for j in range(max(s + 1, a + 1), min(t, b)):
             bits |= 1 << (j - a + 1)
@@ -220,8 +227,7 @@ def connected_graph_sum(a: int, b: int, weights: dict) -> Fraction:
 
 @lru_cache(maxsize=32)
 def _lace_terms(a: int, b: int, labelled: bool) -> tuple:
-    """(lace, _compatible_edges) for each lace all_laces builds by rule on
-    [a, b]: weight-free, so built once per interval and labelling."""
+    """(lace, _compatible_edges) for each of all_laces(a, b): weight-free."""
     return tuple((lace, _compatible_edges(lace, a, b)) for lace in all_laces(a, b, labelled=labelled))
 
 
@@ -255,16 +261,18 @@ def K_J(a: int, b: int, weights: dict):
     and the empty graph carrying weight 1."""
     labelled = _labelled(weights)
     _cap(a, b, labelled)
-    return _graph_sums(a, b, _position_weights(a, b, weights, labelled))
+    return _graph_sums(a, b, *_position_weights(a, b, weights, labelled))
 
 
 def kj_recursion_residual(a: int, b: int, weights: dict) -> Fraction:
-    """Residual of K[a,b] = K[a,a+1] K[a+1,b] + sum_{j>=2} J[a,a+j] K[a+j,b]; weights checked and capped once."""
+    """Residual of K[a,b] = K[a,a+1] K[a+1,b] + sum_{j>=2} J[a,a+j] K[a+j,b]
+    (weights checked, capped and scaled once, for [a, b])."""
     labelled = _labelled(weights)
     _cap(a, b, labelled)
+    nums, den = _position_weights(a, b, weights, labelled)
 
-    def kj(s, t):
-        return _graph_sums(s, t, _position_weights(s, t, weights, labelled))
+    def kj(s, t):  # [s, t]'s positions over the same D
+        return _graph_sums(s, t, {e: n for e, n in nums.items() if s <= e[0] and e[1] <= t}, den)
 
     acc = kj(a, a + 1)[0] * kj(a + 1, b)[0]
     for j in range(2, b - a + 1):

@@ -163,59 +163,45 @@ def suite_lm_rep(d: int, lam, nmax: int, max_l1: int = 3) -> list:
 
 
 class _EdgeIds(dict):
-    """{(u, v): id of the edge {u, v}}, filled on first use: (v, u) gets
-    the same id, and no two edges share one."""
+    """{(u, v): id of the undirected edge {u, v}}, filled on first use."""
 
     def __missing__(self, step):
         self[step] = self[step[::-1]] = i = len(self) // 2  # two entries per edge
         return i
 
 
-def _sorted_ids(path, get, last: dict) -> list:
-    """Sorted edge ids of path (get: step -> id): the parent's plus one when
-    `last` (length -> path seen last, its ids) holds the parent, as it does
-    in a DFS after the parent or a sibling; path and its ids go to `last`."""
-    prev = last.get(len(path) - 1)
-    if prev and prev[0] == path[:-1]:
-        ids = prev[1] + [get(path[-2:])]
-        ids.sort()
-    else:
-        ids = sorted(map(get, zip(path, path[1:])))
-    last[len(path)] = path, ids
-    return ids
-
-
 def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
-    """Viennot's bijection both ways: every walk of Z^2 of at most
-    nmax_walks steps is rebuilt from its legal pair by loop_addition, with
-    its undirected edge multiset conserved, and every legal pair on the 3x3
-    box of size at most box_cap is rebuilt from its walk.
-
-    An erased list's heap, with its edge ids and the check that it keeps
-    the erased pieces, is kept (256 lists at most) for when the DFS comes
-    back to the list or closes the same loops elsewhere."""
+    """Viennot's bijection both ways: walks of Z^2 (len <= nmax_walks) from legal pairs, edge
+    multisets (_EdgeIds) kept, a heap per erased list (256 kept); 3x3-box legal pairs from walks."""
     out = []
     ctx = GraphCtx.lattice(2)
     origin = ctx.origin()
     get = _EdgeIds().__getitem__
-
-    cycles, by_list = {}, {}  # erased loop -> its cycle; tuple(erased) -> heap entry
-    ok, total, prev, walk_last, saw_last = True, 0, None, {}, {}
+    ok = True
+    total = 0
+    prev, cycles = None, {}  # cycles: erased loop -> its oriented cycle
+    by_list = {}  # tuple(erased) -> (heap, its edge ids, same_pieces)
     for w, saw, erased in en._grow(ctx, (origin,), nmax_walks):
         if erased is not prev:  # _grow shares one erased list until a loop closes
-            prev, key = erased, tuple(erased)
-            entry = by_list.get(key)
-            if entry is None:
+            prev = erased
+            key = tuple(erased)
+            if key not in by_list:
                 if len(by_list) == 256:
                     by_list.clear()
-                loops = [cycles.get(e) or cycles.setdefault(e, hp.OrientedCycle.from_closed_walk(e)) for e in erased]
+                for e in erased:
+                    if e not in cycles:
+                        cycles[e] = hp.OrientedCycle.from_closed_walk(e)
+                loops = [cycles[e] for e in erased]
                 heap = hp.CycleHeap.of(loops)
+                heap_ids = [get(step) for p in heap.pieces for step in zip(p.seq, p.seq[1:] + p.seq[:1])]
                 same = sorted(p.seq for p in heap.pieces) == sorted(c.seq for c in loops)
-                entry = by_list[key] = heap, [get(e) for p in heap.pieces for e in zip(p.seq, p.seq[1:] + p.seq[:1])], same
-            heap, heap_ids, same_pieces = entry
-        back = hp.loop_addition(hp.LegalPair(saw, heap))
+                by_list[key] = heap, heap_ids, same
+            heap, heap_ids, same_pieces = by_list[key]
+        back = hp.loop_addition(hp.LegalPair(eta=saw, heap=heap))
         total += 1
-        if back != w or _sorted_ids(w, get, walk_last) != sorted(_sorted_ids(saw, get, saw_last) + heap_ids) or not same_pieces:
+        edges = sorted(map(get, zip(w, w[1:])))
+        eta_edges = sorted(heap_ids + list(map(get, zip(saw, saw[1:]))))
+        if back != w or eta_edges != edges or not same_pieces:
             ok = False
             break
     out.append(
@@ -224,8 +210,10 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
 
     # legal pairs on a 3x3 box of total size <= box_cap
     box = hp.box_graph(3, 3)
-    heaps = sorted(((h.size(), h) for h in hp.all_heaps(hp.all_oriented_cycles(box, box_cap), box_cap)), key=lambda e: e[0])
-    ok, count = True, 0
+    heaps = sorted(((h.size(), h) for h in hp.all_heaps(hp.all_oriented_cycles(box, box_cap), box_cap)),
+                   key=lambda e: e[0])
+    ok = True
+    count = 0
     for eta in en.saws(box, (0, 0), box_cap):
         budget = box_cap - (len(eta) - 1)
         if budget < 2:  # only the empty heap fits; such pairs are not counted
@@ -233,7 +221,7 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
         for size, heap in heaps:  # by size
             if size > budget:
                 break
-            pair = hp.LegalPair(eta, heap)
+            pair = hp.LegalPair(eta=eta, heap=heap)
             if not pair.is_legal():
                 continue
             count += 1

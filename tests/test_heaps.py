@@ -469,21 +469,6 @@ def test_edge_ids_name_undirected_edges():
         assert len(eid) == len(steps)
 
 
-def test_sorted_edge_ids_match_a_full_sort():
-    """_sorted_ids, which grows a path's ids from its parent's when it can,
-    equals the sort of every step's id, for the walks and SAWs of a DFS in
-    order and shuffled."""
-    from lww import verify as vf
-
-    get = vf._EdgeIds().__getitem__
-    nodes = list(en._grow(CTX2, ((0, 0),), 5))
-    for order in (nodes, random.Random(3).sample(nodes, len(nodes))):
-        walk_last, saw_last = {}, {}
-        for w, saw, _ in order:
-            assert vf._sorted_ids(w, get, walk_last) == sorted(map(get, zip(w, w[1:])))
-            assert vf._sorted_ids(saw, get, saw_last) == sorted(map(get, zip(saw, saw[1:])))
-
-
 def test_suite_heaps_catches_a_dropped_loop(monkeypatch):
     """The round trip passes, and fails once _grow, as verify reads it,
     hands one walk an erased list with its last loop dropped."""

@@ -994,15 +994,12 @@ def test_catalog_guard_runs_cold_and_warm(monkeypatch):
 
 
 def test_table_guards_run_cold_and_warm(monkeypatch):
-    """pi_n_table and the interaction on Z^2, and two_point_table on a box
-    (degree 4), run their up-front guard (4^6 naive walks) before the
-    result caches, so a small budget raises whether or not they are
-    cached."""
-    two, ctx = LoopActivity.constant(2), GraphCtx.lattice(2)
-    for call in (lambda: ex.pi_n_table(1, two, 6, ctx),
-                 lambda: en.two_point_table(two, 6, hp.box_graph(3, 3)),
-                 lambda: en.interaction_two_point((0, 0), (1, 0), two, 6, ctx),
-                 lambda: en.i_omega(((0, 0), (1, 0), (1, 1)), 0, 2, two, 6, ctx)):
+    """pi_n_table on Z^2 and two_point_table on a box (degree 4) run their
+    up-front guard (4^6 naive walks) before the result caches, so a small
+    budget raises whether or not they are cached."""
+    two = LoopActivity.constant(2)
+    for call in (lambda: ex.pi_n_table(1, two, 6, GraphCtx.lattice(2)),
+                 lambda: en.two_point_table(two, 6, hp.box_graph(3, 3))):
         lww.clear_caches()
         for warm in (False, True):
             monkeypatch.setenv("LWW_BUDGET", "1000")
