@@ -184,6 +184,26 @@ MUTANTS = [
            "        if back != w or eta_edges != edges or not same_pieces:\n",
            "        if back != w or not same_pieces:\n",
            ("tests/test_heaps.py::test_suite_heaps_edge_check_catches_a_dropped_loop",)),
+    Mutant("lace-term-sum-one-order-off", "src/lww/expansion.py",
+           "        acc.add(factor, m, size)\n",
+           "        acc.add(factor.to_order(budget - 1), m + 1, size)\n",
+           ("tests/test_expansion.py::test_pi_n_table_matches_unpruned_oracle",)),
+    Mutant("pinch-tail-sum-one-order-off", "src/lww/enumeration.py",
+           "            acc.add(tail, used, factor * lam**k)\n",
+           "            acc.add(tail.to_order(nmax - used - 1), used + 1, factor * lam**k)\n",
+           (KERNELS + "test_bubble_chain_values_unchanged",)),
+    Mutant("split-rhs-sum-one-order-off", "src/lww/enumeration.py",
+           "        acc.add(factor * inner, length, act.weight_of_keys(erased))\n",
+           "        acc.add((factor * inner).to_order(rem - 1), length + 1, act.weight_of_keys(erased))\n",
+           (KERNELS + "test_bubble_chain_values_unchanged",)),
+    Mutant("le-table-sum-one-order-off", "src/lww/enumeration.py",
+           ".add(e, length, sizes[k])\n",
+           ".add(e.to_order(budget - 1), length + 1, sizes[k])\n",
+           (KERNELS + "test_loop_erased_table_matches_every_saw",)),
+    Mutant("pair-measure-guard-only-on-a-miss", "src/lww/enumeration.py",
+           "        _measure_guard(ctx, budget)\n        delta = ",
+           "        delta = ",
+           (KERNELS + "test_pair_measure_guard_runs_cold_and_warm",)),
 ]
 
 

@@ -4,8 +4,9 @@
 Checks, at orders 0..7, the ring axioms, exp(a) exp(-a) = 1,
 log1p(exp(a) - 1) = a, 1/(1/b) = b, the schoolbook product, that a series
 out of a kernel and the same series built from its Fractions are equal and
-hash alike, and that spatial_inverse inverts spatial_convolve. Prints one
-line and exits 1 on the first failure.
+hash alike, that `.coeffs` are normalised Fractions with the shared ZERO for
+0 however a series was built, and that spatial_inverse inverts
+spatial_convolve. Prints one line and exits 1 on the first failure.
 
     PYTHONPATH=src python3 scripts/series_smoke.py
 """
@@ -15,6 +16,7 @@ import sys
 from fractions import Fraction
 
 from lww.series import (
+    ZERO,
     SpatialSeries,
     ZSeries,
     exp_series,
@@ -41,6 +43,10 @@ def schoolbook(a, b):
     )
 
 
+def normalised(s):
+    return all(type(c) is Fraction and (c or c is ZERO) for c in s.coeffs)
+
+
 def check(ok, what):
     if not ok:
         print(f"series smoke FAILED: {what}")
@@ -63,7 +69,9 @@ def main() -> None:
             check(reciprocal(reciprocal(u)) == u and u * reciprocal(u) == one, "reciprocal")
             k = a * b + c
             built = ZSeries(k.coeffs)
-            check(ZSeries(k.coeffs) == (a * b + c) and hash(built) == hash(a * b + c), "eq and hash across forms")
+            check(ZSeries(k.coeffs) == (a * b + c) and hash(built) == hash(a * b + c), "eq and hash across constructors")
+            ints = ZSeries([rng.randint(-3, 3) for _ in range(n + 1)])
+            check(all(map(normalised, (a, k, built, ints, ZSeries.const(0, n)))), "coeffs are normalised Fractions")
             table = SpatialSeries.build({(0, 0): u, (1, 0): t, (0, -1): t * Fraction(1, 3)}, n)
             check(spatial_convolve(table, spatial_inverse(table)) == SpatialSeries.delta((0, 0), n),
                   "spatial inverse")

@@ -100,15 +100,18 @@ class GraphCtx:
         raise DomainError("finite graph has no canonical origin")
 
     def neighbors(self, p):
-        """Neighbors of p in deterministic (lexicographic) order."""
+        """Neighbors of p in deterministic (lexicographic) order: on Z^d
+        p - e_0, .., p - e_{d-1}, then p + e_{d-1}, .., p + e_0."""
         if self.is_lattice:
-            out = []
+            q, out = list(p), []
             for i in range(self.d):
-                for s in (-1, 1):
-                    q = list(p)
-                    q[i] += s
-                    out.append(tuple(q))
-            out.sort()
+                q[i] -= 1
+                out.append(tuple(q))
+                q[i] += 1
+            for i in reversed(range(self.d)):
+                q[i] += 1
+                out.append(tuple(q))
+                q[i] -= 1
             return out
         adj = self._adj
         if p not in adj:

@@ -820,8 +820,8 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
         rng = _range_key(eta)
         e = dressed.get(rng)
         if e is None:
-            e = dressed[rng] = exp_series(loop_measure(eta, (), act, budget, ctx).to_order(nmax))
-        totals.setdefault(_orbit_key(eta[-1]), SeriesSum(nmax)).add((e * sizes[k]).shift(length))
+            e = dressed[rng] = exp_series(loop_measure(eta, (), act, budget, ctx))
+        totals.setdefault(_orbit_key(eta[-1]), SeriesSum(nmax)).add(e, length, sizes[k])
     for length, row in enumerate(bare):
         for key, count in states.totals(row).items():
             totals.setdefault(key, SeriesSum(nmax)).add_term(length, count)
@@ -877,6 +877,7 @@ def _pair_mu(wa, wb, interior, act, budget, ctx) -> ZSeries:
     """mu(wa, wb; interior) truncated at `budget`: on Z^d translated to
     wa = 0 and read from _mu_pair."""
     if ctx.is_lattice:
+        _measure_guard(ctx, budget)
         delta = tuple(map(sub, wb, wa))
         inter = frozenset(tuple(map(sub, v, wa)) for v in interior)
         return _mu_pair(delta, inter, act, budget, ctx)
@@ -961,7 +962,7 @@ def chi_series(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     if not ctx.is_lattice:
         return two_point_table(act, nmax, ctx).sum_over_x()
     if act.is_constant and act.value == 1:
-        return ZSeries(tuple(Fraction(2 * ctx.d) ** m for m in range(nmax + 1)))
+        return ZSeries.from_ints([(2 * ctx.d) ** m for m in range(nmax + 1)], 1)
     rows, den = _transfer(nmax, ctx, act)
     return ZSeries.from_ints([sum(row.values()) for row in rows], den)
 
@@ -1010,7 +1011,7 @@ def bubble_chain_pinch_part(
     if x == y:
         raise PreconditionError("pinch part needs x != y")
     lam = act.constant_value()
-    coeffs = [Fraction(0)] * (nmax + 1)
+    acc = SeriesSum(nmax)
     back = ctx.distance(y, x)
     # forward pieces run from pinch to pinch; the ranges of their loop
     # erasures accumulate into the set later pieces avoid
@@ -1051,11 +1052,10 @@ def bubble_chain_pinch_part(
                 returning(i + 1, used + len(piece), factor * lam ** len(erased))
                 continue
             tail = _tally(ctx, piece + (x,), act, nmax - used, x, forbidden)[x]
-            for m, c in enumerate(tail.coeffs):
-                coeffs[used + m] += factor * lam**k * c
+            acc.add(tail, used, factor * lam**k)
 
     forward(0, Fraction(1))
-    return ZSeries(tuple(coeffs))
+    return acc.value()
 
 
 def upper_bubble_chain(x, y, act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
@@ -1098,7 +1098,7 @@ def split_visit_sum_rhs(x, y, b, act: LoopActivity, nmax: int, ctx: GraphCtx) ->
     if x == y or b == x:
         raise PreconditionError("need x != y and b != x")
     _guard(ctx, nmax)
-    acc = [Fraction(0)] * (nmax + 1)
+    acc = SeriesSum(nmax)
     for omega1, saw, erased in _grow(ctx, (x,), nmax, avoid={x}, keys=not act.is_constant):
         a, length, le_range = omega1[-1], len(omega1) - 1, frozenset(saw)
         rem = nmax - length
@@ -1115,11 +1115,8 @@ def split_visit_sum_rhs(x, y, b, act: LoopActivity, nmax: int, ctx: GraphCtx) ->
             factor = ZSeries.zero(rem)
         if a != x and a != b:
             factor = factor + bubble_chain_pinch_part(a, b, act, rem, ctx, forbidden=le_range - {a})
-        w1 = act.weight_of_keys(erased)
-        for n, c in enumerate((factor * inner).coeffs):
-            if c:
-                acc[length + n] += w1 * c
-    return ZSeries(tuple(acc))
+        acc.add(factor * inner, length, act.weight_of_keys(erased))
+    return acc.value()
 
 
 def diagrams(act: LoopActivity, nmax: int, ctx: GraphCtx) -> dict:

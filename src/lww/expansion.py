@@ -52,6 +52,7 @@ from operator import add
 
 from .core import GraphCtx, LoopActivity, PreconditionError, l1, walk_weight
 from .series import (
+    SeriesSum,
     SpatialSeries,
     ZSeries,
     exp_series,
@@ -107,7 +108,7 @@ def pi_n_table(N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSe
 @lru_cache(maxsize=None)
 def _pi_n_table(N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSeries:
     steps = _canonical_units(ctx)
-    table: dict = {}  # endpoint orbit -> coefficients summed over its walks
+    table: dict = {}  # endpoint orbit -> SeriesSum over its walks
     a0_inv = reciprocal(alpha0(act, nmax, ctx))
 
     for m in range(2, nmax + 1):
@@ -120,7 +121,7 @@ def _pi_n_table(N: int, act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialS
             # the closed form needs no lace_of re-derivation
             cp = _compatible_edges(positions, 0, m)
             _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, steps)
-    totals = {key: ZSeries(tuple(coeffs)) * a0_inv for key, coeffs in table.items()}
+    totals = {key: acc.value() * a0_inv for key, acc in table.items()}
     return SpatialSeries.build(_spread(totals, lambda s, n: s * Fraction(1, n)), nmax)
 
 
@@ -155,13 +156,10 @@ def _accumulate_lace_term(table, positions, cp, m, act, nmax, ctx, steps):
                 return
         factor = factor * _x_dressing(w, cp, act, budget, ctx)
         key = _orbit_key(w[-1])
-        row = table.get(key)
-        if row is None:
-            row = [Fraction(0)] * (nmax + 1)
-            table[key] = row
-        for k, c in enumerate(factor.coeffs):
-            if c:
-                row[m + k] += size * c
+        acc = table.get(key)
+        if acc is None:
+            acc = table[key] = SeriesSum(nmax)
+        acc.add(factor, m, size)
 
     def dfs(j, closed, k, size):
         # closed: lowest order of the I-factors of the edges closed before j;

@@ -10,13 +10,14 @@ denominator, kept positive, so each series has one such form and `==` and
 `hash` read it. Every kernel (sum, difference, negation, scalar and series
 product, shift, exp, log1p, reciprocal, sums of many series, spatial
 convolution and inverse) reads and writes that form: its recurrence runs on
-Python ints, and one `gcd(den, *nums)` call reduces its output. `.coeffs`,
-the tuple of normalised Fractions (the shared ZERO for 0), is built only
-when read and then kept; a series built from coefficients (`ZSeries(coeffs)`,
-`of`, `const`) keeps them and finds its integer form only when a kernel
-first reads it. Every result is the same exact rational the schoolbook
-Fraction recurrence gives, so serialised outputs cannot change; there is no
-knob choosing between the two.
+Python ints, and one `gcd(den, *nums)` call reduces its output. A series
+built from int or Fraction coefficients (`ZSeries(coeffs)`, `of`, `const`,
+`from_json`) is converted to that form when it is built; it is the only form
+a series holds. `.coeffs`, the tuple of normalised Fractions (the shared
+ZERO for 0), is a view built only when read and then kept. Every running sum
+of series coefficients goes through `SeriesSum`. Every result is the same
+exact rational the schoolbook Fraction recurrence gives, so serialised
+outputs cannot change.
 """
 
 from __future__ import annotations
@@ -63,14 +64,14 @@ def _support(nums) -> list:
 
 
 class ZSeries:
-    """c_0 + c_1 z + ... + c_nmax z^nmax, in integer form (see the module
-    docstring) or as the coefficients it was built from, or both."""
+    """c_0 + c_1 z + ... + c_nmax z^nmax in integer form (see the module
+    docstring); coeffs are ints or Fractions, length nmax+1."""
 
     __slots__ = ("_co", "_nums", "_den")
 
     def __init__(self, coeffs):
-        self._co = tuple(coeffs)  # length nmax+1
-        self._nums = self._den = None
+        nums, self._den = _scaled(tuple(coeffs))
+        self._co, self._nums = None, tuple(nums)
 
     @staticmethod
     def from_ints(nums, den: int) -> "ZSeries":
@@ -86,9 +87,6 @@ class ZSeries:
 
     def _ints(self) -> tuple:
         """(nums, den): c_k == nums[k] / den, den > 0 the least common denominator."""
-        if self._nums is None:
-            nums, self._den = _scaled(self._co)
-            self._nums = tuple(nums)
         return self._nums, self._den
 
     @property
@@ -101,13 +99,11 @@ class ZSeries:
 
     @property
     def nmax(self) -> int:
-        return len(self._co if self._co is not None else self._nums) - 1
+        return len(self._nums) - 1
 
     def __eq__(self, other):
         if not isinstance(other, ZSeries):
             return NotImplemented
-        if self._co is not None and other._co is not None:
-            return self._co == other._co
         return self._ints() == other._ints()
 
     def __hash__(self):
@@ -126,7 +122,7 @@ class ZSeries:
 
     @staticmethod
     def const(c, nmax: int) -> "ZSeries":
-        return ZSeries((Fraction(c),) + (ZERO,) * nmax)
+        return ZSeries.monomial(c, 0, nmax)
 
     @staticmethod
     def monomial(c, power: int, nmax: int) -> "ZSeries":
@@ -140,8 +136,7 @@ class ZSeries:
     @staticmethod
     def of(coeffs, nmax: int) -> "ZSeries":
         co = [Fraction(c) for c in coeffs][: nmax + 1]
-        co += [ZERO] * (nmax + 1 - len(co))
-        return ZSeries(tuple(co))
+        return ZSeries(co + [0] * (nmax + 1 - len(co)))
 
     @staticmethod
     def sum(series, nmax: int) -> "ZSeries":
@@ -199,7 +194,7 @@ class ZSeries:
         return ZSeries.from_ints((0,) * min(k, n) + nums[: max(0, n - k)], den)
 
     def is_zero(self) -> bool:
-        return not any(self._co if self._nums is None else self._nums)
+        return not any(self._nums)
 
     def leq(self, other: "ZSeries") -> bool:
         """Coefficientwise <=."""
@@ -231,8 +226,7 @@ class ZSeries:
 
     @staticmethod
     def from_json(data, nmax=None) -> "ZSeries":
-        co = [Fraction(s) for s in data]
-        return ZSeries.of(co, nmax if nmax is not None else len(co) - 1)
+        return ZSeries.of(data, nmax if nmax is not None else len(data) - 1)
 
 
 class SeriesSum:
@@ -250,14 +244,16 @@ class SeriesSum:
             self.nums = [x * scale for x in self.nums]
             self.den = den
 
-    def add(self, s: ZSeries) -> None:
+    def add(self, s: ZSeries, shift: int = 0, c=1) -> None:
+        """Add c z^shift s, where s is truncated at order nmax - shift."""
         nums, den = s._ints()
-        if len(nums) != len(self.nums):
+        if len(nums) + shift != len(self.nums):
             raise PreconditionError("mismatched truncation orders")
-        self._widen(lcm(self.den, den))
-        scale = self.den // den
+        p, q = _ratio(c)
+        self._widen(lcm(self.den, den * q))
+        scale = p * (self.den // (den * q))
         acc = self.nums
-        for k, x in enumerate(nums):
+        for k, x in enumerate(nums, shift):
             if x:
                 acc[k] += x * scale
 
@@ -346,8 +342,6 @@ class SpatialSeries:
     def build(mapping: dict, nmax: int) -> "SpatialSeries":
         items = []
         for x, s in mapping.items():
-            if not isinstance(s, ZSeries):
-                s = ZSeries.of(s, nmax)
             if s.nmax != nmax:
                 raise PreconditionError("mismatched truncation orders")
             if not s.is_zero():

@@ -408,3 +408,13 @@ def test_walk_json_round_trip():
     w = ((0, 0), (1, 0), (0, 0))
     assert walk_to_json(w) == [[0, 0], [1, 0], [0, 0]]
     assert walk_from_json(walk_to_json(w)) == w
+
+
+def test_lattice_neighbors_are_the_sorted_unit_steps():
+    rng = random.Random(11)
+    for d in range(1, 9):
+        ctx = GraphCtx.lattice(d)
+        for _ in range(20):
+            p = tuple(rng.randint(-4, 4) for _ in range(d))
+            units = [tuple(c + s * (i == j) for j, c in enumerate(p)) for i in range(d) for s in (-1, 1)]
+            assert ctx.neighbors(p) == sorted(units)

@@ -1010,6 +1010,28 @@ def test_table_guards_run_cold_and_warm(monkeypatch):
     lww.clear_caches()
 
 
+def test_pair_measure_guard_runs_cold_and_warm(monkeypatch):
+    """interaction_two_point and i_omega on Z^2 run the catalog guard (4^6
+    naive walks) before they read _mu_pair, so a small budget raises whether
+    or not the pair measure is cached; equal points read no loop measure, so
+    I is 1 at any nmax under the same budget."""
+    ctx, two = GraphCtx.lattice(2), LoopActivity.constant(2)
+    walk = ((0, 0), (0, 1), (1, 1), (1, 0))
+    for call in (lambda: en.interaction_two_point((0, 0), (1, 0), two, 6, ctx),
+                 lambda: en.i_omega(walk, 0, 3, two, 6, ctx)):
+        lww.clear_caches()
+        for warm in (False, True):
+            monkeypatch.setenv("LWW_BUDGET", "1000")
+            with pytest.raises(en.ResourceError, match="LWW_BUDGET"):
+                call()
+            monkeypatch.setenv("LWW_BUDGET", str(4**6))
+            assert not call().is_zero()  # fills the caches on the cold pass
+    monkeypatch.setenv("LWW_BUDGET", "1000")
+    assert en.interaction_two_point((1, 0), (1, 0), two, 40, ctx) == ZSeries.one(40)
+    assert en.i_omega(walk + ((0, 0),), 0, 4, two, 40, ctx) == ZSeries.one(40)
+    lww.clear_caches()
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3), st.data())
 def test_range_key_names_the_orbit(d, data):

@@ -444,8 +444,8 @@ def test_mixed_chains_match_oracles(data, n):
 @given(st.data(), orders)
 def test_eq_and_hash_agree_across_forms(data, n):
     a = data.draw(series(n))
-    kernel = a * ZSeries.one(n)  # the same series, in integer form only
-    built = ZSeries(tuple(a.coeffs))  # the same series, from its coefficients only
+    kernel = a * ZSeries.one(n)  # the same series, out of a kernel
+    built = ZSeries(tuple(a.coeffs))  # the same series, from its coefficients
     assert kernel == built and built == kernel and hash(kernel) == hash(built)
     assert a + ZSeries.one(n) != a and ZSeries.zero(n + 1) != ZSeries.zero(n)
     zero = a - a
@@ -456,6 +456,26 @@ def test_eq_and_hash_agree_across_forms(data, n):
     assert {built: 1}[kernel] == 1
     assert (a * 0).coeffs == ZSeries.zero(n).coeffs
 
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), orders)
+def test_every_constructor_builds_the_integer_form(data, n):
+    """A series built from int or Fraction coefficients, through of, const
+    or from_json equals its kernel twin (a sum of monomials) and hashes
+    alike; its coeffs are normalised Fractions with the shared ZERO for 0."""
+    ints = data.draw(st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1))
+    fracs = data.draw(st.lists(fractions, min_size=n + 1, max_size=n + 1))
+    for co in (ints, fracs, ints[:1] + fracs[1:]):
+        twin = ZSeries.sum((ZSeries.monomial(c, k, n) for k, c in enumerate(co)), n)
+        for built in (ZSeries(co), ZSeries(iter(co)), ZSeries.of(co, n), ZSeries.of(co + [1], n),
+                      ZSeries.from_json([str(c) for c in co])):
+            assert built == twin and twin == built and hash(built) == hash(twin)
+            assert built.coeffs == tuple(Fraction(c) for c in co)
+            _normalised(built)
+        const = ZSeries.const(co[0], n)
+        assert const == ZSeries.one(n) * co[0] and hash(const) == hash(ZSeries.one(n) * co[0])
+        _normalised(const)
+    _normalised(ZSeries((1, -2, 0)))
 
 
 @settings(max_examples=100, deadline=None)
