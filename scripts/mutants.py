@@ -89,8 +89,8 @@ MUTANTS = [
            "        if budget < 3:  # no loop fits: exp(mu) = 1\n",
            (KERNELS + "test_loop_erased_table_matches_every_saw",)),
     Mutant("alpha-guard-only-on-a-miss", "src/lww/enumeration.py",
-           "    _measure_guard(ctx, nmax)\n    return exp_series(",
-           "    return exp_series(",
+           "    return exp_series(_pair_mu(o, o, (), act, nmax, ctx))\n",
+           "    return exp_series(_mu_pair(o, frozenset(), act, nmax, ctx))\n",
            (KERNELS + "test_catalog_guard_runs_cold_and_warm",)),
     Mutant("catalog-without-prune", "src/lww/enumeration.py",
            "                    if far > room:\n",
@@ -169,8 +169,8 @@ MUTANTS = [
            "    return _pi_n_table(",
            (KERNELS + "test_table_guards_run_cold_and_warm",)),
     Mutant("two-point-table-guard-only-on-a-miss", "src/lww/enumeration.py",
-           "    if not ctx.is_lattice:\n        _guard(ctx, nmax)\n    return _two_point_table(",
-           "    return _two_point_table(",
+           "        _guard(ctx, nmax)\n        return _finite_two_point_table(",
+           "        return _finite_two_point_table(",
            (KERNELS + "test_table_guards_run_cold_and_warm",)),
     Mutant("kj-subinterval-keeps-later-positions", "src/lww/laces.py",
            "if s <= e[0] and e[1] <= t}",
@@ -201,9 +201,25 @@ MUTANTS = [
            ".add(e.to_order(budget - 1), length + 1, sizes[k])\n",
            (KERNELS + "test_loop_erased_table_matches_every_saw",)),
     Mutant("pair-measure-guard-only-on-a-miss", "src/lww/enumeration.py",
-           "        _measure_guard(ctx, budget)\n        delta = ",
+           "        _guard(ctx, budget - budget % 2)\n        delta = ",
            "        delta = ",
            (KERNELS + "test_pair_measure_guard_runs_cold_and_warm",)),
+    Mutant("oriented-cycles-guard-only-on-a-miss", "src/lww/heaps.py",
+           "    _guard(ctx, max_len - 1)\n    return _oriented_cycles(",
+           "    return _oriented_cycles(",
+           (KERNELS + "test_table_guards_run_cold_and_warm",)),
+    Mutant("pi-total-table-cached", "src/lww/expansion.py",
+           "\ndef pi_total_table(",
+           "\n@lru_cache(maxsize=None)\ndef pi_total_table(",
+           (KERNELS + "test_table_guards_run_cold_and_warm",)),
+    Mutant("pinch-part-cached", "src/lww/enumeration.py",
+           "\ndef bubble_chain_pinch_part(",
+           "\n@lru_cache(maxsize=None)\ndef bubble_chain_pinch_part(",
+           (KERNELS + "test_table_guards_run_cold_and_warm",)),
+    Mutant("lattice-two-point-table-cached", "src/lww/enumeration.py",
+           "\ndef two_point_table(",
+           "\n@lru_cache(maxsize=None)\ndef two_point_table(",
+           (KERNELS + "test_table_guards_run_cold_and_warm",)),
 ]
 
 

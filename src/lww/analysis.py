@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import GraphCtx, LoopActivity, PreconditionError
-from .series import SpatialSeries, ZSeries, spatial_inverse
+from .series import SpatialSeries, ZSeries, reciprocal, spatial_inverse
 from .enumeration import alpha0, chi_series, two_point_table
 
 
@@ -49,7 +49,6 @@ def zc_ratio_estimate(chi: ZSeries) -> SeriesEstimate:
     for n in range(1, len(cs)):
         if cs[n] != 0 and cs[n - 1] != 0:
             plain.append((n, Fraction(cs[n - 1], 1) / cs[n]))
-    values = [float(v) for _, v in plain]
     if all(v == plain[0][1] for _, v in plain):
         return SeriesEstimate(
             quantity="z_c",
@@ -91,9 +90,7 @@ def amplitude_exact_at(act: LoopActivity, nmax: int, ctx: GraphCtx, zc: Fraction
 def _amplitude(chi: ZSeries, a0: ZSeries, zc: Fraction) -> Fraction:
     """amplitude_exact_at from chi and alpha_0, which the estimates compute
     once for their three points."""
-    from .series import reciprocal as _recip
-
-    r = _recip(chi)
+    r = reciprocal(chi)
     dF = a0.derivative().eval_at(zc) * r.eval_at(zc) + a0.eval_at(zc) * r.derivative().eval_at(zc)
     return a0.eval_at(zc) / (zc * (-dF))
 

@@ -716,28 +716,20 @@ def generalized_loop_measure(
     return _mu(A, B, C, act, nmax, ctx)
 
 
-def _measure_guard(ctx: GraphCtx, nmax: int):
-    """The up-front refusal (_guard) of the catalog that _mu_pair reads at
-    nmax, run before _mu_pair so that a job is refused cached or not."""
-    if nmax >= 2:
-        _guard(ctx, nmax - nmax % 2 if ctx.is_lattice else nmax)
-
-
 def alpha0(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
-    """alpha_0 = exp(mu({0})), with mu({0}) = mu(0, 0; {}) from _mu_pair
-    (on Z^d the closed form sum over ranges of size w/|W| |R|, see _mu)."""
-    _measure_guard(ctx, nmax)
-    return exp_series(_mu_pair(ctx.origin(), frozenset(), act, nmax, ctx))
+    """alpha_0 = exp(mu({0})), with mu({0}) = mu(0, 0; {}) read through
+    _pair_mu (on Z^d the closed form sum over ranges of size w/|W| |R|, see
+    _mu)."""
+    o = ctx.origin()
+    return exp_series(_pair_mu(o, o, (), act, nmax, ctx))
 
 
 def alpha_renorm(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
     """alpha = exp(mu({0}; {y})) with y the first lexicographic neighbor,
-    as mu({0}) - mu({0}, {y}) from _mu_pair (on Z^d the closed form sum over
-    ranges of size w/|W| (|R| - E(R)/d), see _mu)."""
-    _measure_guard(ctx, nmax)
+    as mu({0}) - mu({0}, {y}) read through _pair_mu (on Z^d the closed form
+    sum over ranges of size w/|W| (|R| - E(R)/d), see _mu)."""
     o = ctx.origin()
-    mu = _mu_pair(o, frozenset(), act, nmax, ctx) - _mu_pair(ctx.neighbors(o)[0], frozenset(), act, nmax, ctx)
-    return exp_series(mu)
+    return exp_series(_pair_mu(o, o, (), act, nmax, ctx) - _pair_mu(o, ctx.neighbors(o)[0], (), act, nmax, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -751,19 +743,14 @@ def _default_origin(ctx: GraphCtx):
 def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -> SpatialSeries:
     """G(x) for all endpoints at once: direct weighted enumeration from 0.
 
-    Lattice activities go through _transfer (its SAW counter when every
-    loop weighs 0), whose orbit totals are _spread over the endpoints;
-    finite graphs tally every walk (_tally, its _guard run on every call)."""
+    Lattice activities go through _transfer on every call (its SAW counter
+    when every loop weighs 0), whose orbit totals are _spread over the
+    endpoints; finite graphs tally every walk (_tally) into a table cached
+    by activity, its _guard run on every call."""
     if not ctx.is_lattice:
         _guard(ctx, nmax)
-    return _two_point_table(act, nmax, ctx, origin)
-
-
-@lru_cache(maxsize=None)
-def _two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -> SpatialSeries:
-    start = _default_origin(ctx) if origin is None else origin
-    if not ctx.is_lattice:
-        return SpatialSeries.build(_tally(ctx, (start,), act, nmax), nmax)
+        return _finite_two_point_table(act, nmax, ctx, origin)
+    start = ctx.origin() if origin is None else origin
     rows, den = _transfer(nmax, ctx, act)
     totals: dict = {}  # endpoint orbit -> numerators by length
     for m, row in enumerate(rows):
@@ -771,6 +758,12 @@ def _two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -
             totals.setdefault(key, [0] * (nmax + 1))[m] = w
     table = _spread(totals, lambda nums, size: ZSeries.from_ints(nums, den * size))
     return SpatialSeries.build({tuple(map(add, x, start)): s for x, s in table.items()}, nmax)
+
+
+@lru_cache(maxsize=None)
+def _finite_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -> SpatialSeries:
+    start = ctx.vertices()[0] if origin is None else origin
+    return SpatialSeries.build(_tally(ctx, (start,), act, nmax), nmax)
 
 
 def two_point(x, act: LoopActivity, nmax: int, ctx: GraphCtx, reduced: bool = False, origin=None) -> ZSeries:
@@ -875,9 +868,10 @@ def _mu_pair(delta, interior: frozenset, act: LoopActivity, budget: int, ctx: Gr
 
 def _pair_mu(wa, wb, interior, act, budget, ctx) -> ZSeries:
     """mu(wa, wb; interior) truncated at `budget`: on Z^d translated to
-    wa = 0 and read from _mu_pair."""
+    wa = 0 and read from _mu_pair, after the up-front refusal (_guard) of
+    the catalog it reads, so that a job is refused cached or not."""
     if ctx.is_lattice:
-        _measure_guard(ctx, budget)
+        _guard(ctx, budget - budget % 2)
         delta = tuple(map(sub, wb, wa))
         inter = frozenset(tuple(map(sub, v, wa)) for v in interior)
         return _mu_pair(delta, inter, act, budget, ctx)
@@ -998,7 +992,6 @@ def true_bubble_chain(
     return a0r * bubble_chain_pinch_part(x, y, act, nmax, ctx, forbidden)
 
 
-@lru_cache(maxsize=None)
 def bubble_chain_pinch_part(
     x, y, act: LoopActivity, nmax: int, ctx: GraphCtx, forbidden: frozenset = frozenset()
 ) -> ZSeries:

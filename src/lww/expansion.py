@@ -21,7 +21,7 @@ invariance, and a compatible (a, b) is consecutive in S exactly when X hits
 omega_a and omega_b and avoids the points strictly between them. So the
 dressing is alpha_0^{m+1} prod_cp (1 - I^omega_ab), the textbook
 compatible-edge product, and every loop measure the lace sum reads comes
-from the pair-measure cache enumeration._mu_pair.
+from the pair-measure cache enumeration._mu_pair, through _pair_mu.
 
 The lace DFS is pruned by an exact order bound. Every loop in
 mu(omega_s, omega_t; interior) passes through both endpoints, so a lace
@@ -68,7 +68,6 @@ from .enumeration import (
     _canonical_units,
     _guard,
     _i_factor,
-    _mu_pair,
     _orbit_key,
     _pair_mu,
     _shifts,
@@ -90,7 +89,7 @@ def _x_dressing(walk, cp_set, act, budget, ctx) -> ZSeries:
     """
     if budget < 2:
         return ZSeries.one(max(budget, 0))
-    exponent = _mu_pair(ctx.origin(), frozenset(), act, budget, ctx) * len(walk)
+    exponent = _pair_mu(walk[0], walk[0], (), act, budget, ctx) * len(walk)
     for a, b in cp_set:
         exponent = exponent - _pair_mu(walk[a], walk[b], walk[a + 1 : b], act, budget, ctx)
     return exp_series(exponent)
@@ -210,7 +209,6 @@ def max_lace_edges(nmax: int) -> int:
     return max(1, nmax - 1)
 
 
-@lru_cache(maxsize=None)
 def pi_total_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> SpatialSeries:
     """Pi(x) = sum_N (-1)^N pi^(N)(x)."""
     total = SpatialSeries.build({}, nmax)

@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 from .core import GraphCtx, LoopActivity, PreconditionError, _erase, sap_key
 from .series import SeriesSum, ZSeries, reciprocal
-from .enumeration import loop_measure, saws
+from .enumeration import _guard, loop_measure, saws
 
 
 @dataclass(frozen=True)
@@ -237,12 +237,18 @@ def loop_erasure_to_pair(w) -> LegalPair:
 # trivial heaps and the cycle gas (finite graphs only)
 
 
-@lru_cache(maxsize=None)
 def all_oriented_cycles(ctx: GraphCtx, max_len: int):
     """All oriented cycles of length 2..max_len on a finite graph: each is a
-    SAW of at most max_len - 1 steps whose end neighbours its start, closed."""
+    SAW of at most max_len - 1 steps whose end neighbours its start, closed.
+    A job is refused up front by _guard on every call, cached or not."""
     if ctx.is_lattice:
         raise PreconditionError("finite graph mode only")
+    _guard(ctx, max_len - 1)
+    return _oriented_cycles(ctx, max_len)
+
+
+@lru_cache(maxsize=None)
+def _oriented_cycles(ctx: GraphCtx, max_len: int):
     out = set()
     for root in ctx.vertices():
         for eta in saws(ctx, root, max_len - 1):

@@ -85,10 +85,6 @@ class ZSeries:
         s._co, s._nums, s._den = None, tuple(nums), den
         return s
 
-    def _ints(self) -> tuple:
-        """(nums, den): c_k == nums[k] / den, den > 0 the least common denominator."""
-        return self._nums, self._den
-
     @property
     def coeffs(self) -> tuple:
         co = self._co
@@ -104,10 +100,10 @@ class ZSeries:
     def __eq__(self, other):
         if not isinstance(other, ZSeries):
             return NotImplemented
-        return self._ints() == other._ints()
+        return self._nums == other._nums and self._den == other._den
 
     def __hash__(self):
-        return hash(self._ints())
+        return hash((self._nums, self._den))
 
     def __repr__(self):
         return f"ZSeries(coeffs={self.coeffs!r})"
@@ -148,7 +144,7 @@ class ZSeries:
 
     def to_order(self, nmax: int) -> "ZSeries":
         """The same series truncated, or padded with zeros, to order nmax."""
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         return ZSeries.from_ints(nums[: nmax + 1] + (0,) * (nmax + 1 - len(nums)), den)
 
     def _check(self, other: "ZSeries"):
@@ -158,7 +154,7 @@ class ZSeries:
     def _combine(self, other: "ZSeries", sign: int) -> "ZSeries":
         """self + sign * other over the lcm of the two denominators."""
         self._check(other)
-        (na, da), (nb, db) = self._ints(), other._ints()
+        na, da, nb, db = self._nums, self._den, other._nums, other._den
         den = lcm(da, db)
         sa, sb = den // da, sign * (den // db)
         return ZSeries.from_ints([x * sa + y * sb for x, y in zip(na, nb)], den)
@@ -170,16 +166,16 @@ class ZSeries:
         return self._combine(other, -1)
 
     def __neg__(self) -> "ZSeries":
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         return ZSeries.from_ints([-x for x in nums], den)
 
     def __mul__(self, other):
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         if not isinstance(other, ZSeries):
             p, q = _ratio(other)
             return ZSeries.from_ints([p * x for x in nums], q * den)
         self._check(other)
-        nb, db = other._ints()
+        nb, db = other._nums, other._den
         out = _cauchy(_support(nums), _support(nb), [0] * len(nums))
         return ZSeries.from_ints(out, den * db)
 
@@ -189,7 +185,7 @@ class ZSeries:
         """Multiply by z^k."""
         if k == 0:
             return self
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         n = len(nums)
         return ZSeries.from_ints((0,) * min(k, n) + nums[: max(0, n - k)], den)
 
@@ -199,22 +195,22 @@ class ZSeries:
     def leq(self, other: "ZSeries") -> bool:
         """Coefficientwise <=."""
         self._check(other)
-        (na, da), (nb, db) = self._ints(), other._ints()
+        na, da, nb, db = self._nums, self._den, other._nums, other._den
         return all(x * db <= y * da for x, y in zip(na, nb))
 
     def nonneg(self) -> bool:
-        return all(x >= 0 for x in self._ints()[0])
+        return all(x >= 0 for x in self._nums)
 
     def derivative(self) -> "ZSeries":
         """d/dz on coefficients; the top coefficient is lost to truncation."""
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         return ZSeries.from_ints([k * nums[k] for k in range(1, len(nums))] + [0], den)
 
     def eval_at(self, z) -> Fraction:
         """sum_k c_k z^k; with z = p/q, Horner on sum_k nums[k] p^k q^(n-k)
         over den q^n, one Fraction built."""
         p, q = _ratio(z)
-        nums, den = self._ints()
+        nums, den = self._nums, self._den
         acc, qk = 0, 1
         for x in reversed(nums):
             acc = acc * p + x * qk
@@ -246,7 +242,7 @@ class SeriesSum:
 
     def add(self, s: ZSeries, shift: int = 0, c=1) -> None:
         """Add c z^shift s, where s is truncated at order nmax - shift."""
-        nums, den = s._ints()
+        nums, den = s._nums, s._den
         if len(nums) + shift != len(self.nums):
             raise PreconditionError("mismatched truncation orders")
         p, q = _ratio(c)
@@ -274,7 +270,7 @@ def exp_series(a: ZSeries) -> ZSeries:
     with integers F_0 = 1, F_k = sum_j j A_j D^{j-1} F_{k-j} (k-1)!/(k-j)!;
     over the common denominator n! D^n, e_k = F_k (n!/k!) D^{n-k} / (n! D^n).
     """
-    nums, den = a._ints()
+    nums, den = a._nums, a._den
     if nums[0]:
         raise PreconditionError("exp needs zero constant term")
     n = len(nums)
@@ -296,7 +292,7 @@ def reciprocal(a: ZSeries) -> ZSeries:
     R_k = -sum_{j>=1} A_j A_0^{j-1} R_{k-j}; over the common denominator
     A_0^{n+1}, r_k = D R_k A_0^{n-k} / A_0^{n+1}.
     """
-    nums, den = a._ints()
+    nums, den = a._nums, a._den
     c0 = nums[0]
     if not c0:
         raise PreconditionError("reciprocal needs nonzero constant term")
@@ -316,7 +312,7 @@ def log1p_series(a: ZSeries) -> ZSeries:
     integers L_k = k A_k D^{k-1} - sum_{1<=j<k} A_j D^{j-1} L_{k-j}; over
     the common denominator M D^n, M = lcm(1..n), l_k = L_k (M/k) D^{n-k} / (M D^n).
     """
-    nums, den = a._ints()
+    nums, den = a._nums, a._den
     if nums[0]:
         raise PreconditionError("log1p needs zero constant term")
     n = len(nums)
@@ -395,7 +391,7 @@ class SpatialSeries:
 
 def _scaled_rows(a: SpatialSeries) -> tuple:
     """([(point, sparse int row)], den): a(x)_k == row value at k / den."""
-    forms = [(x, s._ints()) for x, s in a.data]
+    forms = [(x, (s._nums, s._den)) for x, s in a.data]
     den = lcm(*[d for _, (_, d) in forms])
     return [(x, [(k, v * (den // d)) for k, v in _support(nums)]) for x, (nums, d) in forms], den
 

@@ -994,12 +994,25 @@ def test_catalog_guard_runs_cold_and_warm(monkeypatch):
 
 
 def test_table_guards_run_cold_and_warm(monkeypatch):
-    """pi_n_table on Z^2 and two_point_table on a box (degree 4) run their
-    up-front guard (4^6 naive walks) before the result caches, so a small
-    budget raises whether or not they are cached."""
-    two = LoopActivity.constant(2)
-    for call in (lambda: ex.pi_n_table(1, two, 6, GraphCtx.lattice(2)),
-                 lambda: en.two_point_table(two, 6, hp.box_graph(3, 3))):
+    """Every reader of a cached table refuses a small budget whether or not
+    the cache is filled. pi_n_table, the finite-graph two_point_table and
+    all_oriented_cycles (so also trivial_heap_sum) run an up-front guard
+    (4^6 naive walks) before their caches. pi_total_table and
+    bubble_chain_pinch_part have no cache of their own, and two_point_table
+    on Z^2 runs _transfer on every call, which charges the 3699 states
+    behind its rows (cached for a constant activity) or the 3202 canonical
+    SAWs it counts at nmax 10 against the budget."""
+    ctx, box, two = GraphCtx.lattice(2), hp.box_graph(3, 3), LoopActivity.constant(2)
+    half, zero = LoopActivity.constant(Fraction(1, 2)), LoopActivity.constant(0)
+    for call in (lambda: ex.pi_n_table(1, two, 6, ctx),
+                 lambda: ex.pi_total_table(two, 6, ctx),
+                 lambda: en.two_point_table(half, 10, ctx),
+                 lambda: en.two_point_table(_table_activity(2), 10, ctx),
+                 lambda: en.two_point_table(zero, 10, ctx),
+                 lambda: en.two_point_table(two, 6, box),
+                 lambda: en.bubble_chain_pinch_part((0, 0), (1, 0), half, 6, ctx),
+                 lambda: hp.all_oriented_cycles(box, 7),
+                 lambda: hp.trivial_heap_sum(frozenset(), box, half, 7)):
         lww.clear_caches()
         for warm in (False, True):
             monkeypatch.setenv("LWW_BUDGET", "1000")
@@ -1008,6 +1021,33 @@ def test_table_guards_run_cold_and_warm(monkeypatch):
             monkeypatch.setenv("LWW_BUDGET", str(4**6))
             call()  # fills the caches on the cold pass
     lww.clear_caches()
+
+
+def test_every_cache_is_named():
+    """The package keeps exactly these lru_caches, each on engine output
+    behind one guard at its reader, or needing none (_step_code,
+    _lace_terms). A result cache whose hit skips the budget would show here
+    first; a new cache comes with a decision and a cold/warm test."""
+    import importlib
+    import pkgutil
+
+    found = set()
+    for info in pkgutil.iter_modules(lww.__path__):
+        for obj in vars(importlib.import_module(f"lww.{info.name}")).values():
+            if hasattr(obj, "cache_info"):
+                found.add(f"{obj.__module__}.{obj.__qualname__}")
+    assert found == {
+        "lww.core._step_code",
+        "lww.enumeration._packed_rows",
+        "lww.enumeration._catalog",
+        "lww.enumeration._entry_weights",
+        "lww.enumeration._finite_two_point_table",
+        "lww.enumeration._mu_pair",
+        "lww.expansion._pi_n_table",
+        "lww.heaps._oriented_cycles",
+        "lww.laces._lace_terms",
+        "lww.sampling._importance_samples",
+    }
 
 
 def test_pair_measure_guard_runs_cold_and_warm(monkeypatch):
