@@ -97,9 +97,29 @@ MUTANTS = [
            "                    if far > max_len:\n",
            (KERNELS + "test_closed_walk_catalog_charges_each_state",)),
     Mutant("catalog-charges-nothing", "src/lww/enumeration.py",
-           "            expanded += len(level)\n",
+           "            ledger.charge(len(level))\n",
            "",
            (KERNELS + "test_closed_walk_catalog_charges_each_state",)),
+    Mutant("grow-stops-its-charge", "src/lww/enumeration.py",
+           "        left -= 1\n",
+           "",
+           (KERNELS + "test_generators_charge_each_walk",)),
+    Mutant("le-states-stop-their-charge", "src/lww/enumeration.py",
+           "        self.charge = self.ledger.charge\n",
+           "        self.charge = lambda units: None\n",
+           ("tests/test_transfer.py::test_transfer_budget_guard",)),
+    Mutant("transfer-warm-replay-stops-its-charge", "src/lww/enumeration.py",
+           "    _Budget(\"cached transfer rows\", \"loop-erasure states in their build\").charge(expanded)\n",
+           "",
+           ("tests/test_sweep.py::test_transfer_budget_cold_and_warm",)),
+    Mutant("importance-sampler-stops-its-charge", "src/lww/sampling.py",
+           ".charge((cfg.n + 1) * cfg.num_samples)\n",
+           "\n",
+           ("tests/test_sweep.py::test_importance_budget_cold_and_warm",)),
+    Mutant("up-front-shortcut-one-bit-early", "src/lww/enumeration.py",
+           "exp < self.limit.bit_length() else None",
+           "exp < self.limit.bit_length() - 1 else None",
+           ("tests/test_budget.py::test_up_front_charge_is_the_exact_power",)),
     Mutant("catalog-without-key-cache", "src/lww/enumeration.py",
            "                        i = loop_ids.get(loop)\n",
            "                        i = None\n",

@@ -44,31 +44,49 @@ from .core import (
 )
 from .series import SeriesSum, ZSeries, SpatialSeries, exp_series, reciprocal, spatial_convolve
 
-DEFAULT_BUDGET = 10**9
-
 
 class ResourceError(RuntimeError):
     pass
 
 
-def node_budget() -> int:
-    env = os.environ.get("LWW_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+class _Budget:
+    """The budget ledger of one engine run: it reads LWW_BUDGET (default
+    10^9) once, counts the engine's units against it and raises every
+    refusal of the package, as one line. A hot loop may count locally and
+    charge its count when it runs out."""
+
+    def __init__(self, engine: str, unit: str):
+        env = os.environ.get("LWW_BUDGET") or str(10**9)
+        if not env.isdecimal():
+            raise PreconditionError(f"LWW_BUDGET must be a nonnegative integer, got {env!r}")
+        self.engine, self.unit, self.limit, self.used = engine, unit, int(env), 0
+
+    def charge(self, units: int):
+        self.used += units
+        if self.used > self.limit:
+            self.refuse(self.used)
+
+    def charge_power(self, base: int, exp: int):
+        """charge(base^exp) up front when exp > 0, refused as base^exp. A
+        power past the limit's bit length is refused unbuilt: base^exp >=
+        2^exp when base >= 2."""
+        if exp > 0:
+            units = base**exp if base < 2 or exp < self.limit.bit_length() else None
+            if units is None or self.used + units > self.limit:
+                self.refuse(f"{base}^{exp}")
+            self.used += units
+
+    def refuse(self, count):
+        raise ResourceError(f"{self.engine}: {count} {self.unit} exceed LWW_BUDGET={self.limit}")
 
 
 def _guard(ctx: GraphCtx, max_len: int):
-    if max_len > 0 and ctx.max_degree() ** max_len > node_budget():
-        raise ResourceError(
-            f"naive walk count {ctx.max_degree()}^{max_len} exceeds budget "
-            f"{node_budget()} (override with LWW_BUDGET)"
-        )
+    _Budget("up-front guard", "naive walks ((max degree)^n)").charge_power(ctx.max_degree(), max_len)
 
 
 def walks(ctx: GraphCtx, start, max_len: int):
-    """Every walk of at most max_len steps from start, as tuples, depth first.
-
-    Each walk yielded is charged against node_budget(); one more raises
-    ResourceError."""
+    """Every walk of at most max_len steps from start, as tuples, depth
+    first, each charged to the ledger (_Budget)."""
     return (w for w, _, _ in _grow(ctx, (start,), max_len))
 
 
@@ -88,7 +106,8 @@ def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_av
     `keys` is true (each distinct loop keyed once per run), so
     act.weight_of_keys(erased) is the walk's loop weight under either kind
     of activity. Erased lists are shared between walks; do not mutate them.
-    Each walk yielded is charged to node_budget().
+    The walks yielded are counted down locally and charged when the count
+    runs out.
     """
     key_of: dict = {}  # erased loop -> its sap_key, for this run
 
@@ -101,14 +120,14 @@ def _grow(ctx, prefix, max_len, end=None, avoid=frozenset(), keys=False, self_av
     saw, erased = _erase(prefix)
     if keys:
         erased = [key(loop) for loop in erased]
-    left = node_budget()
+    ledger = _Budget("walk generator", "walks yielded")
+    left = ledger.limit
     stack = [(prefix, saw, erased)]
     while stack:
         node = stack.pop()
         left -= 1
         if left < 0:
-            raise ResourceError(f"walk generator yields more than {node_budget()} walks "
-                                "(override with LWW_BUDGET)")
+            ledger.charge(ledger.limit - left)
         yield node
         w, saw, erased = node
         room = max_len - len(w)  # steps left after the next one
@@ -250,12 +269,12 @@ class _LEStates:
     engine reads the canonical SAWs from one pass, saws(), steps out of a
     SAW on k axes by steps[k] (_canonical_steps with each step's int move),
     counts an orbit on k axes as sizes[k] walks and charge()s its work to
-    node_budget(). The forward engines sum their rows by endpoint orbit
-    (totals()); sampling.sample_exact draws in the original frame by
+    its engine's ledger. The forward engines sum their rows by endpoint
+    orbit (totals()); sampling.sample_exact draws in the original frame by
     push_frame().
     """
 
-    def __init__(self, ctx: GraphCtx, n: int):
+    def __init__(self, ctx: GraphCtx, n: int, engine="transfer engine", unit="loop-erasure states expanded"):
         if n < 0:
             raise PreconditionError("need a walk length n >= 0")
         self.d, self.n, self.base, self.radix = ctx.d, n, 2 * ctx.d, 2 * n + 1
@@ -263,9 +282,9 @@ class _LEStates:
         self.steps = [[(s, self.moves[s], mult, k2) for s, mult, k2 in row] for row in _canonical_steps(self.d)]
         self.sizes = [_orbit_size(self.d, k) for k in range(self.d + 1)]
         self.offset = n * sum(self.radix**i for i in range(self.d))  # makes every digit nonnegative
-        self.powers = [self.base**i for i in range(n + 1)]
-        self.width = self.powers[n].bit_length()  # packed N_k <= (2d)^n, also for an orbit's total
-        self.budget, self.expanded = node_budget(), 0
+        self.width = (self.base**n).bit_length()  # packed N_k <= (2d)^n, also for an orbit's total
+        self.ledger = _Budget(engine, unit)
+        self.charge = self.ledger.charge
         self.path, self.pos, self.codes = [], {}, []  # saws()'s current SAW
 
     def point(self, q) -> tuple:
@@ -324,16 +343,6 @@ class _LEStates:
             out[key] = out.get(key, 0) + w
         return out
 
-    def charge(self, states: int):
-        self.expanded += states
-        if self.expanded > self.budget:
-            raise _states_over_budget()
-
-
-def _states_over_budget() -> ResourceError:
-    return ResourceError(f"walk enumeration expands more than {node_budget()} loop-erasure "
-                         "states (override with LWW_BUDGET)")
-
 
 def _saw_rows(n: int, ctx: GraphCtx) -> list:
     """_transfer's rows for an activity that weighs every loop 0: the SAWs of
@@ -343,9 +352,9 @@ def _saw_rows(n: int, ctx: GraphCtx) -> list:
     counts each child of each for its orbit, and expands the children of
     length n - 1 in place: no step out of one lands on it. The SAW's points
     are a set, as a (2n+1)^d occupancy map would not fit in memory for large
-    d. Each canonical SAW expanded is charge()d.
+    d. Each canonical SAW expanded is charged.
     """
-    states = _LEStates(ctx, n)
+    states = _LEStates(ctx, n, "SAW counter", "canonical SAWs expanded")
     moves, sizes, pos = states.steps, states.sizes, states.pos
     rows = [{0: 1}] + [{} for _ in range(n)]
     last = rows[n]
@@ -384,9 +393,8 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> tupl
     counts [N_0, N_1, ...] by loop number when act is None (den 1). With
     lambda = p/q, sum_k N_k lambda^k is decoded as sum_k N_k p^k q^(K-k)
     over q^K, K the most loops in any row. A point's own value is the total
-    over the orbit's size (_spread). Raises ResourceError when more than
-    node_budget() canonical states are expanded, or were expanded to build
-    cached rows.
+    over the orbit's size (_spread). Cached rows charge again the states
+    their build expanded, so they are refused as a fresh build would be.
     """
     if act is not None and act.sup() == 0:
         return _saw_rows(n, ctx), 1
@@ -395,8 +403,7 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> tupl
         den = lcm(*[w.denominator for row in rows for w in row.values()])
         return [{key: w.numerator * (den // w.denominator) for key, w in row.items()} for row in rows], den
     rows, width, expanded = _packed_rows(n, ctx)
-    if expanded > node_budget():
-        raise _states_over_budget()
+    _Budget("cached transfer rows", "loop-erasure states in their build").charge(expanded)
     mask = (1 << width) - 1
 
     def counts(w):
@@ -419,10 +426,10 @@ def _packed_rows(n: int, ctx: GraphCtx) -> tuple:
     """(rows, width, expanded): _forward's rows under act=None, whose
     values pack sum_k N_k lambda^k as one int with N_k in digit k of width
     bits, and the number of states charged to build them. They do not
-    depend on lambda; _transfer decodes them for each activity and checks
-    expanded against the budget of the day."""
+    depend on lambda; _transfer decodes them for each activity and charges
+    expanded again."""
     states = _LEStates(ctx, n)
-    return tuple(_forward(states, None)), states.width, states.expanded
+    return tuple(_forward(states, None)), states.width, states.ledger.used
 
 
 def _forward(states: _LEStates, act: Optional[LoopActivity]) -> list:
@@ -436,7 +443,7 @@ def _forward(states: _LEStates, act: Optional[LoopActivity]) -> list:
     a loop-closing step onto path[j] truncates it to codes[j]. Level n is
     recorded, never stored."""
     n, moves = states.n, states.steps
-    base, powers, width = states.base, states.powers, states.width
+    base, width = states.base, states.width
     path, pos, codes = states.path, states.pos, states.codes
     loop_weights: dict = {}  # erased loop's code -> activity
 
@@ -461,7 +468,7 @@ def _forward(states: _LEStates, act: Optional[LoopActivity]) -> list:
                     if act is None:
                         cw = w << width
                     else:
-                        cut = powers[length - j]
+                        cut = base ** (length - j)
                         loop = cut + code % cut
                         if loop not in loop_weights:
                             closed = tuple(states.point(p - q) for p in path[j:]) + (states.point(0),)
@@ -522,16 +529,16 @@ def _catalog(ctx: GraphCtx, max_len: int) -> _Catalog:
     _transfer: a walk is back at its root exactly when its erasure is the
     root alone. A state that can no longer reach the root in the steps left
     is dropped, each distinct erased loop is keyed once per build, and each
-    state expanded is charged to node_budget(). On Z^d only the canonical
-    walks are run, one per point-group orbit, stepping by _canonical_steps
-    for the axes their range uses; an orbit shares its keys (sap_key is a
-    point-group canonical form), and its walks are the images of the
-    canonical one under the injective signed maps of its axes.
+    state expanded is charged. On Z^d only the canonical walks are run, one
+    per point-group orbit, stepping by _canonical_steps for the axes their
+    range uses; an orbit shares its keys (sap_key is a point-group canonical
+    form), and its walks are the images of the canonical one under the
+    injective signed maps of its axes.
     """
     lattice = ctx.is_lattice
     if lattice:
         steps = [[(u, k2) for u, _, k2 in row] for row in _canonical_units(ctx)]
-    budget, expanded = node_budget(), 0
+    ledger = _Budget("closed-walk catalog", "merged states expanded")
     loop_ids: dict = {}  # erased loop -> id of its sap_key
     key_ids: dict = {}  # sap_key -> id, in order of first sight
     agg: dict = {}  # (range, n, sorted key ids) -> count
@@ -539,9 +546,7 @@ def _catalog(ctx: GraphCtx, max_len: int) -> _Catalog:
         moves: dict = {}  # (vertex, axes used) -> [(next vertex, axes used, its distance to root)]
         level = {((root,), frozenset((root,)), (), 0): 1}  # (LE, range, key ids, axes used) -> walks
         for m in range(1, max_len + 1):
-            expanded += len(level)
-            if expanded > budget:
-                raise _states_over_budget()
+            ledger.charge(len(level))
             room, nxt = max_len - m, {}  # room: steps left after this one
             for (saw, rng, ids, k), cnt in level.items():
                 here = saw[-1]
@@ -789,15 +794,14 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
 
     Theorem "LM-Rep" route to the two-point function; must agree with
     two_point_table coefficientwise. The SAWs are the canonical ones of Z^d
-    (_LEStates.saws), each charged to node_budget() and counted for its
-    orbit. A SAW with no room for a loop counts at its int endpoint, and
-    those counts are summed by endpoint orbit once; only the other SAWs are
-    decoded to points. mu of a range is invariant under translations and the
+    (_LEStates.saws), each charged and counted for its orbit. A SAW with no
+    room for a loop counts at its int endpoint, and those counts are summed
+    by endpoint orbit once; only the other SAWs are decoded to points. mu of a range is invariant under translations and the
     point group, so it is computed once per _range_key (a SAW and its
     reversal share one); the key fixes |range|, hence the length and the
     budget.
     """
-    states = _LEStates(ctx, nmax)
+    states = _LEStates(ctx, nmax, "loop-erased table", "canonical SAWs")
     path, sizes = states.path, states.sizes
     bare = [{} for _ in range(nmax + 1)]  # by length: int endpoint -> SAWs with exp(mu) = 1
     totals: dict = {}  # endpoint orbit -> SeriesSum

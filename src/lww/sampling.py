@@ -10,12 +10,11 @@ kernels: Philox by 32-bit limbs, points as narrow integer codes, and one
 first-match scan of the loop-erasure stacks per step. Only the weight
 lambda^k of a sample depends on lambda, so one sample set per (seed, d, n,
 samples), its loop counts and |end|^2 at 3 bytes a sample, serves every
-lambda of a sweep; the last set drawn is kept. Importance sampling charges
-(n+1) per sample against node_budget() before drawing. The exact sampler
-runs on the transfer engine's loop-erasure states under its node_budget().
-It stores completion sums for one state per orbit of the point group, about
-8x fewer than all states in d = 2 and 48x in d = 3, but its memory is still
-not capped.
+lambda of a sweep; the last set drawn is kept. Both samplers charge their
+work to the budget ledger (enumeration._Budget). The exact sampler runs on
+the transfer engine's loop-erasure states. It stores completion sums for
+one state per orbit of the point group, about 8x fewer than all states in
+d = 2 and 48x in d = 3, but its memory is still not capped.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import GraphCtx, LoopActivity, PreconditionError
-from .enumeration import ResourceError, _LEStates, _transfer, node_budget
+from .enumeration import _Budget, _LEStates, _transfer
 
 MAX_STEPS = 64  # importance walks; bounds the (n+1, BATCH) stack and its O(n^2) scan
 BATCH = 8192  # samples per kernel call; bounds memory, outputs do not depend on it
@@ -250,14 +249,12 @@ def msd_importance(cfg: SamplerConfig):
     """Self-normalized importance sampling from SRW with weight lambda^{n_L}.
 
     Returns (estimate, stderr); stderr by the delta method for a ratio.
-    Charges (n+1) per sample against node_budget() before any sample is
-    drawn or looked up in the cache of _importance_samples.
+    Charges (n+1) per sample before any sample is drawn or looked up in
+    the cache of _importance_samples.
     """
     if cfg.lam <= 0:
         raise UnsupportedMethod("importance sampling needs lambda > 0")
-    if (cfg.n + 1) * cfg.num_samples > node_budget():
-        raise ResourceError(f"importance sampling of {cfg.num_samples} walks of {cfg.n} steps "
-                            f"exceeds budget {node_budget()} (override with LWW_BUDGET)")
+    _Budget("importance sampler", "walk points ((n + 1) per sample)").charge((cfg.n + 1) * cfg.num_samples)
     try:
         lam = float(cfg.lam)
         # lambda^k by float.__pow__; an n-step walk erases at most n/2 loops
@@ -374,7 +371,7 @@ def sample_exact(n: int, d: int, act: LoopActivity, seed: int, count: int):
     if n < 0 or count < 0:
         raise PreconditionError(f"need n >= 0 and count >= 0, got n={n}, count={count}")
     p, q = act.constant_value().as_integer_ratio()
-    states = _LEStates(GraphCtx.lattice(d), n)
+    states = _LEStates(GraphCtx.lattice(d), n, "exact sampler", "states filled and steps drawn")
     levels = None if p == q else _completion_sums(states, p, q)
     walks = []
     for start in range(0, count, BATCH):

@@ -156,6 +156,23 @@ def test_bad_sampler_input_exit_code(capsys, monkeypatch, argv):
     assert not over_budget or "LWW_BUDGET" in captured.err
 
 
+@pytest.mark.parametrize("value", ["1e9", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["msd", "--method", "importance", "--n", "10", "--samples", "1000"],
+        ["chi", "--d", "2", "--lambda", "1/2", "--nmax", "5"],
+    ],
+)
+def test_malformed_budget_exit_code(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("LWW_BUDGET", value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and "LWW_BUDGET" in err[0] and repr(value) in err[0]
+
+
 def test_graph_file_mode(capsys, tmp_path):
     payload = {"vertices": [0, 1, 2], "edges": [[0, 1], [1, 2], [2, 0]]}
     path = tmp_path / "tri.json"

@@ -132,7 +132,7 @@ class _FullStates(en._LEStates):
             if j is None:
                 out.append((q, code * self.base + s, 0))
             else:
-                cut = self.powers[len(pts) - 1 - j]
+                cut = self.base ** (len(pts) - 1 - j)
                 out.append((q, code // cut, cut + code % cut))
         return out
 
