@@ -73,9 +73,21 @@ MUTANTS = [
            "    scale = [p**k * q ** (top - k - 1) for k in range(top + 1)]\n",
            ("tests/test_transfer.py::test_quotient_transfer_matches_full_states",)),
     Mutant("forward-parity-flipped", "src/lww/enumeration.py",
-           "            if (m - length) % 2:\n                continue\n",
-           "            if not (m - length) % 2:\n                continue\n",
+           "            if w is None:  # no m-step walk ends in this SAW\n",
+           "            if w is None or not (m - length) % 2:\n",
            ("tests/test_transfer.py::test_quotient_transfer_matches_full_states[2]",)),
+    Mutant("forward-skips-by-parity", "src/lww/enumeration.py",
+           "            if w is None:  # no m-step walk ends in this SAW\n",
+           "            if w is None or (m - length) % 2:\n",
+           (KERNELS + "test_finite_tables_match_per_walk_bodies_from_every_vertex[triangle]",)),
+    Mutant("finite-rows-ignore-start", "src/lww/enumeration.py",
+           "            order = verts if start is None else [start] + [v for v in verts if v != start]\n",
+           "            order = verts\n",
+           (KERNELS + "test_finite_tables_match_per_walk_bodies_from_every_vertex",)),
+    Mutant("finite-loop-memo-without-vertex", "src/lww/enumeration.py",
+           "memo = cut + code % cut if lattice else (q, cut + code % cut)\n",
+           "memo = cut + code % cut\n",
+           (KERNELS + "test_finite_tables_match_per_walk_bodies_from_every_vertex[box2x2]",)),
     Mutant("forward-loop-truncates-one-short", "src/lww/enumeration.py",
            "                    child = codes[j]\n",
            "                    child = codes[j - 1]\n",
@@ -189,8 +201,8 @@ MUTANTS = [
            "    return _pi_n_table(",
            (KERNELS + "test_table_guards_run_cold_and_warm",)),
     Mutant("two-point-table-guard-only-on-a-miss", "src/lww/enumeration.py",
-           "        _guard(ctx, nmax)\n        return _finite_two_point_table(",
-           "        return _finite_two_point_table(",
+           "    _Budget(\"cached transfer rows\", \"loop-erasure states in their build\").charge(expanded)\n",
+           "",
            (KERNELS + "test_table_guards_run_cold_and_warm",)),
     Mutant("kj-subinterval-keeps-later-positions", "src/lww/laces.py",
            "if s <= e[0] and e[1] <= t}",

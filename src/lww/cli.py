@@ -30,7 +30,10 @@ def _fraction(s: str) -> Fraction:
 
 def _vertex(s: str, ctx: GraphCtx):
     """A point given on the command line; on a finite graph "3" also names vertex 3."""
-    p = tuple(int(c) for c in s.split(","))
+    try:
+        p = tuple(int(c) for c in s.split(","))
+    except ValueError:
+        p = ()  # names no vertex
     if not ctx.is_lattice and len(p) == 1 and not ctx.contains(p):
         p = p[0]
     if not ctx.contains(p) or ctx.is_lattice and len(p) != ctx.d:

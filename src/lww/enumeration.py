@@ -4,15 +4,15 @@ Every lattice sum from the origin of Z^d runs on canonical walks, one per
 orbit of the point group, each standing for its orbit (_canonical_steps is
 the one step rule), and spreads its totals over the endpoint orbits only
 where an endpoint is read (_spread). A walk's loop weight depends only on
-the loops its chronological loop erasure removes, a chain on SAWs, so the
-lattice engines run on canonical SAWs, all read from one depth-first pass
-(_LEStates.saws): the forward transfer (_forward: two-point and loop-count
-tables, exact MSDs), the SAW counter for an activity that weighs every
-loop 0 (_saw_rows), the exact sampler's completion sums and the
-loop-erased two-point table. Every other exhaustive sum reads one
-depth-first generator of whole walks, _grow, which carries each walk's
-loop erasure along (`walks` and `saws` are its walks alone); the sums over
-whole walks weigh its classes once (_tally).
+the loops its chronological loop erasure removes, a chain on SAWs, so these
+engines run on SAWs (canonical ones on Z^d), all read from one depth-first
+pass (_LEStates.saws): the forward transfer (_forward: two-point, chi and
+loop-count tables on Z^d and on finite graphs, exact MSDs), the SAW counter
+for an activity that weighs every loop 0 (_saw_rows), the exact sampler's
+completion sums and the loop-erased two-point table. Every other exhaustive
+sum reads one depth-first generator of whole walks, _grow, which carries
+each walk's loop erasure along (`walks` and `saws` are its walks alone);
+the sums over whole walks weigh its classes once (_tally).
 
 Loop measures read one catalog of closed walks by (range, length, erased-loop
 keys), rooted at the origin of Z^d or at every vertex of a finite graph and
@@ -260,29 +260,39 @@ def _point_orbit(x) -> list:
 
 class _LEStates:
     """Loop-erasure states of walks of at most n steps from the origin of Z^d,
-    up to the point group.
+    up to the point group, or from `start` of a finite graph.
 
     The partial loop erasure of a walk is a Markov chain on SAWs (Lawler
     1991), and a walk's loop weight depends only on the loops it erases. A
-    state is a canonical SAW, coded as its steps in base-2d digits under a
-    leading 1 (the origin alone is 1); points are ints in radix 2n+1. Every
-    engine reads the canonical SAWs from one pass, saws(), steps out of a
-    SAW on k axes by steps[k] (_canonical_steps with each step's int move),
-    counts an orbit on k axes as sizes[k] walks and charge()s its work to
-    its engine's ledger. The forward engines sum their rows by endpoint
-    orbit (totals()); sampling.sample_exact draws in the original frame by
-    push_frame().
+    state is a SAW (canonical on Z^d), its steps as base-`base` digits under a
+    leading 1. Every engine reads the SAWs from one pass, saws(), steps out of
+    a SAW by steps[k], counts it as sizes[k] walks and charge()s its work to
+    its engine's ledger. On Z^d points are ints in radix 2n+1, k counts the
+    axes used (_canonical_steps), totals() sums by endpoint orbit and
+    sampling.sample_exact draws by push_frame(). On a finite graph k is the
+    endpoint, numbered from `start` (default the first vertex) as 0, and a
+    digit, in a base of at least 2, names a neighbour of the vertex it leaves.
     """
 
-    def __init__(self, ctx: GraphCtx, n: int, engine="transfer engine", unit="loop-erasure states expanded"):
+    def __init__(self, ctx: GraphCtx, n: int, engine="transfer engine", unit="loop-erasure states expanded",
+                 start=None):
         if n < 0:
             raise PreconditionError("need a walk length n >= 0")
-        self.d, self.n, self.base, self.radix = ctx.d, n, 2 * ctx.d, 2 * n + 1
-        self.moves = [sum(c * self.radix**i for i, c in enumerate(v)) for v in ctx.neighbors(ctx.origin())]
-        self.steps = [[(s, self.moves[s], mult, k2) for s, mult, k2 in row] for row in _canonical_steps(self.d)]
-        self.sizes = [_orbit_size(self.d, k) for k in range(self.d + 1)]
-        self.offset = n * sum(self.radix**i for i in range(self.d))  # makes every digit nonnegative
-        self.width = (self.base**n).bit_length()  # packed N_k <= (2d)^n, also for an orbit's total
+        self.ctx, self.d, self.n = ctx, ctx.d, n
+        if ctx.is_lattice:
+            self.base, self.radix = 2 * ctx.d, 2 * n + 1
+            self.moves = [sum(c * self.radix**i for i, c in enumerate(v)) for v in ctx.neighbors(ctx.origin())]
+            self.steps = [[(s, self.moves[s], mult, k2) for s, mult, k2 in row] for row in _canonical_steps(self.d)]
+            self.sizes = [_orbit_size(self.d, k) for k in range(self.d + 1)]
+            self.offset = n * sum(self.radix**i for i in range(self.d))  # makes every digit nonnegative
+        else:
+            verts = ctx.vertices()
+            order = verts if start is None else [start] + [v for v in verts if v != start]
+            index = {v: k for k, v in enumerate(order)}
+            self.base, self.point, self.sizes = max(2, ctx.max_degree()), order.__getitem__, [1] * len(order)
+            self.steps = [[(s, index[u] - k, 1, index[u]) for s, u in enumerate(ctx.neighbors(v))]
+                          for k, v in enumerate(order)]
+        self.width = (self.base**n).bit_length()  # packed N_k <= base^n, also for an orbit's total
         self.ledger = _Budget(engine, unit)
         self.charge = self.ledger.charge
         self.path, self.pos, self.codes = [], {}, []  # saws()'s current SAW
@@ -291,7 +301,7 @@ class _LEStates:
         return tuple((q + self.offset) // self.radix**i % self.radix - self.n for i in range(self.d))
 
     def saws(self, m: int):
-        """(length, endpoint, axes used) of each canonical SAW of at most m
+        """(length, endpoint, k) of each SAW (canonical on Z^d) of at most m
         steps, depth first from an explicit stack, so m is not bounded by
         the recursion limit.
 
@@ -336,25 +346,25 @@ class _LEStates:
         return tuple(f), k + 1
 
     def totals(self, row: dict) -> dict:
-        """A row keyed by canonical int endpoints, summed by _orbit_key."""
+        """A row keyed by int endpoints, by _orbit_key on Z^d, else by vertex."""
         out: dict = {}
         for q, w in row.items():
-            key = _orbit_key(self.point(q))
+            key = _orbit_key(self.point(q)) if self.d else self.point(q)
             out[key] = out.get(key, 0) + w
         return out
 
 
-def _saw_rows(n: int, ctx: GraphCtx) -> list:
+def _saw_rows(n: int, ctx: GraphCtx, start=None) -> list:
     """_transfer's rows for an activity that weighs every loop 0: the SAWs of
-    length m <= n from the origin of Z^d, counted by endpoint orbit.
+    length m <= n, counted by endpoint orbit.
 
-    One pass over the canonical SAWs of at most n - 2 steps (_LEStates.saws)
-    counts each child of each for its orbit, and expands the children of
-    length n - 1 in place: no step out of one lands on it. The SAW's points
-    are a set, as a (2n+1)^d occupancy map would not fit in memory for large
-    d. Each canonical SAW expanded is charged.
+    One pass over the SAWs of at most n - 2 steps (_LEStates.saws) counts
+    each child of each for its orbit, and expands the children of length
+    n - 1 in place: no step out of one lands on it. The SAW's points are a
+    set, as a (2n+1)^d occupancy map would not fit in memory for large d.
+    Each SAW expanded is charged.
     """
-    states = _LEStates(ctx, n, "SAW counter", "canonical SAWs expanded")
+    states = _LEStates(ctx, n, "SAW counter", "canonical SAWs expanded", start)
     moves, sizes, pos = states.steps, states.sizes, states.pos
     rows = [{0: 1}] + [{} for _ in range(n)]
     last = rows[n]
@@ -374,35 +384,33 @@ def _saw_rows(n: int, ctx: GraphCtx) -> list:
     return [states.totals(row) for row in rows]
 
 
-def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> tuple:
-    """Walks of length m <= n from the origin of Z^d, summed by endpoint
-    orbit.
+def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None, start=None) -> tuple:
+    """Walks of length m <= n from the origin of Z^d, or from `start` of a
+    finite graph, summed by endpoint orbit or vertex (_LEStates).
 
-    Walks sharing a loop-erasure state (_LEStates) at the same time are
-    merged, and the states of one point-group orbit are merged into its
-    canonical SAW, which carries the orbit's total (_forward). Constant
-    activities (and act=None) read the loop-count rows of _packed_rows,
-    built once per (n, ctx) and decoded on each call, so a lambda sweep at
-    a fixed (n, d) pays for one transfer. Table activities run _forward
-    with a Fraction per state. An activity that weighs every loop 0 (lambda
-    = 0, or a table of zeros) leaves only the SAWs, which share no states:
-    _saw_rows counts them instead.
+    Walks sharing a loop-erasure state at the same time are merged, and on
+    Z^d an orbit's states into its canonical SAW (_forward). Constant
+    activities (and act=None) decode the loop-count rows of _packed_rows,
+    built once per (n, ctx, start), so a lambda sweep pays for one transfer.
+    Table activities run _forward with a Fraction per state. An activity
+    that weighs every loop 0 (lambda = 0, or a table of zeros) leaves only
+    the SAWs, which share no states: _saw_rows counts them.
 
-    Returns (rows, den): rows[m] maps each endpoint orbit (_orbit_key) to
-    the total over the m-step walks ending in it, an int over den, or their
-    counts [N_0, N_1, ...] by loop number when act is None (den 1). With
-    lambda = p/q, sum_k N_k lambda^k is decoded as sum_k N_k p^k q^(K-k)
-    over q^K, K the most loops in any row. A point's own value is the total
-    over the orbit's size (_spread). Cached rows charge again the states
-    their build expanded, so they are refused as a fresh build would be.
+    Returns (rows, den): rows[m] maps each endpoint orbit (_orbit_key) or
+    vertex to the total over the m-step walks ending in it, an int over
+    den, or their counts [N_0, N_1, ...] by loop number when act is None
+    (den 1). With lambda = p/q, sum_k N_k lambda^k is decoded as sum_k N_k
+    p^k q^(K-k) over q^K, K the most loops in any row. Cached rows charge
+    again the states their build expanded, so they are refused as a fresh
+    build would be.
     """
     if act is not None and act.sup() == 0:
-        return _saw_rows(n, ctx), 1
+        return _saw_rows(n, ctx, start), 1
     if act is not None and not act.is_constant:
-        rows = _forward(_LEStates(ctx, n), act)
+        rows = _forward(_LEStates(ctx, n, start=start), act)
         den = lcm(*[w.denominator for row in rows for w in row.values()])
         return [{key: w.numerator * (den // w.denominator) for key, w in row.items()} for row in rows], den
-    rows, width, expanded = _packed_rows(n, ctx)
+    rows, width, expanded = _packed_rows(n, ctx, start)
     _Budget("cached transfer rows", "loop-erasure states in their build").charge(expanded)
     mask = (1 << width) - 1
 
@@ -422,30 +430,30 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None) -> tupl
 
 
 @lru_cache(maxsize=16)
-def _packed_rows(n: int, ctx: GraphCtx) -> tuple:
+def _packed_rows(n: int, ctx: GraphCtx, start=None) -> tuple:
     """(rows, width, expanded): _forward's rows under act=None, whose
     values pack sum_k N_k lambda^k as one int with N_k in digit k of width
     bits, and the number of states charged to build them. They do not
     depend on lambda; _transfer decodes them for each activity and charges
     expanded again."""
-    states = _LEStates(ctx, n)
+    states = _LEStates(ctx, n, start=start)
     return tuple(_forward(states, None)), states.width, states.ledger.used
 
 
 def _forward(states: _LEStates, act: Optional[LoopActivity]) -> list:
-    """_transfer's rows by orbit, run forward over the canonical SAWs of
-    states: packed loop-count ints when act is None (a charged loop is a
-    shift by states.width), else a Fraction weight per state.
+    """_transfer's rows, run forward over the SAWs of states: packed
+    loop-count ints when act is None (a charged loop is a shift by
+    states.width), else a Fraction weight per state, each erased loop
+    weighed once per digit string (and hit point, on a finite graph).
 
-    Level m maps each state of the m-step walks, a canonical SAW of length
-    <= m and of the parity of m, to its weight. One pass of states.saws(m)
-    expands it: a push onto an unused axis stands for its 2(d-k) images, and
-    a loop-closing step onto path[j] truncates it to codes[j]. Level n is
-    recorded, never stored."""
-    n, moves = states.n, states.steps
-    base, width = states.base, states.width
+    Level m maps each state of the m-step walks, a SAW of at most m steps, to
+    its weight. One pass of states.saws(m) expands it: a push onto an unused
+    axis of Z^d stands for its 2(d-k) images, and a loop-closing step onto
+    path[j] truncates it to codes[j]. Level n is recorded, never stored."""
+    n, moves, ctx = states.n, states.steps, states.ctx
+    base, width, lattice = states.base, states.width, ctx.is_lattice
     path, pos, codes = states.path, states.pos, states.codes
-    loop_weights: dict = {}  # erased loop's code -> activity
+    loop_weights: dict = {}  # erased loop's memo key -> activity
 
     one = 1 if act is None else Fraction(1)
     rows = [{0: one}] + [{} for _ in range(n)]
@@ -454,10 +462,10 @@ def _forward(states: _LEStates, act: Optional[LoopActivity]) -> list:
         states.charge(len(level))
         row, nxt = rows[m + 1], {}
         for length, x, k in states.saws(m):
-            if (m - length) % 2:
-                continue
             code = codes[-1]
-            w = level[code]
+            w = level.get(code)
+            if w is None:  # no m-step walk ends in this SAW
+                continue
             for s, mv, mult, _ in moves[k]:
                 q = x + mv
                 j = pos.get(q)
@@ -469,11 +477,11 @@ def _forward(states: _LEStates, act: Optional[LoopActivity]) -> list:
                         cw = w << width
                     else:
                         cut = base ** (length - j)
-                        loop = cut + code % cut
-                        if loop not in loop_weights:
-                            closed = tuple(states.point(p - q) for p in path[j:]) + (states.point(0),)
-                            loop_weights[loop] = act.weight_of_key(sap_key(closed))
-                        cw = w * loop_weights[loop]
+                        memo = cut + code % cut if lattice else (q, cut + code % cut)
+                        if memo not in loop_weights:
+                            loop = tuple(map(states.point, path[j:])) + (states.point(q),)
+                            loop_weights[memo] = act.weight_of_key(sap_key(loop, ctx))
+                        cw = w * loop_weights[memo]
                 row[q] = row.get(q, 0) + cw
                 if m < n - 1:
                     nxt[child] = nxt.get(child, 0) + cw
@@ -746,29 +754,18 @@ def _default_origin(ctx: GraphCtx):
 
 
 def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -> SpatialSeries:
-    """G(x) for all endpoints at once: direct weighted enumeration from 0.
-
-    Lattice activities go through _transfer on every call (its SAW counter
-    when every loop weighs 0), whose orbit totals are _spread over the
-    endpoints; finite graphs tally every walk (_tally) into a table cached
-    by activity, its _guard run on every call."""
-    if not ctx.is_lattice:
-        _guard(ctx, nmax)
-        return _finite_two_point_table(act, nmax, ctx, origin)
-    start = ctx.origin() if origin is None else origin
-    rows, den = _transfer(nmax, ctx, act)
-    totals: dict = {}  # endpoint orbit -> numerators by length
+    """G(x) for all endpoints at once, from _transfer's rows on every call.
+    On Z^d their orbit totals are _spread and translated to the origin."""
+    rows, den = _transfer(nmax, ctx, act, None if ctx.is_lattice else origin)
+    totals: dict = {}  # endpoint orbit or vertex -> numerators by length
     for m, row in enumerate(rows):
         for key, w in row.items():
             totals.setdefault(key, [0] * (nmax + 1))[m] = w
+    if not ctx.is_lattice:
+        return SpatialSeries.build({x: ZSeries.from_ints(nums, den) for x, nums in totals.items()}, nmax)
     table = _spread(totals, lambda nums, size: ZSeries.from_ints(nums, den * size))
+    start = ctx.origin() if origin is None else origin
     return SpatialSeries.build({tuple(map(add, x, start)): s for x, s in table.items()}, nmax)
-
-
-@lru_cache(maxsize=None)
-def _finite_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -> SpatialSeries:
-    start = ctx.vertices()[0] if origin is None else origin
-    return SpatialSeries.build(_tally(ctx, (start,), act, nmax), nmax)
 
 
 def two_point(x, act: LoopActivity, nmax: int, ctx: GraphCtx, reduced: bool = False, origin=None) -> ZSeries:
@@ -951,15 +948,11 @@ def loop_count_table(n_max: int, d: int, endpoint_resolved: bool = False) -> Loo
 
 
 def chi_series(act: LoopActivity, nmax: int, ctx: GraphCtx) -> ZSeries:
-    """Susceptibility: endpoint-summed walk weights.
-
-    lambda = 1 on the lattice is the simple random walk (every loop weighs
-    1), so chi_m = (2d)^m; other lattice activities sum _transfer's orbit
-    totals, which cover every endpoint; finite graphs sum two_point_table.
-    """
-    if not ctx.is_lattice:
-        return two_point_table(act, nmax, ctx).sum_over_x()
-    if act.is_constant and act.value == 1:
+    """Susceptibility: endpoint-summed walk weights (from the first vertex of
+    a finite graph). lambda = 1 on Z^d is the simple random walk (every loop
+    weighs 1), so chi_m = (2d)^m; every other sum adds up _transfer's rows,
+    which cover every endpoint."""
+    if ctx.is_lattice and act.is_constant and act.value == 1:
         return ZSeries.from_ints([(2 * ctx.d) ** m for m in range(nmax + 1)], 1)
     rows, den = _transfer(nmax, ctx, act)
     return ZSeries.from_ints([sum(row.values()) for row in rows], den)

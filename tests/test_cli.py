@@ -274,6 +274,8 @@ def test_loop_measure_on_a_box_graph(capsys, tmp_path, where, want):
         ["two-point", "--d", "1", "--x", "1,0"],
         ["loop-measure", "--d", "2", "--hit", "0"],
         ["loop-measure", "--d", "2", "--hit", "0,0", "--avoid", "1,0,0"],
+        ["two-point", "--d", "2", "--x", "a"],
+        ["loop-measure", "--d", "2", "--hit", "0,0;;1,0"],
     ],
 )
 def test_bad_point_exit_code(capsys, argv):
@@ -281,6 +283,7 @@ def test_bad_point_exit_code(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.strip().splitlines()) == 1
+    assert "is not a vertex" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -380,8 +380,8 @@ def test_restricted_bubble_chain_matches_brute_force(d, n, lam):
 
 
 # ---------------------------------------------------------------------------
-# the class tally behind walk_sum, the visit sums, the finite two-point table
-# and the closed tail of the pinch part
+# the class tally behind walk_sum, the visit sums and the closed tail of the
+# pinch part; the finite-graph tables of the transfer against the same bodies
 
 
 def _walk_sum_oracle(start, end, act, nmax, ctx, avoid=frozenset()):
@@ -448,10 +448,32 @@ def test_tally_matches_per_walk_bodies(case):
         for end, mark in product(pts[:2], pts):
             got = en._tally(ctx, (o,), act, nmax, end, avoid, mark).get(end, ZSeries.zero(nmax))
             assert got.coeffs == _visit_sum_oracle(o, end, mark, avoid, act, nmax, ctx).coeffs, (act, avoid, end, mark)
-    if not ctx.is_lattice:
-        for act in acts:
-            table = en.two_point_table(act, nmax, ctx, origin=o)
-            assert all(table.at(x).coeffs == _walk_sum_oracle(o, x, act, nmax, ctx).coeffs for x in ctx.vertices())
+
+
+TRIANGLE = GraphCtx.finite([0, 1, 2], [(0, 1), (1, 2), (2, 0)])
+K4 = GraphCtx.finite(range(4), [(a, b) for a in range(4) for b in range(a + 1, 4)])
+# (ctx, nmax, table activity): the 2x1 box has max degree 1, the triangle
+# and K4 have odd cycles, and the last vertex of "isolated" has no edge
+FINITE_TABLE_CASES = {
+    **{f"box{w}x{h}": (hp.box_graph(w, h), nmax, _box_table(hp.box_graph(w, h)))
+       for w, h, nmax in ((2, 1, 8), (2, 2, 8), (3, 2, 8), (3, 3, 6), (4, 4, 6))},
+    "triangle": (TRIANGLE, 8, LoopActivity.of_table(
+        {sap_key((0, 1, 2, 0), TRIANGLE): Fraction(3), sap_key((1, 2, 1), TRIANGLE): Fraction(1, 3)}, Fraction(1, 2))),
+    "K4": (K4, 6, LoopActivity.of_table({sap_key((0, 1, 2, 0), K4): Fraction(3)}, Fraction(1, 2))),
+    "isolated": (GraphCtx.finite([0, 1, 2], [(0, 1)]), 6, LoopActivity.of_table({}, Fraction(2))),
+}
+
+
+@pytest.mark.parametrize("case", FINITE_TABLE_CASES)
+def test_finite_tables_match_per_walk_bodies_from_every_vertex(case):
+    """two_point_table from every vertex of a finite graph, and chi_series
+    from the first, against the walks one at a time."""
+    ctx, nmax, table = FINITE_TABLE_CASES[case]
+    for act in [LoopActivity.constant(lam) for lam in (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(2))] + [table]:
+        for v in ctx.vertices():
+            got = en.two_point_table(act, nmax, ctx, origin=v)
+            assert all(got.at(x).coeffs == _walk_sum_oracle(v, x, act, nmax, ctx).coeffs for x in ctx.vertices()), (act, v)
+        assert en.chi_series(act, nmax, ctx).coeffs == _walk_sum_oracle(ctx.vertices()[0], None, act, nmax, ctx).coeffs
 
 
 def test_pinch_tail_tally_matches_per_walk_body():
@@ -995,24 +1017,27 @@ def test_catalog_guard_runs_cold_and_warm(monkeypatch):
 
 def test_table_guards_run_cold_and_warm(monkeypatch):
     """Every reader of a cached table refuses a small budget whether or not
-    the cache is filled. pi_n_table, the finite-graph two_point_table and
-    all_oriented_cycles (so also trivial_heap_sum) run an up-front guard
-    (4^6 naive walks) before their caches. pi_total_table and
-    bubble_chain_pinch_part have no cache of their own, and two_point_table
-    on Z^2 runs _transfer on every call, which charges the 3699 states
-    behind its rows (cached for a constant activity) or the 3202 canonical
-    SAWs it counts at nmax 10 against the budget."""
-    ctx, box, two = GraphCtx.lattice(2), hp.box_graph(3, 3), LoopActivity.constant(2)
+    the cache is filled. pi_n_table and all_oriented_cycles (so also
+    trivial_heap_sum) run an up-front guard (4^6 naive walks) before their
+    caches. pi_total_table and bubble_chain_pinch_part have no cache of
+    their own, and two_point_table runs _transfer on every call, which
+    charges the states behind its rows (cached for a constant activity) or
+    the SAWs it counts against the budget: 3699 states or 3202 canonical
+    SAWs on Z^2 at nmax 10, 2500 states or 1377 SAWs on the 4x4 box at
+    nmax 12."""
+    ctx, box, two = GraphCtx.lattice(2), hp.box_graph(4, 4), LoopActivity.constant(2)
     half, zero = LoopActivity.constant(Fraction(1, 2)), LoopActivity.constant(0)
     for call in (lambda: ex.pi_n_table(1, two, 6, ctx),
                  lambda: ex.pi_total_table(two, 6, ctx),
                  lambda: en.two_point_table(half, 10, ctx),
                  lambda: en.two_point_table(_table_activity(2), 10, ctx),
                  lambda: en.two_point_table(zero, 10, ctx),
-                 lambda: en.two_point_table(two, 6, box),
+                 lambda: en.two_point_table(two, 12, box),
+                 lambda: en.two_point_table(zero, 12, box),
+                 lambda: en.two_point_table(_box_table(box), 12, box),
                  lambda: en.bubble_chain_pinch_part((0, 0), (1, 0), half, 6, ctx),
-                 lambda: hp.all_oriented_cycles(box, 7),
-                 lambda: hp.trivial_heap_sum(frozenset(), box, half, 7)):
+                 lambda: hp.all_oriented_cycles(hp.box_graph(3, 3), 7),
+                 lambda: hp.trivial_heap_sum(frozenset(), hp.box_graph(3, 3), half, 7)):
         lww.clear_caches()
         for warm in (False, True):
             monkeypatch.setenv("LWW_BUDGET", "1000")
@@ -1041,7 +1066,6 @@ def test_every_cache_is_named():
         "lww.enumeration._packed_rows",
         "lww.enumeration._catalog",
         "lww.enumeration._entry_weights",
-        "lww.enumeration._finite_two_point_table",
         "lww.enumeration._mu_pair",
         "lww.expansion._pi_n_table",
         "lww.heaps._oriented_cycles",
