@@ -113,8 +113,8 @@ MUTANTS = [
            "",
            (KERNELS + "test_closed_walk_catalog_charges_each_state",)),
     Mutant("grow-stops-its-charge", "src/lww/enumeration.py",
-           "        left -= 1\n",
-           "",
+           "        left -= 1\n        if left < 0:\n            ledger.charge(",
+           "        if left < 0:\n            ledger.charge(",
            (KERNELS + "test_generators_charge_each_walk",)),
     Mutant("le-states-stop-their-charge", "src/lww/enumeration.py",
            "        self.charge = self.ledger.charge\n",
@@ -177,9 +177,13 @@ MUTANTS = [
            "            key = len(erased)\n",
            ("tests/test_heaps.py::test_suite_heaps_catches_a_dropped_loop",)),
     Mutant("edge-ids-per-direction", "src/lww/verify.py",
-           "        self[step] = self[step[::-1]] = i = len(self) // 2",
-           "        self[step] = i = len(self)",
+           "        self[step] = self[step[::-1]] = c = self.base ** (len(self) // 2)",
+           "        self[step] = c = self.base ** len(self)",
            ("tests/test_heaps.py::test_edge_ids_name_undirected_edges",)),
+    Mutant("edge-code-base-n", "src/lww/verify.py",
+           "        self.base = 2 * nmax + 1\n",
+           "        self.base = nmax\n",
+           ("tests/test_heaps.py::test_edge_code_sums_tell_edge_multisets_apart",)),
     Mutant("loop-addition-rotation-off-by-one", "src/lww/heaps.py",
            "        w = w[:t] + c.seq[k:] + c.seq[:k] + w[t:]\n",
            "        w = w[:t] + c.seq[k + 1:] + c.seq[:k + 1] + w[t:]\n",
@@ -213,9 +217,29 @@ MUTANTS = [
            "            bits |= 1 << (j - a)\n",
            ("tests/test_laces.py::test_graph_sums_match_fraction_oracle",)),
     Mutant("round-trip-without-edge-check", "src/lww/verify.py",
-           "        if back != w or eta_edges != edges or not same_pieces:\n",
-           "        if back != w or not same_pieces:\n",
+           "        if back != w or not same_pieces or (heap.pieces or w != saw) and (\n",
+           "        if back != w or not same_pieces or False and (\n",
            ("tests/test_heaps.py::test_suite_heaps_edge_check_catches_a_dropped_loop",)),
+    Mutant("edge-sums-skipped-without-w-equals-saw", "src/lww/verify.py",
+           " or (heap.pieces or w != saw) and (\n",
+           " or heap.pieces and (\n",
+           ("tests/test_heaps.py::test_suite_heaps_edge_check_catches_a_dropped_loop",)),
+    Mutant("catalog-vertex-decode-off-by-one", "src/lww/enumeration.py",
+           "        point = ctx.vertices().__getitem__\n",
+           "        point = lambda i: ctx.vertices()[i - 1]\n",
+           (KERNELS + "test_closed_walk_catalog_matches_former_body",)),
+    Mutant("heap-sum-scale-off-by-one", "src/lww/heaps.py",
+           "    scale = den ** (nmax // 2)\n",
+           "    scale = den ** (nmax // 2 - 1)\n",
+           ("tests/test_heaps.py::test_heap_sum_matches_series_dfs",)),
+    Mutant("fill-countdown-refuses-only-at-the-end", "src/lww/sampling.py",
+           "            if left < 0:\n                states.charge(allowance - left)\n            code, total",
+           "            if False:\n                states.charge(allowance - left)\n            code, total",
+           ("tests/test_budget.py::test_counted_down_charges_refuse_as_the_count_runs_out",)),
+    Mutant("charge-countdown-off-by-one", "src/lww/enumeration.py",
+           "    states.charge(allowance - left)\n    return [states.totals(row) for row in rows]\n",
+           "    states.charge(allowance - left - 1)\n    return [states.totals(row) for row in rows]\n",
+           ("tests/test_transfer.py::test_saw_counter_charges_each_expanded_saw",)),
     Mutant("lace-term-sum-one-order-off", "src/lww/expansion.py",
            "        acc.add(factor, m, size)\n",
            "        acc.add(factor.to_order(budget - 1), m + 1, size)\n",

@@ -362,25 +362,29 @@ def _saw_rows(n: int, ctx: GraphCtx, start=None) -> list:
     each child of each for its orbit, and expands the children of length
     n - 1 in place: no step out of one lands on it. The SAW's points are a
     set, as a (2n+1)^d occupancy map would not fit in memory for large d.
-    Each SAW expanded is charged.
+    Each SAW expanded is charged, counted down locally as in _grow.
     """
     states = _LEStates(ctx, n, "SAW counter", "canonical SAWs expanded", start)
     moves, sizes, pos = states.steps, states.sizes, states.pos
     rows = [{0: 1}] + [{} for _ in range(n)]
     last = rows[n]
+    left = allowance = states.ledger.limit - states.ledger.used  # SAWs to expand before a refusal
     for length, x, k in states.saws(max(n - 2, 0)) if n else ():
-        states.charge(1)
+        left -= 1
+        if left < 0:
+            states.charge(allowance - left)
         row, in_place = rows[length + 1], length == n - 2
         for _, mv, _, k2 in moves[k]:
             r = x + mv
             if r not in pos:
                 row[r] = row.get(r, 0) + sizes[k2]
                 if in_place:
-                    states.charge(1)
+                    left -= 1
                     for _, mv2, _, k3 in moves[k2]:
                         t = r + mv2
                         if t not in pos:
                             last[t] = last.get(t, 0) + sizes[k3]
+    states.charge(allowance - left)
     return [states.totals(row) for row in rows]
 
 
@@ -404,6 +408,7 @@ def _transfer(n: int, ctx: GraphCtx, act: Optional[LoopActivity] = None, start=N
     again the states their build expanded, so they are refused as a fresh
     build would be.
     """
+    start = None if ctx.is_lattice or start == ctx.vertices()[0] else start  # one _packed_rows key per start vertex
     if act is not None and act.sup() == 0:
         return _saw_rows(n, ctx, start), 1
     if act is not None and not act.is_constant:
@@ -541,16 +546,21 @@ def _catalog(ctx: GraphCtx, max_len: int) -> _Catalog:
     per point-group orbit, stepping by _canonical_steps for the axes their
     range uses; an orbit shares its keys (sap_key is a point-group canonical
     form), and its walks are the images of the canonical one under the
-    injective signed maps of its axes.
+    injective signed maps of its axes. A finite graph runs on its vertices'
+    places in ctx.vertices(), as _LEStates does, decoded once per new loop and range.
     """
     lattice = ctx.is_lattice
     if lattice:
         steps = [[(u, k2) for u, _, k2 in row] for row in _canonical_units(ctx)]
+    else:
+        point = ctx.vertices().__getitem__
+        index = {v: i for i, v in enumerate(ctx.vertices())}
+    distance = ctx.distance if lattice else lambda i, r: ctx.distance(point(i), point(r))
     ledger = _Budget("closed-walk catalog", "merged states expanded")
     loop_ids: dict = {}  # erased loop -> id of its sap_key
     key_ids: dict = {}  # sap_key -> id, in order of first sight
     agg: dict = {}  # (range, n, sorted key ids) -> count
-    for root in (ctx.origin(),) if lattice else ctx.vertices():
+    for root in (ctx.origin(),) if lattice else range(len(index)):
         moves: dict = {}  # (vertex, axes used) -> [(next vertex, axes used, its distance to root)]
         level = {((root,), frozenset((root,)), (), 0): 1}  # (LE, range, key ids, axes used) -> walks
         for m in range(1, max_len + 1):
@@ -563,8 +573,8 @@ def _catalog(ctx: GraphCtx, max_len: int) -> _Catalog:
                     if lattice:
                         out = [(tuple(map(add, here, u)), k2) for u, k2 in steps[k]]
                     else:
-                        out = [(v, 0) for v in ctx.neighbors(here)]
-                    out = moves[here, k] = [(v, k2, ctx.distance(v, root)) for v, k2 in out]
+                        out = [(index[v], 0) for v in ctx.neighbors(point(here))]
+                    out = moves[here, k] = [(v, k2, distance(v, root)) for v, k2 in out]
                 for v, k2, far in out:
                     if far > room:
                         continue
@@ -573,7 +583,8 @@ def _catalog(ctx: GraphCtx, max_len: int) -> _Catalog:
                         loop = saw[j:] + (v,)
                         i = loop_ids.get(loop)
                         if i is None:
-                            i = loop_ids[loop] = key_ids.setdefault(sap_key(loop, ctx), len(key_ids))
+                            key = sap_key(loop if lattice else tuple(map(point, loop)), ctx)
+                            i = loop_ids[loop] = key_ids.setdefault(key, len(key_ids))
                         state = (saw[: j + 1], rng, tuple(sorted(ids + (i,))), k2)
                         if j == 0:  # back at the root
                             entry = (rng, m, state[2])
@@ -588,7 +599,7 @@ def _catalog(ctx: GraphCtx, max_len: int) -> _Catalog:
     for (rng, n, ids), cnt in agg.items():
         by_range.setdefault(rng, []).append((n, tuple(sorted(names[i] for i in ids)), cnt))
     if not lattice:
-        return _Catalog(tuple((rng, 1, tuple(rows)) for rng, rows in by_range.items()), None)
+        return _Catalog(tuple((frozenset(map(point, rng)), 1, tuple(rows)) for rng, rows in by_range.items()), None)
     return _Catalog(tuple((rng, _orbit_size(ctx.d, sum(map(any, zip(*rng)))), tuple(rows))
                           for rng, rows in by_range.items()), ctx.d)
 
@@ -756,7 +767,7 @@ def _default_origin(ctx: GraphCtx):
 def two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx, origin=None) -> SpatialSeries:
     """G(x) for all endpoints at once, from _transfer's rows on every call.
     On Z^d their orbit totals are _spread and translated to the origin."""
-    rows, den = _transfer(nmax, ctx, act, None if ctx.is_lattice else origin)
+    rows, den = _transfer(nmax, ctx, act, origin)
     totals: dict = {}  # endpoint orbit or vertex -> numerators by length
     for m, row in enumerate(rows):
         for key, w in row.items():
@@ -803,8 +814,11 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
     bare = [{} for _ in range(nmax + 1)]  # by length: int endpoint -> SAWs with exp(mu) = 1
     totals: dict = {}  # endpoint orbit -> SeriesSum
     dressed: dict = {}  # _range_key -> exp(mu(range))
+    left = allowance = states.ledger.limit - states.ledger.used  # SAWs before a refusal, counted down
     for length, x, k in states.saws(nmax):
-        states.charge(1)
+        left -= 1
+        if left < 0:
+            states.charge(allowance - left)
         budget = nmax - length
         if budget < 2:  # no loop fits: exp(mu) = 1
             row = bare[length]
@@ -816,6 +830,7 @@ def loop_erased_two_point_table(act: LoopActivity, nmax: int, ctx: GraphCtx) -> 
         if e is None:
             e = dressed[rng] = exp_series(loop_measure(eta, (), act, budget, ctx))
         totals.setdefault(_orbit_key(eta[-1]), SeriesSum(nmax)).add(e, length, sizes[k])
+    states.charge(allowance - left)
     for length, row in enumerate(bare):
         for key, count in states.totals(row).items():
             totals.setdefault(key, SeriesSum(nmax)).add_term(length, count)

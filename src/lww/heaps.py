@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from math import lcm
 
 from .core import GraphCtx, LoopActivity, PreconditionError, _erase, sap_key
-from .series import SeriesSum, ZSeries, reciprocal
+from .series import ZSeries, reciprocal
 from .enumeration import _guard, loop_measure, saws
 
 
@@ -186,7 +187,8 @@ def loop_addition(pair: LegalPair, trace=None):
     Each pop inserts the maximal piece whose first hit along the walk comes
     last, at that hit (walk_order_max, then loop_insert): a lone maximum at
     its first hit, several (disjoint) by one scan of the walk that stops once
-    all are hit. The heap's cached maxima come first, then _maximal's.
+    all are hit. The heap's cached maxima come first, then _maximal's; an
+    empty heap returns eta at once.
 
     When `trace` is a list the inserted cycles are appended in insertion
     order (the last entry is the first loop a subsequent erasure removes).
@@ -195,9 +197,11 @@ def loop_addition(pair: LegalPair, trace=None):
     becomes maximal later lay under the cycle just inserted, so it meets
     the walk.
     """
-    w, pieces = pair.eta, list(pair.heap.pieces)  # a linear extension stays one as maxima pop
-    maxima = pair.heap._maxima
-    while maxima:
+    w, pieces = pair.eta, pair.heap.pieces
+    if not pieces:
+        return w
+    pieces, maxima = list(pieces), pair.heap._maxima  # a linear extension stays one as maxima pop
+    while True:
         if len(maxima) == 1:
             [(i, c)] = maxima
             verts = c.vertices()
@@ -222,8 +226,9 @@ def loop_addition(pair: LegalPair, trace=None):
         w = w[:t] + c.seq[k:] + c.seq[:k] + w[t:]
         if trace is not None:
             trace.append(c)
-        maxima = _maximal(pieces) if len(pieces) > 1 else list(enumerate(pieces))  # one left is maximal
-    return w
+        if not pieces:
+            return w
+        maxima = _maximal(pieces) if len(pieces) > 1 else [(0, pieces[0])]  # one left is maximal
 
 
 def loop_erasure_to_pair(w) -> LegalPair:
@@ -328,19 +333,23 @@ def _heap_sum(pieces: list, forbidden: frozenset, nmax: int) -> ZSeries:
     """Sum over sets of pairwise disjoint pieces avoiding `forbidden` of the
     product of their weights (the empty set gives 1): a DFS over the
     independent sets of the concurrency graph. Every weight is a monomial,
-    so a set carries its (degree, coefficient) and stops growing past nmax."""
+    so a set carries its (degree, coefficient) and stops growing past nmax.
+    Coefficients are ints over den^(nmax // 2): a set has at most nmax // 2 pieces."""
     pieces = [p for p in pieces if not p[0] & forbidden]
-    total = SeriesSum(nmax)
+    den = lcm(*[c.denominator for _, _, c in pieces])
+    pieces = [(verts, k, c.numerator * (den // c.denominator)) for verts, k, c in pieces]
+    scale = den ** (nmax // 2)
+    nums = [0] * (nmax + 1)
 
-    def dfs(start, chosen_verts, degree, coeff):
-        total.add_term(degree, coeff)
+    def dfs(start, chosen_verts, degree, num):
+        nums[degree] += num
         for i in range(start, len(pieces)):
             verts, k, c = pieces[i]
             if degree + k <= nmax and chosen_verts.isdisjoint(verts):
-                dfs(i + 1, chosen_verts | verts, degree + k, coeff * c)
+                dfs(i + 1, chosen_verts | verts, degree + k, num * c // den)
 
-    dfs(0, frozenset(), 0, Fraction(1))
-    return total.value()
+    dfs(0, frozenset(), 0, scale)
+    return ZSeries.from_ints(nums, scale)
 
 
 def trivial_heap_sum(forbidden, ctx: GraphCtx, act: LoopActivity, nmax: int) -> ZSeries:

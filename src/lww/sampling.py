@@ -281,15 +281,19 @@ def _completion_sums(states: _LEStates, p: int, q: int) -> list:
     p/q, an int: a push weighs q and an erasure p, times the sum of the state
     it leads to. levels[n] is None: every sum there is 1. Level m is filled
     by one pass of states.saws(m), whose prefix codes name the state each
-    step leads to. Each state filled is charge()d.
+    step leads to. Each state filled is charged, counted down locally.
     """
     base, n, moves, pos, codes = states.base, states.n, states.steps, states.pos, states.codes
     levels = [None] * (n + 1)
+    left = allowance = states.ledger.limit - states.ledger.used  # states to fill before a refusal
     for m in reversed(range(n)):
         sums, level = levels[m + 1], {}
         for length, x, k in states.saws(m):
             if (m - length) % 2:
                 continue
+            left -= 1
+            if left < 0:
+                states.charge(allowance - left)
             code, total = codes[-1], 0
             for s, mv, mult, _ in moves[k]:
                 j = pos.get(x + mv)
@@ -297,9 +301,9 @@ def _completion_sums(states: _LEStates, p: int, q: int) -> list:
                     total += mult * q * (1 if sums is None else sums[code * base + s])
                 else:
                     total += p * (1 if sums is None else sums[codes[j]])
-            states.charge(1)
             level[code] = total
         levels[m] = level
+    states.charge(allowance - left)
     return levels
 
 

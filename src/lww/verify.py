@@ -162,26 +162,35 @@ def suite_lm_rep(d: int, lam, nmax: int, max_l1: int = 3) -> list:
     return out
 
 
-class _EdgeIds(dict):
-    """{(u, v): id of the undirected edge {u, v}}, filled on first use."""
+class _EdgeCodes(dict):
+    """{(u, v): base^i, {u, v} the i-th edge used}: no sum over <= 2 nmax edges carries."""
+
+    def __init__(self, nmax: int):
+        self.base = 2 * nmax + 1
 
     def __missing__(self, step):
-        self[step] = self[step[::-1]] = i = len(self) // 2  # two entries per edge
-        return i
+        self[step] = self[step[::-1]] = c = self.base ** (len(self) // 2)  # two entries per edge
+        return c
+
+
+def _grid(r: int):
+    """The box [-r, r]^2 of Z^2 on row-major labels (x + r)(2r + 1) + y + r, and the label of 0.
+    Labels order as their points do, so _grow walks the box as it walks Z^2."""
+    side = 2 * r + 1
+    edges = [(i * side + j, k * side + m) for (i, j), ns in hp.box_graph(side, side).adjacency for k, m in ns]
+    return GraphCtx.finite(range(side * side), edges), r * side + r
 
 
 def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
-    """Viennot's bijection both ways: walks of Z^2 (len <= nmax_walks) from legal pairs, edge
-    multisets (_EdgeIds) kept, a heap per erased list (256 kept); 3x3-box legal pairs from walks."""
+    """Viennot's bijection both ways: walks of Z^2 (len <= nmax_walks, on the int _grid) from legal
+    pairs, edge multisets kept (_EdgeCodes sums), a heap per erased list (256 kept); 3x3-box pairs."""
     out = []
-    ctx = GraphCtx.lattice(2)
-    origin = ctx.origin()
-    get = _EdgeIds().__getitem__
+    ctx, centre = _grid(nmax_walks)
+    get = _EdgeCodes(nmax_walks).__getitem__
     ok = True
-    total = 0
-    prev, cycles = None, {}  # cycles: erased loop -> its oriented cycle
-    by_list = {}  # tuple(erased) -> (heap, its edge ids, same_pieces)
-    for w, saw, erased in en._grow(ctx, (origin,), nmax_walks):
+    prev, cycles = None, {}  # cycles: erased loop -> (its oriented cycle, its edge code)
+    by_list = {}  # tuple(erased) -> (heap, its edge code, same_pieces)
+    for total, (w, saw, erased) in enumerate(en._grow(ctx, (centre,), nmax_walks), 1):
         if erased is not prev:  # _grow shares one erased list until a loop closes
             prev = erased
             key = tuple(erased)
@@ -190,18 +199,15 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
                     by_list.clear()
                 for e in erased:
                     if e not in cycles:
-                        cycles[e] = hp.OrientedCycle.from_closed_walk(e)
-                loops = [cycles[e] for e in erased]
+                        cycles[e] = hp.OrientedCycle.from_closed_walk(e), sum(map(get, zip(e, e[1:])))
+                loops = [cycles[e][0] for e in erased]
                 heap = hp.CycleHeap.of(loops)
-                heap_ids = [get(step) for p in heap.pieces for step in zip(p.seq, p.seq[1:] + p.seq[:1])]
                 same = sorted(p.seq for p in heap.pieces) == sorted(c.seq for c in loops)
-                by_list[key] = heap, heap_ids, same
-            heap, heap_ids, same_pieces = by_list[key]
+                by_list[key] = heap, sum(cycles[e][1] for e in erased), same
+            heap, heap_code, same_pieces = by_list[key]
         back = hp.loop_addition(hp.LegalPair(eta=saw, heap=heap))
-        total += 1
-        edges = sorted(map(get, zip(w, w[1:])))
-        eta_edges = sorted(heap_ids + list(map(get, zip(saw, saw[1:]))))
-        if back != w or eta_edges != edges or not same_pieces:
+        if back != w or not same_pieces or (heap.pieces or w != saw) and (
+                sum(map(get, zip(w, w[1:]))) != heap_code + sum(map(get, zip(saw, saw[1:])))):
             ok = False
             break
     out.append(
@@ -225,9 +231,7 @@ def suite_heaps(nmax_walks: int = 8, box_cap: int = 8) -> list:
             if not pair.is_legal():
                 continue
             count += 1
-            w = hp.loop_addition(pair)
-            pair2 = hp.loop_erasure_to_pair(w)
-            if pair2.eta != eta or pair2.heap.pieces != heap.pieces:
+            if hp.loop_erasure_to_pair(hp.loop_addition(pair)) != pair:
                 ok = False
     out.append(
         CheckResult("heaps", f"loop_addition/erasure inverse on {count} legal pairs (3x3 box, size <= {box_cap})", ok)

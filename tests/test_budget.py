@@ -107,3 +107,31 @@ def test_transfer_states_hold_no_power_table(monkeypatch):
     lww.clear_caches()
     assert _traced_peak(lambda: en.chi_series(HALF, 20000, Z2)) < 5 << 20
     lww.clear_caches()
+
+
+def test_counted_down_charges_refuse_as_the_count_runs_out(monkeypatch):
+    """The SAW counter, the exact sampler's fill and the loop-erased table
+    count their units down locally, and each refuses within a few SAWs of
+    running out, long before its pass would end."""
+    yielded = []
+    saws = en._LEStates.saws
+
+    def counting(self, m):
+        for saw in saws(self, m):
+            yielded.append(saw)
+            yield saw
+
+    monkeypatch.delenv("LWW_BUDGET", raising=False)
+    lww.clear_caches()
+    for m in (2, 4, 6, 8):  # the catalogs are built first, so only the SAW charge counts
+        en.closed_walk_catalog(Z2, m)
+    monkeypatch.setattr(en._LEStates, "saws", counting)
+    monkeypatch.setenv("LWW_BUDGET", "50")
+    for call in (lambda: en._saw_rows(12, Z2),
+                 lambda: sp._completion_sums(en._LEStates(Z2, 12), 1, 2),
+                 lambda: en.loop_erased_two_point_table(HALF, 8, Z2)):
+        yielded.clear()
+        with pytest.raises(en.ResourceError, match="LWW_BUDGET=50"):
+            call()
+        assert len(yielded) < 120
+    lww.clear_caches()

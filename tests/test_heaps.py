@@ -341,6 +341,22 @@ def test_heap_sum_matches_series_dfs(dims, nmax):
                 assert got.coeffs == _heap_sum_oracle(forbidden, box, act, nmax, unoriented).coeffs
 
 
+def test_heap_sum_at_odd_orders_and_with_every_piece_forbidden():
+    """The int DFS at odd nmax, where a set's pieces are at most nmax // 2,
+    rounded down, on graphs with odd cycles too; with every vertex
+    forbidden only the empty set is left and the sum is 1."""
+    triangle = GraphCtx.finite("abc", [("a", "b"), ("b", "c"), ("c", "a")])
+    k4 = GraphCtx.finite(range(4), [(a, b) for a in range(4) for b in range(a + 1, 4)])
+    for ctx, nmax in ((hp.box_graph(3, 3), 7), (hp.box_graph(3, 2), 5), (triangle, 7), (k4, 5)):
+        for act in _activities(ctx):
+            for unoriented in (False, True):
+                pieces = hp._heap_pieces(ctx, act, nmax, unoriented)
+                for forbidden in (frozenset(), frozenset(ctx.vertices()[:1])):
+                    got = hp._heap_sum(pieces, forbidden, nmax)
+                    assert got.coeffs == _heap_sum_oracle(forbidden, ctx, act, nmax, unoriented).coeffs
+                assert hp._heap_sum(pieces, frozenset(ctx.vertices()), nmax) == ZSeries.one(nmax)
+
+
 @pytest.mark.parametrize("dims,nmax", [((2, 2), 8), ((3, 2), 8), ((3, 3), 8)])
 def test_finite_two_point_table_matches_walk_fold(dims, nmax):
     box = hp.box_graph(*dims)
@@ -454,19 +470,57 @@ def test_maximal_pieces_is_a_fresh_list_of_the_cached_maxima():
 
 def test_edge_ids_name_undirected_edges():
     """Over every step of a ball, in any order of first use, (u, v) and
-    (v, u) get one id and distinct undirected edges distinct ids."""
+    (v, u) get one code, and the i-th undirected edge used gets base^i with
+    base = 2 nmax + 1."""
     from lww import verify as vf
 
     r = 4
     ball = {p for p in product(range(-r, r + 1), repeat=2) if abs(p[0]) + abs(p[1]) <= r}
     steps = [(u, v) for u in sorted(ball) for v in CTX2.neighbors(u) if v in ball]
     for order in (steps, steps[::-1], random.Random(7).sample(steps, len(steps))):
-        eid = vf._EdgeIds()
-        ids = {step: eid[step] for step in order}
-        assert all(eid[v, u] == i for (u, v), i in ids.items())
-        by_edge = {frozenset(step): i for step, i in ids.items()}
-        assert len(set(by_edge.values())) == len(by_edge) == len(steps) // 2
-        assert len(eid) == len(steps)
+        codes = vf._EdgeCodes(r)
+        got = {step: codes[step] for step in order}
+        assert all(codes[v, u] == c for (u, v), c in got.items())
+        by_edge = {frozenset(step): c for step, c in got.items()}
+        assert sorted(by_edge.values()) == [(2 * r + 1) ** i for i in range(len(steps) // 2)]
+        assert len(codes) == len(steps)
+
+
+def test_edge_code_sums_tell_edge_multisets_apart():
+    """A walk of at most nmax steps and its SAW plus erased loops cross
+    each edge at most 2 nmax times, and every such multiset of edges sums
+    to its own code. Under base nmax, n crossings of one edge would sum to
+    one crossing of the next."""
+    from lww import verify as vf
+
+    for nmax in (1, 2, 3, 4):
+        codes = vf._EdgeCodes(nmax)
+        edges = [codes[0, 1], codes[2, 1], codes[2, 3]]
+        seen = {}
+        for counts in product(range(2 * nmax + 1), repeat=3):
+            if sum(counts) <= 2 * nmax:
+                total = sum(c * e for c, e in zip(counts, edges))
+                assert seen.setdefault(total, counts) == counts
+        walk = ((0, 1) * nmax)[: nmax + 1]  # nmax steps, each across {0, 1}
+        assert sum(map(codes.__getitem__, zip(walk, walk[1:]))) == nmax * edges[0] != edges[1]
+
+
+def test_grid_walks_decode_to_the_lattice_walks():
+    """_grow on the int-labelled grid yields the walks, SAWs and erased
+    loops of _grow on Z^2, in the same order, once labels are decoded."""
+    from lww import verify as vf
+
+    for n in range(6):
+        ctx, centre = vf._grid(n)
+        side = 2 * n + 1
+
+        def decode(walk):
+            return tuple((label // side - n, label % side - n) for label in walk)
+
+        got = [(decode(w), decode(saw), [decode(e) for e in erased]) for w, saw, erased in en._grow(ctx, (centre,), n)]
+        want = [(w, saw, list(erased)) for w, saw, erased in en._grow(CTX2, ((0, 0),), n)]
+        assert len(got) == sum(4**m for m in range(n + 1))
+        assert got == want
 
 
 def test_suite_heaps_catches_a_dropped_loop(monkeypatch):

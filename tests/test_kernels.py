@@ -744,6 +744,20 @@ def test_closed_walk_catalog_matches_former_body(ctx, n):
     assert _expanded(en.closed_walk_catalog(ctx, n)) == _catalog_oracle(ctx, n)
 
 
+@pytest.mark.parametrize("ctx,n", [
+    (GraphCtx.finite("abc", [("a", "b"), ("b", "c"), ("c", "a")]), 8),
+    (GraphCtx.finite(range(10, 14), [(a, b) for a in range(10, 14) for b in range(a + 1, 14)]), 6),
+    (GraphCtx.finite(["x", "y", "z"], [("x", "z")]), 6),
+], ids=["triangle", "K4", "isolated"])
+def test_closed_walk_catalog_on_small_graphs(ctx, n):
+    """The catalog numbers a finite graph's vertices as ints and decodes
+    them back: odd cycles, labels that are not their places, and a vertex
+    with no edge between two that have one."""
+    lww.clear_caches()
+    got = _expanded(en.closed_walk_catalog(ctx, n))
+    assert got and got == _catalog_oracle(ctx, n)
+
+
 @pytest.mark.parametrize("ctx,n", [(GraphCtx.lattice(2), 8), (hp.box_graph(3, 3), 8)], ids=["Z2", "box3x3"])
 def test_closed_walk_catalog_charges_each_state(monkeypatch, ctx, n):
     """With the up-front guard off, the catalog is charged one unit per

@@ -16,6 +16,8 @@ import lww
 from lww import enumeration as en
 from lww import sampling as sp
 from lww.core import GraphCtx, LoopActivity
+from lww.heaps import box_graph
+from lww.series import ZSeries
 
 SWEEP = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(2), Fraction(7, 5)]
 EXACT_SWEEP = [Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3)]
@@ -71,6 +73,19 @@ def test_exact_sweep_matches_cold_calls(d):
             row.append(call(LoopActivity.constant(lam)))
         cold.append(row)
     assert warm == cold
+
+
+def test_finite_rows_are_keyed_by_the_start_they_use():
+    """A finite graph's first vertex, named or left as the default, builds
+    its rows once."""
+    box, half = box_graph(3, 3), LoopActivity.constant(Fraction(1, 2))
+    lww.clear_caches()
+    chi = en.chi_series(half, 8, box)
+    named = en.two_point_table(half, 8, box, origin=(0, 0))
+    default = en.two_point_table(half, 8, box)
+    info = en._packed_rows.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    assert named == default and ZSeries.sum((named.at(x) for x in box.vertices()), 8) == chi
 
 
 def test_caches_stay_bounded_and_clear():
